@@ -73,8 +73,10 @@ class RunConfig:
     min_window_docs: int = 0
 
     def validate(self, *, need_articles: bool = False) -> None:
-        if not 0.0 < self.similarity_threshold <= 1.0:
-            raise UsageError("similarity_threshold must be in (0, 1]")
+        # Strict `>` at 1.0 would keep a verbatim copy only when rounding
+        # lands above 1.0, so the result would depend on summation order.
+        if not 0.0 < self.similarity_threshold < 1.0:
+            raise UsageError("similarity_threshold must be in (0, 1)")
         if not 0.0 < self.title_change_threshold <= 1.0:
             raise UsageError("title_change_threshold must be in (0, 1]")
         if self.window_days < 1:

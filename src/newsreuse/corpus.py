@@ -28,6 +28,9 @@ SECONDS_PER_DAY = 86400
 
 _WS_RE = re.compile(r"\s+")
 _INT_RE = re.compile(r"[+-]?\d+")
+# The instants `format_timestamp` can format.
+_MIN_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+_MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
 
 def canonical_source(name: str) -> str:
@@ -38,8 +41,18 @@ def canonical_source(name: str) -> str:
 def parse_timestamp(value: Any) -> int:
     """Parse ISO-8601 text or integer epoch seconds into epoch seconds (UTC).
 
-    Naive ISO timestamps are taken as UTC. Anything else raises ValueError.
+    Naive ISO timestamps are taken as UTC. Anything else, and any instant
+    outside the years 1-9999 that `format_timestamp` can format, raises
+    ValueError.
     """
+    ts = _epoch_seconds(value)
+    if not _MIN_TS <= ts <= _MAX_TS:
+        hint = "; milliseconds?" if _MAX_TS < ts and ts // 1000 <= _MAX_TS else ""
+        raise ValueError(f"timestamp {ts} is out of range{hint}")
+    return ts
+
+
+def _epoch_seconds(value: Any) -> int:
     if isinstance(value, bool):
         raise ValueError("boolean is not a timestamp")
     if isinstance(value, int):

@@ -1,14 +1,11 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. Scoring all pairs densely is quadratic in
-window size, so candidate generation goes through an inverted index: each
-vector is indexed under a prefix of its terms (rarest first) sized so that
-the L2 mass left unindexed could not reach the threshold on its own. Any
-pair above the threshold is therefore guaranteed to collide in the index,
-and every candidate is scored exactly, so the pruned search returns the
-same set as an exhaustive scan. Output ordering and scores are
-deterministic.
+similarity exceeds a threshold. It scores every pair in a window: the
+window's vectors are the rows of one sparse matrix, and the lower triangle
+of that matrix times its transpose is computed exactly, tile by tile, with
+scipy.sparse. Nothing is pruned, so the result is the exhaustive set by
+construction. Output ordering and scores are deterministic.
 """
 
 from __future__ import annotations
@@ -19,10 +16,12 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import Article, TimeWindow
 from .errors import DataError
@@ -31,6 +30,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.90
 DEFAULT_MIN_BODY_TOKENS = 20
+
+# Product entries per tile of the exact join; bounds its working memory.
+_TILE_ENTRIES = 1 << 16
 
 FORWARD = "forward"
 AMBIGUOUS = "ambiguous"
@@ -153,70 +155,42 @@ def cosine(u: DocVector, v: DocVector) -> float:
 
 
 def _threshold_join(
-    vectors: Sequence[DocVector],
-    threshold: float,
-    df_by_index: Sequence[int] | None = None,
+    vectors: Sequence[DocVector], threshold: float
 ) -> list[tuple[int, int, float]]:
     """All position pairs (i, j), i < j, with dot product > threshold.
 
-    Each vector is indexed under a prefix of its terms, extended until the
-    squared mass left unindexed drops to threshold^2 (with a small relative
-    margin for rounding). If a later vector shares none of an indexed
-    vector's prefix terms, Cauchy-Schwarz bounds their dot by the residual
-    norm, so no qualifying pair can be missed regardless of prefix order.
-
-    Prefix order matters only for speed: rarest-first (ascending document
-    frequency) keeps posting lists short. Raw tf inflates the weights of
-    common terms, so ordering by weight would index every document under
-    the same few frequent terms and candidate generation would degenerate
-    to all pairs. Falls back to weight order when no frequencies are given.
-
-    Candidates are scored against a dense copy of the query vector, so each
-    dot costs one gather over the candidate's nonzeros at C speed.
+    The vectors are stacked as the rows of one CSR matrix X, and the strict
+    lower triangle of X X^T is computed exactly with scipy.sparse, one
+    square tile of about `_TILE_ENTRIES` entries at a time, so memory does
+    not grow with the window. Every pair is scored; nothing is pruned. A
+    score sums the products of the two vectors' shared terms in ascending
+    term order, so it does not depend on the tiling or on argument order.
     """
+    n = len(vectors)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(v.indices) for v in vectors], out=indptr[1:])
+    nnz = int(indptr[-1])
+    weights = np.fromiter(chain.from_iterable(v.weights for v in vectors), float, nnz)
+    indices = np.fromiter(chain.from_iterable(v.indices for v in vectors), np.int32, nnz)
     dim = 1 + max((v.indices[-1] for v in vectors if v.indices), default=0)
-    arrays = [
-        (np.asarray(v.indices, dtype=np.intp), np.asarray(v.weights))
-        for v in vectors
-    ]
-    dense_query = np.zeros(dim)
-    postings: dict[int, list[int]] = {}
+    matrix = sparse.csr_matrix((weights, indices, indptr), shape=(n, dim))
+    side = max(1, math.isqrt(_TILE_ENTRIES))
     out: list[tuple[int, int, float]] = []
-    residual_limit = threshold * threshold * (1.0 - 1e-9)
-    for pos, vec in enumerate(vectors):
-        if not vec.indices:
-            continue
-        candidates: set[int] = set()
-        for idx in vec.indices:
-            plist = postings.get(idx)
-            if plist:
-                candidates.update(plist)
-        if candidates:
-            query_idx, query_weights = arrays[pos]
-            dense_query[query_idx] = query_weights
-            for other in sorted(candidates):
-                cand_idx, cand_weights = arrays[other]
-                sim = float(np.dot(cand_weights, dense_query[cand_idx]))
-                if sim > threshold:
-                    out.append((other, pos, sim))
-            dense_query[query_idx] = 0.0
-        if df_by_index is None:
-            order = sorted(
-                range(len(vec.indices)),
-                key=lambda k: (-vec.weights[k], vec.indices[k]),
+    for later_lo in range(0, n, side):
+        later = matrix[later_lo : later_lo + side]
+        for earlier_lo in range(0, later_lo + 1, side):
+            tile = later @ matrix[earlier_lo : earlier_lo + side].T
+            hits = np.flatnonzero(tile.data > threshold)
+            later_pos = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
+            earlier_pos = earlier_lo + tile.indices[hits]
+            keep = earlier_pos < later_pos
+            out.extend(
+                zip(
+                    earlier_pos[keep].tolist(),
+                    later_pos[keep].tolist(),
+                    tile.data[hits[keep]].tolist(),
+                )
             )
-        else:
-            order = sorted(
-                range(len(vec.indices)),
-                key=lambda k: (df_by_index[vec.indices[k]], vec.indices[k]),
-            )
-        total = sum(w * w for w in vec.weights)
-        covered = 0.0
-        for k in order:
-            postings.setdefault(vec.indices[k], []).append(pos)
-            covered += vec.weights[k] * vec.weights[k]
-            if total - covered <= residual_limit:
-                break
     return out
 
 
@@ -277,27 +251,14 @@ def match_window(
         return WindowMatchResult(window.index, len(docs), len(eligible), ())
     model = fit_tfidf([docs[i] for i in eligible], window.index)
     vectors = [vectorize(model, docs[i]) for i in eligible]
-    df_by_index = [0] * len(model.vocabulary)
-    for term, idx in model.vocabulary.items():
-        df_by_index[idx] = model.doc_freq[term]
     pairs = []
-    for qpos, ppos, sim in _threshold_join(vectors, threshold, df_by_index):
+    for qpos, ppos, sim in _threshold_join(vectors, threshold):
         a, b = articles[eligible[qpos]], articles[eligible[ppos]]
         if a.source == b.source:
             continue
         pairs.append(pair_articles(a, b, sim, window.index))
     pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
     return WindowMatchResult(window.index, len(docs), len(eligible), tuple(pairs))
-
-
-def find_matches(
-    window: TimeWindow,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_body_tokens: int = DEFAULT_MIN_BODY_TOKENS,
-) -> list[MatchedPair]:
-    return list(
-        match_window(window, threshold=threshold, min_body_tokens=min_body_tokens).pairs
-    )
 
 
 PAIRS_HEADER = [

@@ -1,9 +1,10 @@
 """Independent oracles used to pin expected values.
 
 Everything here computes results by a different route than the library:
-dense numpy TFIDF instead of sparse inverted-index search, explicit
-shortest-path enumeration instead of Brandes accumulation, the raw
-pairwise modularity sum instead of the per-community aggregation.
+dense numpy TFIDF and an all-pairs loop instead of a tiled sparse matrix
+product, explicit shortest-path enumeration instead of Brandes
+accumulation, the raw pairwise modularity sum instead of the per-community
+aggregation.
 """
 
 from collections import Counter, deque

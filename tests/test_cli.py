@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -90,6 +91,37 @@ def test_bad_threshold_is_usage_error(tmp_path):
         "--similarity-threshold", "1.5", "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_USAGE
+
+
+def test_threshold_of_one_is_usage_error(tmp_path, capsys):
+    fx = _gen(tmp_path)
+    code = _run(
+        "detect", "--config", str(fx / "fixture.cfg"),
+        "--similarity-threshold", "1.0", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_USAGE
+    assert "must be in (0, 1)" in capsys.readouterr().err
+
+
+def test_millisecond_timestamp_is_rejected_row(tmp_path):
+    fx = _gen(tmp_path)
+    clean = fx / "articles.jsonl"
+    text = clean.read_text(encoding="utf-8")
+    bad = {"id": "ms", "source": "late", "body": "x", "published_utc": BASE_TS * 1000}
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_text(text + json.dumps(bad) + "\n", encoding="utf-8")
+    for name, path in (("clean", clean), ("dirty", dirty)):
+        code = _run(
+            "detect", "--config", str(fx / "fixture.cfg"), "--articles", str(path),
+            "--out", str(tmp_path / name),
+        )
+        assert code == EXIT_OK
+    with (tmp_path / "dirty" / "rejects.csv").open() as fh:
+        rejects = list(csv.DictReader(fh))
+    assert [r["row"] for r in rejects] == [str(text.count("\n") + 1)]
+    assert "milliseconds?" in rejects[0]["reason"]
+    windows = [(tmp_path / n / "windows.csv").read_bytes() for n in ("clean", "dirty")]
+    assert windows[0] == windows[1]
 
 
 def test_empty_corpus_is_data_error(tmp_path):

@@ -182,6 +182,14 @@ def test_parse_timestamp_formats():
         parse_timestamp("April 7th 2017")
     with pytest.raises(ValueError):
         parse_timestamp(1.5)
+    assert parse_timestamp("0001-01-01T00:00:00Z") == -62135596800
+    assert parse_timestamp("9999-12-31T23:59:59Z") == 253402300799
+    with pytest.raises(ValueError, match="milliseconds"):
+        parse_timestamp(BASE_TS * 1000)
+    with pytest.raises(ValueError, match=r"out of range$"):
+        parse_timestamp(BASE_TS * 10**6)
+    with pytest.raises(ValueError, match=r"out of range$"):
+        parse_timestamp("0001-01-01T00:00:00+01:00")
 
 
 def test_canonical_source():

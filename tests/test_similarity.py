@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsreuse import similarity
 from newsreuse.errors import DataError
 from newsreuse.similarity import (
     AMBIGUOUS,
     FORWARD,
     TokenizedDoc,
     cosine,
-    find_matches,
     fit_tfidf,
     match_window,
     read_pairs_csv,
@@ -125,7 +125,7 @@ def test_verbatim_copy_detected_at_one():
     window = make_window(
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A]})
     )
-    pairs = find_matches(window)
+    pairs = list(match_window(window).pairs)
     assert len(pairs) == 1
     assert pairs[0].similarity == pytest.approx(1.0, abs=1e-9)
     assert {pairs[0].earlier.source, pairs[0].later.source} == {"ap", "echo"}
@@ -134,7 +134,7 @@ def test_verbatim_copy_detected_at_one():
 
 def test_same_source_duplicates_excluded():
     window = make_window(_window_articles({"ap": [LONG_A, LONG_A], "x": [LONG_B]}))
-    assert find_matches(window) == []
+    assert list(match_window(window).pairs) == []
 
 
 def test_short_bodies_ineligible():
@@ -157,7 +157,7 @@ def test_timestamp_tie_marks_ambiguous():
     a = make_article("idb", "zsource", body=LONG_A, ts=BASE_TS + 100)
     b = make_article("ida", "asource", body=LONG_A, ts=BASE_TS + 100)
     window = make_window([a, b])
-    pairs = find_matches(window)
+    pairs = list(match_window(window).pairs)
     assert len(pairs) == 1
     assert pairs[0].direction == AMBIGUOUS
     assert pairs[0].earlier.source == "asource"
@@ -191,11 +191,24 @@ def test_planted_copies_recovered_exactly():
     rng = random.Random(11)
     vocab = pseudo_vocab(rng, 900)
     window, planted = _planted_window(rng, 200, 10, vocab)
-    pairs = find_matches(window, threshold=0.90)
+    pairs = list(match_window(window, threshold=0.90).pairs)
     got = {frozenset((p.earlier.id, p.later.id)) for p in pairs}
     assert got == planted
     for p in pairs:
         assert p.similarity == pytest.approx(1.0, abs=1e-9)
+
+
+def _oracle_pairs(window, threshold, min_body_tokens):
+    """Cross-source pairs of `window` above `threshold`, scored densely."""
+    articles = sorted(window.articles, key=lambda a: a.id)
+    docs = [list(TokenizedDoc.from_text(a.id, a.body).tokens) for a in articles]
+    keep = [i for i, d in enumerate(docs) if len(d) >= min_body_tokens]
+    oracle = {}
+    for i, j, sim in exhaustive_pairs([docs[k] for k in keep], threshold):
+        a, b = articles[keep[i]], articles[keep[j]]
+        if a.source != b.source:
+            oracle[frozenset((a.id, b.id))] = sim
+    return oracle
 
 
 def test_pruned_search_equals_exhaustive_oracle():
@@ -206,20 +219,59 @@ def test_pruned_search_equals_exhaustive_oracle():
         window, _ = _planted_window(rng, size, rng.randint(1, 6), vocab)
         threshold = rng.choice([0.5, 0.7, 0.9])
         result = match_window(window, threshold=threshold, min_body_tokens=5)
-        articles = sorted(window.articles, key=lambda a: a.id)
-        docs = [list(TokenizedDoc.from_text(a.id, a.body).tokens) for a in articles]
-        keep = [i for i, d in enumerate(docs) if len(d) >= 5]
-        oracle = {}
-        for i, j, sim in exhaustive_pairs([docs[k] for k in keep], threshold):
-            a, b = articles[keep[i]], articles[keep[j]]
-            if a.source != b.source:
-                oracle[frozenset((a.id, b.id))] = sim
+        oracle = _oracle_pairs(window, threshold, 5)
         got = {
             frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs
         }
         assert got.keys() == oracle.keys(), f"trial {trial} set mismatch"
         for key, sim in got.items():
             assert abs(sim - oracle[key]) <= 1e-12
+
+
+@st.composite
+def _small_windows(draw):
+    """2-14 short bodies over 8 words, some verbatim copies, some empty."""
+    words = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po"]
+    bodies = []
+    for _ in range(draw(st.integers(2, 14))):
+        if bodies and draw(st.booleans()):
+            bodies.append(draw(st.sampled_from(bodies)))
+        else:
+            bodies.append(" ".join(draw(st.lists(st.sampled_from(words), max_size=10))))
+    return make_window(
+        [
+            make_article(f"d{i:02d}", draw(st.sampled_from("abc")), body=body, ts=BASE_TS + i)
+            for i, body in enumerate(bodies)
+        ]
+    )
+
+
+@given(
+    window=_small_windows(),
+    threshold=st.sampled_from([0.5, 0.9, 0.99]),
+    min_body_tokens=st.sampled_from([0, 3]),
+    tile_entries=st.sampled_from([1, 4, 9, similarity._TILE_ENTRIES]),
+)
+@settings(max_examples=300, deadline=None)
+def test_tiled_join_equals_exhaustive_oracle(
+    window, threshold, min_body_tokens, tile_entries
+):
+    # Tiles of side 1, 2 and 3 split every window into several tiles; the
+    # default budget puts each of these windows in a single tile.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
+        result = match_window(
+            window, threshold=threshold, min_body_tokens=min_body_tokens
+        )
+    got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
+    assert len(got) == len(result.pairs)
+    # Tiny vocabularies produce pairs whose exact cosine equals the
+    # threshold; rounding may put those on either side of it.
+    oracle = _oracle_pairs(window, threshold - 1e-12, min_body_tokens)
+    certain = {key for key, sim in oracle.items() if sim > threshold + 1e-12}
+    assert certain <= got.keys() <= oracle.keys()
+    for key, sim in got.items():
+        assert abs(sim - oracle[key]) <= 1e-12
 
 
 def test_raising_threshold_never_adds_pairs():
@@ -230,7 +282,9 @@ def test_raising_threshold_never_adds_pairs():
     for threshold in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]:
         pairs = {
             frozenset((p.earlier.id, p.later.id))
-            for p in find_matches(window, threshold=threshold, min_body_tokens=5)
+            for p in list(
+                match_window(window, threshold=threshold, min_body_tokens=5).pairs
+            )
         }
         if previous is not None:
             assert pairs <= previous
@@ -241,8 +295,8 @@ def test_output_sorted_and_deterministic():
     rng = random.Random(47)
     vocab = pseudo_vocab(rng, 200)
     window, _ = _planted_window(rng, 90, 6, vocab)
-    first = find_matches(window, threshold=0.5, min_body_tokens=5)
-    second = find_matches(window, threshold=0.5, min_body_tokens=5)
+    first = list(match_window(window, threshold=0.5, min_body_tokens=5).pairs)
+    second = list(match_window(window, threshold=0.5, min_body_tokens=5).pairs)
     assert first == second
     keys = [(-p.similarity, p.earlier.id, p.later.id) for p in first]
     assert keys == sorted(keys)
@@ -264,14 +318,14 @@ def test_matching_is_strictly_intra_window(tmp_path):
     )
     windows = partition_windows(ingest_articles(path), window_days=14)
     assert len(windows) == 2
-    assert all(find_matches(w) == [] for w in windows)
+    assert all(list(match_window(w).pairs) == [] for w in windows)
 
 
 def test_pairs_csv_round_trip(tmp_path):
     window = make_window(
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A, LONG_B]})
     )
-    pairs = find_matches(window)
+    pairs = list(match_window(window).pairs)
     assert pairs
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
@@ -282,7 +336,7 @@ def test_pairs_csv_round_trip(tmp_path):
 
 def test_pairs_csv_unknown_id_errors(tmp_path):
     window = make_window(_window_articles({"ap": [LONG_A], "echo": [LONG_A]}))
-    pairs = find_matches(window)
+    pairs = list(match_window(window).pairs)
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
     with pytest.raises(DataError, match="not in corpus"):
