@@ -2,94 +2,4 @@
 who-copied-whom source networks over time windows, and quantifying how
 republishers alter headlines."""
 
-from .corpus import (
-    Article,
-    ArticleCollection,
-    Lexicon,
-    SourceLabels,
-    TimeWindow,
-    ingest_articles,
-    load_labels,
-    load_lexicon,
-    partition_windows,
-)
-from .errors import DataError
-from .headlines import (
-    FeatureShift,
-    TitleFeatures,
-    TitlePair,
-    anova_f,
-    changed_fraction,
-    extract_features,
-    normality_test,
-    rank_changers,
-    significant_shifts,
-    title_distance,
-)
-from .network import (
-    Partition,
-    RepublishGraph,
-    attach_engagement,
-    betweenness,
-    build_window_graph,
-    degree_metrics,
-    export_graph,
-    louvain,
-    merge_graphs,
-    modularity,
-)
-from .similarity import (
-    DocVector,
-    MatchedPair,
-    TfidfModel,
-    TokenizedDoc,
-    cosine,
-    fit_tfidf,
-    match_window,
-    tokenize,
-    vectorize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Article",
-    "ArticleCollection",
-    "DataError",
-    "DocVector",
-    "FeatureShift",
-    "Lexicon",
-    "MatchedPair",
-    "Partition",
-    "RepublishGraph",
-    "SourceLabels",
-    "TfidfModel",
-    "TimeWindow",
-    "TitleFeatures",
-    "TitlePair",
-    "TokenizedDoc",
-    "anova_f",
-    "attach_engagement",
-    "betweenness",
-    "build_window_graph",
-    "changed_fraction",
-    "cosine",
-    "degree_metrics",
-    "export_graph",
-    "extract_features",
-    "fit_tfidf",
-    "ingest_articles",
-    "load_labels",
-    "load_lexicon",
-    "louvain",
-    "match_window",
-    "merge_graphs",
-    "modularity",
-    "normality_test",
-    "partition_windows",
-    "rank_changers",
-    "significant_shifts",
-    "title_distance",
-    "tokenize",
-    "vectorize",
-]

@@ -357,16 +357,17 @@ def cmd_graph(cfg: RunConfig) -> int:
     graphs_dir = out / "graphs"
     graphs_dir.mkdir(parents=True, exist_ok=True)
     written = 0
+    per_window = []
     for window, graph in zip(windows, window_graphs):
         scope = by_window.get(window.index, [])
-        _decorate_graph(graph, labels, partition, scope)
+        per_window.append(_decorate_graph(graph, labels, partition, scope))
         if graph.num_nodes == 0:
             continue
         network_mod.export_graphml(graph, graphs_dir / f"window_{window.index:03d}.graphml")
         network_mod.export_dot(graph, graphs_dir / f"window_{window.index:03d}.dot")
         written += 1
-    _decorate_graph(combined, labels, partition, pairs)
-    metrics = network_mod.compute_node_metrics(combined, window_graphs)
+    combined_metrics = _decorate_graph(combined, labels, partition, pairs)
+    metrics = network_mod.compute_node_metrics(combined_metrics, per_window)
     for m in metrics:
         if combined.has_node(m.source):
             attrs = combined.node_attrs(m.source)
@@ -425,12 +426,13 @@ def cmd_graph(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _decorate_graph(graph, labels, partition, matches) -> None:
+def _decorate_graph(graph, labels, partition, matches) -> network_mod.GraphMetrics:
     if labels is not None:
         network_mod.attach_labels(graph, labels)
-    network_mod.attach_metrics(graph)
+    measured = network_mod.attach_metrics(graph)
     network_mod.attach_engagement(graph, matches)
     network_mod.attach_communities(graph, partition)
+    return measured
 
 
 def cmd_headlines(cfg: RunConfig) -> int:

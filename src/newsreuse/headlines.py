@@ -22,15 +22,7 @@ from scipy import stats as _scipy_stats
 
 from .corpus import Lexicon
 from .errors import DataError
-from .similarity import (
-    DocVector,
-    MatchedPair,
-    TokenizedDoc,
-    cosine,
-    fit_tfidf,
-    tokenize,
-    vectorize,
-)
+from .similarity import MatchedPair, TokenizedDoc, cosine, fit_tfidf, tokenize, vectorize
 
 log = logging.getLogger(__name__)
 
@@ -77,41 +69,43 @@ class TitlePair:
 def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     """Cosine distance between original and copy titles for every pair.
 
-    The TFIDF model is fitted once over the set of distinct titles appearing
-    in the pairs; per-window statistics are too sparse for short texts.
+    The TFIDF model is fitted once over the set of distinct non-empty titles
+    appearing in the pairs; per-window statistics are too sparse for short
+    texts. Identical titles are at distance 0 without a model, which also
+    covers corpora with one distinct title.
     """
     titles = sorted(
         {p.earlier.title for p in pairs} | {p.later.title for p in pairs}
     )
-    docs = {t: TokenizedDoc.from_text(f"title{i}", t) for i, t in enumerate(titles)}
-    nonempty = [d for d in docs.values() if d.tokens]
-    vectors: dict[str, DocVector] = {}
-    if len(nonempty) >= 2:
-        model = fit_tfidf(nonempty, window_index=-1)
-        vectors = {t: vectorize(model, d) for t, d in docs.items()}
-    out = []
-    for p in pairs:
-        original, copy = p.earlier.title, p.later.title
-        eligible = bool(docs[original].tokens) and bool(docs[copy].tokens)
-        if eligible and original == copy:
-            # No model needed; also covers corpora with one distinct title.
-            distance = 0.0
-        elif eligible and vectors:
-            distance = 1.0 - cosine(vectors[original], vectors[copy])
-            distance = min(1.0, max(0.0, distance))
-        else:
-            distance = 0.0
-            eligible = False
-        out.append(
-            TitlePair(
-                pair=p,
-                original_title=original,
-                copy_title=copy,
-                distance=distance,
-                eligible=eligible,
-            )
+    row = {t: i for i, t in enumerate(titles)}
+    docs = [TokenizedDoc.from_text(f"title{i}", t) for i, t in enumerate(titles)]
+    eligible = [
+        bool(docs[row[p.earlier.title]].tokens) and bool(docs[row[p.later.title]].tokens)
+        for p in pairs
+    ]
+    scored = [
+        k for k, p in enumerate(pairs) if eligible[k] and p.earlier.title != p.later.title
+    ]
+    distances = [0.0] * len(pairs)
+    if scored:
+        model = fit_tfidf([d for d in docs if d.tokens], window_index=-1)
+        sims = cosine(
+            vectorize(model, docs),
+            [row[pairs[k].earlier.title] for k in scored],
+            [row[pairs[k].later.title] for k in scored],
         )
-    return out
+        for k, sim in zip(scored, sims.tolist()):
+            distances[k] = min(1.0, max(0.0, 1.0 - sim))
+    return [
+        TitlePair(
+            pair=p,
+            original_title=p.earlier.title,
+            copy_title=p.later.title,
+            distance=distance,
+            eligible=ok,
+        )
+        for p, distance, ok in zip(pairs, distances, eligible)
+    ]
 
 
 def changed_fraction(

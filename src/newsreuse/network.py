@@ -213,6 +213,10 @@ def degree_metrics(graph: RepublishGraph) -> dict[str, DegreeMetrics]:
     return out
 
 
+# Degree metrics and betweenness of every node of one graph.
+GraphMetrics = tuple[dict[str, DegreeMetrics], dict[str, float]]
+
+
 def _bfs_shortest_paths(succ, s):
     dist = {s: 0}
     sigma = {s: 1.0}
@@ -453,15 +457,15 @@ class NodeMetrics:
 
 
 def compute_node_metrics(
-    combined: RepublishGraph, window_graphs: Sequence[RepublishGraph]
+    combined: GraphMetrics, per_window: Sequence[GraphMetrics]
 ) -> list[NodeMetrics]:
-    """Per-source metric suite; absent-from-window counts as zero there."""
-    combined_degrees = degree_metrics(combined)
-    combined_betweenness = betweenness(combined)
-    per_window = [(degree_metrics(g), betweenness(g)) for g in window_graphs]
-    sources = set(combined.nodes())
-    for g in window_graphs:
-        sources.update(g.nodes())
+    """Per-source metric suite from what `attach_metrics` returned for the
+    combined graph and for each window graph; absent-from-window counts as
+    zero there."""
+    combined_degrees, combined_betweenness = combined
+    sources = set(combined_degrees)
+    for degrees, _ in per_window:
+        sources.update(degrees)
     metrics = []
     for source in sorted(sources):
         cent = tuple(
@@ -545,7 +549,9 @@ def attach_communities(graph: RepublishGraph, partition: Partition) -> Republish
     return graph
 
 
-def attach_metrics(graph: RepublishGraph) -> RepublishGraph:
+def attach_metrics(graph: RepublishGraph) -> GraphMetrics:
+    """Set degree and betweenness attributes on every node; returns the
+    metrics it set, for `compute_node_metrics`."""
     degrees = degree_metrics(graph)
     central = betweenness(graph)
     for node in graph.nodes():
@@ -554,7 +560,7 @@ def attach_metrics(graph: RepublishGraph) -> RepublishGraph:
         attrs["weighted_out"] = degrees[node].weighted_out
         attrs["in_degree_centrality"] = degrees[node].in_degree_centrality
         attrs["betweenness"] = central[node]
-    return graph
+    return degrees, central
 
 
 def attach_engagement(

@@ -1,10 +1,11 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. It scores every pair in a window: the
-window's vectors are the rows of one sparse matrix, and the lower triangle
-of that matrix times its transpose is computed exactly, tile by tile, with
-scipy.sparse. Nothing is pruned, so the result is the exhaustive set by
+similarity exceeds a threshold. A window's TFIDF matrix is built in one
+array pass over all of its tokens: one L2-normalized row per document, in a
+single scipy.sparse CSR matrix. Every pair in the window is scored: the
+lower triangle of that matrix times its transpose is computed exactly, tile
+by tile. Nothing is pruned, so the result is the exhaustive set by
 construction. Output ordering and scores are deterministic.
 """
 
@@ -16,7 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -50,130 +51,109 @@ def tokenize(text: str) -> list[str]:
 class TokenizedDoc:
     article_id: str
     tokens: tuple[str, ...]
-    term_counts: Mapping[str, int]
 
     @classmethod
     def from_text(cls, article_id: str, text: str) -> "TokenizedDoc":
-        tokens = tuple(tokenize(text))
-        return cls(article_id=article_id, tokens=tokens, term_counts=Counter(tokens))
+        return cls(article_id=article_id, tokens=tuple(tokenize(text)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TfidfModel:
-    """Vocabulary and document frequencies for one fitted document set."""
+    """Vocabulary and idf weights for one fitted document set.
+
+    `vocabulary` maps each term to its rank in sorted order; `idf[i]` is the
+    smoothed idf of the term with id i.
+    """
 
     window_index: int
     vocabulary: dict[str, int]
-    doc_freq: dict[str, int]
+    idf: np.ndarray
     num_docs: int
-
-    def __post_init__(self) -> None:
-        self._idf_cache: dict[str, float] = {}
-
-    def idf(self, term: str) -> float:
-        cached = self._idf_cache.get(term)
-        if cached is None:
-            cached = math.log((1 + self.num_docs) / (1 + self.doc_freq[term])) + 1.0
-            self._idf_cache[term] = cached
-        return cached
 
 
 def fit_tfidf(docs: Sequence[TokenizedDoc], window_index: int) -> TfidfModel:
-    """Fit vocabulary and document frequencies over the given documents."""
+    """Fit vocabulary and idf = log((1 + n) / (1 + df)) + 1 over the documents.
+
+    The idf values come from a table indexed by document frequency, built
+    with `math.log` (n + 1 calls, not one per term), so they are the same
+    bits as the per-term formula.
+    """
     if len(docs) < 2:
         raise DataError(f"window {window_index}: fewer than 2 eligible documents")
-    doc_freq: Counter[str] = Counter()
-    for doc in docs:
-        doc_freq.update(doc.term_counts.keys())
-    vocabulary = {term: idx for idx, term in enumerate(sorted(doc_freq))}
+    n = len(docs)
+    doc_freq = Counter(chain.from_iterable(map(set, (d.tokens for d in docs))))
+    terms = sorted(doc_freq)
+    idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
+    dfs = np.fromiter(map(doc_freq.__getitem__, terms), np.intp, len(terms))
     return TfidfModel(
         window_index=window_index,
-        vocabulary=vocabulary,
-        doc_freq=dict(doc_freq),
-        num_docs=len(docs),
+        vocabulary=dict(zip(terms, range(len(terms)))),
+        idf=idf_by_df[dfs],
+        num_docs=n,
     )
 
 
-@dataclass(frozen=True)
-class DocVector:
-    """L2-normalized sparse vector with strictly increasing indices."""
+def vectorize(model: TfidfModel, docs: Sequence[TokenizedDoc]) -> sparse.csr_matrix:
+    """The TFIDF matrix of `docs`: one L2-normalized tf * idf row per document.
 
-    article_id: str
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.indices)
-
-
-def vectorize(model: TfidfModel, doc: TokenizedDoc) -> DocVector:
-    """tf * idf weights, L2-normalized; out-of-vocabulary terms dropped."""
-    entries: list[tuple[int, float]] = []
-    for term in sorted(doc.term_counts):
-        idx = model.vocabulary.get(term)
-        if idx is None:
-            continue
-        entries.append((idx, doc.term_counts[term] * model.idf(term)))
-    entries.sort()
-    norm = math.sqrt(sum(w * w for _, w in entries))
-    if norm == 0.0:
-        return DocVector(article_id=doc.article_id, indices=(), weights=())
-    return DocVector(
-        article_id=doc.article_id,
-        indices=tuple(i for i, _ in entries),
-        weights=tuple(w / norm for _, w in entries),
-    )
-
-
-def sparse_dot(u: DocVector, v: DocVector) -> float:
-    iu, iv = u.indices, v.indices
-    wu, wv = u.weights, v.weights
-    i = j = 0
-    nu, nv = len(iu), len(iv)
-    acc = 0.0
-    while i < nu and j < nv:
-        a, b = iu[i], iv[j]
-        if a == b:
-            acc += wu[i] * wv[j]
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return acc
-
-
-def cosine(u: DocVector, v: DocVector) -> float:
-    """Cosine similarity of two vectors produced by `vectorize`.
-
-    Inputs are unit vectors, so this is their dot product. The merge walks
-    indices in the same order for either argument, making the result
-    bit-for-bit symmetric.
+    The matrix is canonical (sorted indices, no duplicates). Out-of-vocabulary
+    tokens are dropped, so a document with no known term is an empty row.
+    Each row's norm sums its squared weights in ascending term order, as a
+    per-document loop would, so a row does not depend on the other documents.
     """
-    return sparse_dot(u, v)
+    n, dim = len(docs), len(model.vocabulary)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, (d.tokens for d in docs)), np.int64, n), out=bounds[1:])
+    tokens = chain.from_iterable(d.tokens for d in docs)
+    ids = np.fromiter(map(model.vocabulary.get, tokens, repeat(-1)), np.int32, bounds[-1])
+    known = ids >= 0
+    kept = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(known, out=kept[1:])
+    indices = ids[known]
+    # Duplicate (row, term) entries of 1.0 sum to the term counts.
+    matrix = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, kept[bounds]), shape=(n, dim)
+    )
+    matrix.sum_duplicates()
+    matrix.data *= model.idf[matrix.indices]
+    squares = sparse.csr_matrix(
+        (np.square(matrix.data), matrix.indices, matrix.indptr), shape=(n, dim)
+    )
+    norms = np.sqrt(squares @ np.ones(dim))
+    matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
+    return matrix
+
+
+def cosine(
+    matrix: sparse.csr_matrix, rows_a: Sequence[int], rows_b: Sequence[int]
+) -> np.ndarray:
+    """Cosine similarity of rows `rows_a[k]` and `rows_b[k]` of a `vectorize`
+    matrix, for every k.
+
+    Rows are unit vectors, so this is their dot product, summed over shared
+    terms in ascending term order. The result is bit-for-bit symmetric in
+    its two row arguments.
+    """
+    a = np.asarray(rows_a, dtype=np.intp)
+    b = np.asarray(rows_b, dtype=np.intp)
+    products = matrix[a].multiply(matrix[b])
+    return products @ np.ones(matrix.shape[1])
 
 
 def _threshold_join(
-    vectors: Sequence[DocVector], threshold: float
+    matrix: sparse.csr_matrix, threshold: float
 ) -> list[tuple[int, int, float]]:
-    """All position pairs (i, j), i < j, with dot product > threshold.
+    """All row pairs (i, j), i < j, of a `vectorize` matrix with dot product
+    > threshold.
 
-    The vectors are stacked as the rows of one CSR matrix X, and the strict
-    lower triangle of X X^T is computed exactly with scipy.sparse, one
-    square tile of about `_TILE_ENTRIES` entries at a time, so memory does
-    not grow with the window. Every pair is scored; nothing is pruned. A
-    score sums the products of the two vectors' shared terms in ascending
-    term order, so it does not depend on the tiling or on argument order.
+    The strict lower triangle of X X^T is computed exactly with
+    scipy.sparse, one square tile of about `_TILE_ENTRIES` entries at a
+    time, so memory does not grow with the window. Every pair is scored;
+    nothing is pruned. A score sums the products of the two rows' shared
+    terms in ascending term order, so it does not depend on the tiling or on
+    argument order.
     """
-    n = len(vectors)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(v.indices) for v in vectors], out=indptr[1:])
-    nnz = int(indptr[-1])
-    weights = np.fromiter(chain.from_iterable(v.weights for v in vectors), float, nnz)
-    indices = np.fromiter(chain.from_iterable(v.indices for v in vectors), np.int32, nnz)
-    dim = 1 + max((v.indices[-1] for v in vectors if v.indices), default=0)
-    matrix = sparse.csr_matrix((weights, indices, indptr), shape=(n, dim))
+    n = matrix.shape[0]
     side = max(1, math.isqrt(_TILE_ENTRIES))
     out: list[tuple[int, int, float]] = []
     for later_lo in range(0, n, side):
@@ -249,10 +229,10 @@ def match_window(
             window.index, len(eligible), len(docs),
         )
         return WindowMatchResult(window.index, len(docs), len(eligible), ())
-    model = fit_tfidf([docs[i] for i in eligible], window.index)
-    vectors = [vectorize(model, docs[i]) for i in eligible]
+    eligible_docs = [docs[i] for i in eligible]
+    model = fit_tfidf(eligible_docs, window.index)
     pairs = []
-    for qpos, ppos, sim in _threshold_join(vectors, threshold):
+    for qpos, ppos, sim in _threshold_join(vectorize(model, eligible_docs), threshold):
         a, b = articles[eligible[qpos]], articles[eligible[ppos]]
         if a.source == b.source:
             continue

@@ -2,11 +2,13 @@
 
 Everything here computes results by a different route than the library:
 dense numpy TFIDF and an all-pairs loop instead of a tiled sparse matrix
-product, explicit shortest-path enumeration instead of Brandes
-accumulation, the raw pairwise modularity sum instead of the per-community
-aggregation.
+product, one Python vector per document and a merge-loop dot product
+instead of a TFIDF matrix built in one array pass, explicit shortest-path
+enumeration instead of Brandes accumulation, the raw pairwise modularity sum
+instead of the per-community aggregation.
 """
 
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -39,6 +41,48 @@ def exhaustive_pairs(token_docs, threshold):
             if sims[i, j] > threshold:
                 out.append((i, j, float(sims[i, j])))
     return out
+
+
+def reference_vectors(fit_docs, token_docs):
+    """Vocabulary, idf list and one (indices, weights) vector per document.
+
+    The model is fitted on `fit_docs` and applied to `token_docs`, one
+    document at a time: idf by `math.log` per term, tf * idf weights in
+    ascending term order, out-of-vocabulary terms dropped, and the norm
+    summed sequentially in that order before dividing.
+    """
+    n = len(fit_docs)
+    doc_freq = Counter(t for doc in fit_docs for t in set(doc))
+    vocab = {t: i for i, t in enumerate(sorted(doc_freq))}
+    idf = [math.log((1 + n) / (1 + doc_freq[t])) + 1.0 for t in sorted(doc_freq)]
+    vectors = []
+    for doc in token_docs:
+        entries = sorted(
+            (vocab[t], c * idf[vocab[t]]) for t, c in Counter(doc).items() if t in vocab
+        )
+        norm = math.sqrt(sum(w * w for _, w in entries))
+        if norm == 0.0:
+            vectors.append(([], []))
+        else:
+            vectors.append(([i for i, _ in entries], [w / norm for _, w in entries]))
+    return vocab, idf, vectors
+
+
+def merge_dot(u, v):
+    """Dot product of two (indices, weights) vectors by a sorted merge."""
+    (iu, wu), (iv, wv) = u, v
+    i = j = 0
+    acc = 0.0
+    while i < len(iu) and j < len(iv):
+        if iu[i] == iv[j]:
+            acc += wu[i] * wv[j]
+            i += 1
+            j += 1
+        elif iu[i] < iv[j]:
+            i += 1
+        else:
+            j += 1
+    return acc
 
 
 def enumeration_betweenness(nodes, edges):

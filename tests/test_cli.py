@@ -1,8 +1,10 @@
 import csv
 import json
+from collections import Counter
 
 import pytest
 
+from newsreuse import network
 from newsreuse.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -265,6 +267,28 @@ def test_graph_mode_flags(tmp_path):
     )
     assert summary["dedupe_origin"] == "true"
     assert summary["include_ambiguous"] == "true"
+
+
+def test_graph_computes_betweenness_once_per_graph(tmp_path, monkeypatch):
+    fx = _gen(tmp_path)
+    cfg = str(fx / "fixture.cfg")
+    out = tmp_path / "out"
+    assert _run("detect", "--config", cfg, "--out", str(out)) == EXIT_OK
+    with (out / "windows.csv").open() as fh:
+        window_count = len(list(csv.DictReader(fh)))
+    calls = Counter()
+    original = network.betweenness
+
+    def counting(graph, **kwargs):
+        calls[graph.window_index] += 1
+        return original(graph, **kwargs)
+
+    monkeypatch.setattr(network, "betweenness", counting)
+    assert _run("graph", "--config", cfg, "--out", str(out)) == EXIT_OK
+    assert window_count >= 2
+    assert len(calls) == window_count + 1
+    assert set(calls.values()) == {1}
+    assert calls[network.COMBINED] == 1
 
 
 def test_graph_rejects_mismatched_windowing(tmp_path):

@@ -10,6 +10,7 @@ from newsreuse.network import (
     COMBINED,
     RepublishGraph,
     attach_engagement,
+    attach_metrics,
     betweenness,
     build_window_graph,
     compute_node_metrics,
@@ -330,7 +331,12 @@ def test_compute_node_metrics_across_windows():
     g0 = _graph([("a", "b")], window=0)
     g1 = _graph([("a", "b"), ("c", "b")], window=1)
     combined = merge_graphs([g0, g1])
-    metrics = {m.source: m for m in compute_node_metrics(combined, [g0, g1])}
+    metrics = {
+        m.source: m
+        for m in compute_node_metrics(
+            attach_metrics(combined), [attach_metrics(g0), attach_metrics(g1)]
+        )
+    }
     b = metrics["b"]
     assert b.weighted_in_degree == 3
     assert b.in_centrality_windows == (1.0, 1.0)

@@ -1,8 +1,9 @@
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsreuse import similarity
@@ -21,7 +22,7 @@ from newsreuse.similarity import (
 )
 
 from helpers import BASE_TS, make_article, make_window, pseudo_vocab, random_body
-from oracles import dense_tfidf_matrix, exhaustive_pairs
+from oracles import dense_tfidf_matrix, exhaustive_pairs, merge_dot, reference_vectors
 
 
 def test_tokenize_headline():
@@ -37,14 +38,18 @@ def test_tokenize_empty():
 def test_tokenize_punctuation_and_repeats():
     doc = TokenizedDoc.from_text("x", "U.S.-backed plan, plan!")
     assert list(doc.tokens) == ["u", "s", "backed", "plan", "plan"]
-    assert doc.term_counts["plan"] == 2
+    assert doc.tokens.count("plan") == 2
 
 
 @given(st.text(max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_term_counts_sum_to_token_count(text):
     doc = TokenizedDoc.from_text("x", text)
-    assert sum(doc.term_counts.values()) == len(doc.tokens)
+    # Fitted on two copies of the document, every term has df == n, so
+    # every idf is 1 and the row is the term counts divided by their norm.
+    row = vectorize(fit_tfidf([doc, doc], 0), [doc])
+    norm = math.sqrt(sum(c * c for c in Counter(doc.tokens).values()))
+    assert row.data.sum() * norm == pytest.approx(len(doc.tokens))
     assert all(t == t.lower() for t in doc.tokens)
 
 
@@ -55,10 +60,12 @@ def _docs(*bodies):
 def test_idf_smoothing_identity():
     docs = _docs(*["common xyz%d" % i for i in range(10)])
     model = fit_tfidf(docs, 0)
-    assert model.idf("common") == 1.0
-    assert model.idf("xyz3") == pytest.approx(math.log(11 / 2) + 1.0, abs=1e-12)
+    assert model.idf[model.vocabulary["common"]] == 1.0
+    assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
+        math.log(11 / 2) + 1.0, abs=1e-12
+    )
     assert model.num_docs == 10
-    assert model.doc_freq["common"] == 10
+    assert vectorize(model, docs)[:, model.vocabulary["common"]].nnz == 10
 
 
 def test_fit_requires_two_docs():
@@ -69,30 +76,30 @@ def test_fit_requires_two_docs():
 def test_vectorize_unit_norm_and_identity():
     docs = _docs("a b c a", "b c d", "a b c a")
     model = fit_tfidf(docs, 0)
-    vecs = [vectorize(model, d) for d in docs]
+    vecs = vectorize(model, docs)
     for v in vecs:
-        norm = math.sqrt(sum(w * w for w in v.weights))
+        norm = math.sqrt(sum(w * w for w in v.data))
         assert abs(norm - 1.0) < 1e-9
         assert list(v.indices) == sorted(v.indices)
-    assert vecs[0].indices == vecs[2].indices
-    assert vecs[0].weights == vecs[2].weights
+    assert vecs[0].indices.tolist() == vecs[2].indices.tolist()
+    assert vecs[0].data.tolist() == vecs[2].data.tolist()
 
 
 def test_vectorize_oov_doc_is_empty():
     docs = _docs("a b", "a c")
     model = fit_tfidf(docs, 0)
-    empty = vectorize(model, TokenizedDoc.from_text("q", "zz yy"))
-    assert not empty
-    assert cosine(empty, vectorize(model, docs[0])) == 0.0
+    vecs = vectorize(model, [TokenizedDoc.from_text("q", "zz yy"), docs[0]])
+    assert not vecs[0].nnz
+    assert cosine(vecs, [0], [1])[0] == 0.0
 
 
 def test_toy_corpus_matches_dense_oracle():
     bodies = ["a b", "a c", "b c"]
     docs = _docs(*bodies)
     model = fit_tfidf(docs, 0)
-    vecs = [vectorize(model, d) for d in docs]
+    vecs = vectorize(model, docs)
     matrix, _ = dense_tfidf_matrix([list(d.tokens) for d in docs])
-    got = cosine(vecs[0], vecs[1])
+    got = cosine(vecs, [0], [1])[0]
     want = float(matrix[0] @ matrix[1])
     assert abs(got - want) <= 1e-12
 
@@ -100,9 +107,53 @@ def test_toy_corpus_matches_dense_oracle():
 def test_cosine_self_similarity_and_symmetry():
     docs = _docs("w x y z w", "x y q")
     model = fit_tfidf(docs, 0)
-    u, v = (vectorize(model, d) for d in docs)
-    assert abs(cosine(u, u) - 1.0) < 1e-9
-    assert cosine(u, v) == cosine(v, u)
+    vecs = vectorize(model, docs)
+    assert abs(cosine(vecs, [0], [0])[0] - 1.0) < 1e-9
+    assert cosine(vecs, [0], [1])[0] == cosine(vecs, [1], [0])[0]
+
+
+# Twelve words, so rows can hold 8 or more terms: numpy's pairwise sums
+# start to differ from a sequential sum there.
+_WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"]
+
+
+@given(
+    fit_docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=24), min_size=2, max_size=6),
+    docs=st.lists(
+        st.lists(st.sampled_from(_WORDS + ["oov", "xx"]), max_size=24), min_size=1, max_size=7
+    ),
+)
+@example(
+    # Empty rows first, in the middle and last; repeats; out-of-vocabulary terms.
+    fit_docs=[["ka", "lo", "ka"], ["lo", "mi"], []],
+    docs=[[], ["ka", "oov", "ka", "ka"], [], ["oov", "xx"], ["mi", "lo", "lo"], []],
+)
+@settings(max_examples=300, deadline=None)
+def test_vectorize_and_cosine_equal_per_document_reference(fit_docs, docs):
+    model = fit_tfidf([TokenizedDoc(f"f{i}", tuple(d)) for i, d in enumerate(fit_docs)], 0)
+    matrix = vectorize(model, [TokenizedDoc(f"d{i}", tuple(d)) for i, d in enumerate(docs)])
+    vocab, idf, want = reference_vectors(fit_docs, docs)
+    assert model.vocabulary == vocab
+    assert model.idf.tolist() == idf
+    assert matrix.shape == (len(docs), len(vocab))
+    assert matrix.has_canonical_format
+    got = [
+        (matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())
+        for lo, hi in zip(matrix.indptr[:-1], matrix.indptr[1:])
+    ]
+    assert got == want
+    rows_a, rows_b = zip(*[(i, j) for i in range(len(docs)) for j in range(len(docs))])
+    assert cosine(matrix, rows_a, rows_b).tolist() == [
+        merge_dot(want[i], want[j]) for i, j in zip(rows_a, rows_b)
+    ]
+
+
+def test_idf_equals_math_log_at_every_document_frequency():
+    # np.log differs from math.log in the last ulp for some of these n.
+    for n in range(2, 64):
+        fit_docs = [[f"t{k}" for k in range(d, n)] for d in range(n)]
+        model = fit_tfidf([TokenizedDoc(f"f{i}", tuple(d)) for i, d in enumerate(fit_docs)], 0)
+        assert model.idf.tolist() == reference_vectors(fit_docs, [])[1]
 
 
 def _window_articles(bodies_by_source, start=BASE_TS):
