@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import corpus as corpus_mod
-from . import headlines as headlines_mod
 from . import network as network_mod
 from .corpus import (
     format_timestamp,
@@ -436,6 +435,9 @@ def _decorate_graph(graph, labels, partition, matches) -> network_mod.GraphMetri
 
 
 def cmd_headlines(cfg: RunConfig) -> int:
+    # scipy.stats costs about 1 s to import and only this stage uses it.
+    from . import headlines as headlines_mod
+
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
     pairs, _ = _load_pairs(cfg, out)

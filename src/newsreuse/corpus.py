@@ -28,6 +28,7 @@ SECONDS_PER_DAY = 86400
 
 _WS_RE = re.compile(r"\s+")
 _INT_RE = re.compile(r"[+-]?\d+")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 # The instants `format_timestamp` can format.
 _MIN_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 _MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
@@ -212,36 +213,67 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
-    with path.open("r", encoding="utf-8") as fh:
+    # surrogateescape keeps row numbers and universal-newline splitting for
+    # any bytes; an invalid byte decodes to a lone surrogate, which valid
+    # UTF-8 never does.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for row, line in enumerate(fh, start=1):
             if not line.strip():
+                continue
+            if not line.isascii() and _SURROGATE_RE.search(line):
+                yield row, None, "not valid UTF-8"
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 yield row, None, f"invalid JSON: {exc.msg}"
                 continue
+            except (ValueError, RecursionError) as exc:
+                # an integer past Python's digit limit, or nesting past the
+                # recursion limit
+                yield row, None, f"invalid JSON: {exc}"
+                continue
             if not isinstance(record, dict):
                 yield row, None, "record is not an object"
+                continue
+            # A `\ud800`-style escape decodes to a lone surrogate, which no
+            # output file can encode. Only a line with a backslash can hold
+            # one, and a one-character search is cheap.
+            if "\\" in line and _has_surrogate(record.values()):
+                yield row, None, "not valid UTF-8: lone surrogate escape"
                 continue
             yield row, record, None
 
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames
-        if fields is None:
-            raise DataError(f"unparseable header in {path}: file is empty")
-        missing = {"source", "body", "published_utc"} - set(fields)
-        if missing:
-            raise DataError(
-                f"unparseable header in {path}: missing columns {sorted(missing)}"
-            )
-        for record in reader:
-            record.pop(None, None)
-            cleaned = {k: v for k, v in record.items() if v is not None and v != ""}
-            yield reader.line_num, cleaned, None
+        try:
+            fields = reader.fieldnames
+            if fields is None:
+                raise DataError(f"unparseable header in {path}: file is empty")
+            missing = {"source", "body", "published_utc"} - set(fields)
+            if missing:
+                raise DataError(
+                    f"unparseable header in {path}: missing columns {sorted(missing)}"
+                )
+            for record in reader:
+                record.pop(None, None)
+                cleaned = {k: v for k, v in record.items() if v is not None and v != ""}
+                if _has_surrogate(cleaned.values()):
+                    yield reader.line_num, None, "not valid UTF-8"
+                    continue
+                yield reader.line_num, cleaned, None
+        except csv.Error as exc:
+            # DictReader.line_num lags a row that failed to parse.
+            line = reader.reader.line_num
+            raise DataError(f"{path} line {line}: malformed CSV: {exc}") from None
+
+
+def _has_surrogate(values) -> bool:
+    return any(
+        isinstance(v, str) and not v.isascii() and _SURROGATE_RE.search(v) for v in values
+    )
 
 
 def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollection:

@@ -1,8 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsreuse import network
 from newsreuse.cli import (
@@ -124,6 +131,134 @@ def test_millisecond_timestamp_is_rejected_row(tmp_path):
     assert "milliseconds?" in rejects[0]["reason"]
     windows = [(tmp_path / n / "windows.csv").read_bytes() for n in ("clean", "dirty")]
     assert windows[0] == windows[1]
+
+
+def test_import_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, newsreuse.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (b'{"source": "x\xff", "body": "b", "published_utc": 1491523200}', "not valid UTF-8"),
+        (b"[" * 100000, "invalid JSON: maximum recursion depth"),
+        (b'{"source": "x", "body": "b", "published_utc": ' + b"1" * 5000 + b"}",
+         "invalid JSON: Exceeds the limit"),
+        (b'{"id": "y", "source": "\\ud800", "body": "b", "published_utc": 1491523200}',
+         "not valid UTF-8: lone surrogate escape"),
+    ],
+    ids=["undecodable_byte", "deep_nesting", "long_integer", "lone_surrogate_escape"],
+)
+def test_unreadable_jsonl_line_is_rejected_row(tmp_path, line, reason):
+    fx = _gen(tmp_path)
+    text = (fx / "articles.jsonl").read_bytes()
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_bytes(text + line + b"\n")
+    out = tmp_path / "out"
+    code = _run("detect", "--config", str(fx / "fixture.cfg"), "--articles", str(dirty),
+                "--out", str(out))
+    assert code == EXIT_OK
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        rejects = list(csv.DictReader(fh))
+    assert [r["row"] for r in rejects] == [str(text.count(b"\n") + 1)]
+    assert rejects[0]["reason"].startswith(reason)
+
+
+def _csv_corpus(path, extra_line: bytes) -> None:
+    rows = b"".join(
+        b"a%d,s%d,alpha beta gamma %d,%d\n" % (i, i % 3, i, BASE_TS + 60 * i) for i in range(4)
+    )
+    path.write_bytes(b"id,source,body,published_utc\n" + rows + extra_line)
+
+
+def test_oversized_csv_field_is_data_error(tmp_path, caplog):
+    articles = tmp_path / "articles.csv"
+    _csv_corpus(articles, b'z,x,"' + b"a" * 131073 + b'",1491523200\n')
+    code = _run("detect", "--articles", str(articles), "--format", "csv",
+                "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert any("line 6: malformed CSV" in r.message for r in caplog.records)
+
+
+def test_undecodable_csv_byte_is_rejected_row(tmp_path):
+    articles = tmp_path / "articles.csv"
+    _csv_corpus(articles, b"z,x\xff,body,1491523200\n")
+    out = tmp_path / "out"
+    code = _run("detect", "--articles", str(articles), "--format", "csv", "--out", str(out))
+    assert code == EXIT_OK
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["row", "reason"], ["6", "not valid UTF-8"]]
+
+
+_BODY = "alpha beta gamma delta epsilon zeta eta theta " * 3
+_GOOD_ROWS = [
+    {"id": f"g{i}", "source": f"src{i}", "title": f"Story {i}",
+     "body": _BODY if i < 2 else f"unrelated words number {i} " * 6,
+     "published_utc": BASE_TS + 3600 * i}
+    for i in range(4)
+]
+_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=12)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
+_field = _text | _json_values
+_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": _field, "source": _field, "title": _field, "author": _field, "url": _field,
+        "fb_shares": _field, "fb_reactions": _field,
+        "body": st.just(_BODY) | _field,
+        "published_utc": st.integers(BASE_TS - 86400, BASE_TS + 86400) | _field,
+    },
+)
+# Copies of a good row's body under arbitrary names, so that they are matched
+# and written to pairs.csv.
+_copies = st.fixed_dictionaries(
+    {"id": _text, "source": _text, "body": st.just(_BODY),
+     "published_utc": st.integers(BASE_TS, BASE_TS + 86400)},
+)
+_lines = st.one_of(
+    st.builds(json.dumps, _copies | _records | _json_values, ensure_ascii=st.booleans()).map(
+        lambda text: text.encode("utf-8", "surrogatepass")
+    ),
+    st.binary(max_size=80),
+    st.integers(1, 100000).map(lambda depth: b"[" * depth),
+    st.integers(1, 5000).map(
+        lambda depth: b'{"source": "x", "published_utc": 1491523200, "body": '
+        + b"[" * depth + b"]" * depth + b"}"
+    ),
+).map(lambda line: line.replace(b"\n", b"").replace(b"\r", b""))
+
+
+@given(_lines)
+@settings(max_examples=150, deadline=None)
+def test_any_appended_line_is_accepted_or_rejected(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        articles = Path(tmp, "articles.jsonl")
+        write_jsonl(articles, _GOOD_ROWS)
+        with articles.open("ab") as fh:
+            fh.write(line + b"\n")
+        out = Path(tmp, "out")
+        code = _run("detect", "--articles", str(articles), "--out", str(out))
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code != EXIT_OK:
+            return
+        summary = dict(
+            row.split("=", 1) for row in (out / "detect_summary.txt").read_text().splitlines()
+        )
+        with (out / "rejects.csv").open(encoding="utf-8") as fh:
+            rejected = [r["row"] for r in csv.DictReader(fh)]
+    accepted = int(summary["articles"]) == len(_GOOD_ROWS) + 1
+    blank = not line.decode("utf-8", "surrogateescape").strip()
+    assert rejected == ([] if accepted or blank else [str(len(_GOOD_ROWS) + 1)])
 
 
 def test_empty_corpus_is_data_error(tmp_path):
