@@ -215,8 +215,8 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
     # surrogateescape keeps row numbers and universal-newline splitting for
     # any bytes; an invalid byte decodes to a lone surrogate, which valid
-    # UTF-8 never does.
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    # UTF-8 never does. utf-8-sig drops a leading byte-order mark.
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for row, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -246,7 +246,8 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str
 
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    # utf-8-sig: a byte-order mark would otherwise prefix the first header.
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             fields = reader.fieldnames
@@ -333,7 +334,8 @@ def partition_windows(
 
     Windows are anchored at midnight UTC of the earliest article's day and
     cover every article with no gap or overlap; an article falling exactly on
-    a boundary belongs to the later window.
+    a boundary belongs to the later window. The last window must end by
+    9999-12-31, the last day `format_timestamp` can write.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
@@ -344,6 +346,11 @@ def partition_windows(
     start0 = first - first % SECONDS_PER_DAY
     length = window_days * SECONDS_PER_DAY
     count = (last - start0) // length + 1
+    if start0 + count * length > _MAX_TS:
+        raise DataError(
+            f"latest timestamp {format_timestamp(last)} ({last}) falls in a "
+            f"window_days={window_days} window that ends after 9999-12-31"
+        )
     buckets: list[list[Article]] = [[] for _ in range(count)]
     for article in collection.articles:
         buckets[(article.published_utc - start0) // length].append(article)

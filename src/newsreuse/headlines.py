@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
-from scipy import stats as _scipy_stats
+from scipy.special import fdtrc
 
+from . import swilk
 from .corpus import Lexicon
 from .errors import DataError
 from .similarity import MatchedPair, TokenizedDoc, cosine, fit_tfidf, tokenize, vectorize
@@ -195,7 +196,7 @@ def extract_features(
     bias = lexicons["bias"].words
     positive = lexicons["positive"].words
     negative = lexicons["negative"].words
-    stop = set(stopwords)
+    stop = stopwords if isinstance(stopwords, (set, frozenset)) else set(stopwords)
     return TitleFeatures(
         stopword_frac=sum(1 for t in tokens if t in stop) / n,
         punctuation_count=float(punctuation),
@@ -215,8 +216,8 @@ def normality_test(samples: Sequence[float], alpha: float = 0.05) -> bool:
         raise ValueError("normality test needs at least 3 samples")
     if max(samples) == min(samples):
         return False
-    _, p = _scipy_stats.shapiro(samples)
-    return bool(p > alpha)
+    _, p = swilk.shapiro(samples)
+    return p > alpha
 
 
 def anova_f(
@@ -225,8 +226,9 @@ def anova_f(
     """One-way ANOVA for two groups: F = MS_between / MS_within.
 
     Degrees of freedom are (1, n_a + n_b - 2); p comes from the F
-    distribution's survival function. Raises when both groups are constant
-    (zero within-group variance).
+    distribution's survival function (`fdtrc`, which scipy.stats.f.sf
+    calls). Raises when both groups are constant (zero within-group
+    variance).
     """
     na, nb = len(group_a), len(group_b)
     if na < 2 or nb < 2:
@@ -241,7 +243,7 @@ def anova_f(
     if ss_within == 0.0:
         raise ValueError("zero within-group variance in both groups")
     f_stat = ss_between / (ss_within / df_within)
-    p = float(_scipy_stats.f.sf(f_stat, 1, df_within))
+    p = float(fdtrc(1, df_within, f_stat))
     return f_stat, p
 
 

@@ -137,7 +137,8 @@ def test_import_does_not_load_scipy_stats():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, newsreuse.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, newsreuse.cli, newsreuse.headlines; "
+         "print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
@@ -194,6 +195,63 @@ def test_undecodable_csv_byte_is_rejected_row(tmp_path):
     assert code == EXIT_OK
     with (out / "rejects.csv").open(encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == [["row", "reason"], ["6", "not valid UTF-8"]]
+
+
+def _bom_rows():
+    return [
+        {"id": f"b{i}", "source": f"src{i % 4}", "title": f"Story {i}",
+         "body": _BODY if i < 3 else f"unrelated words number {i} " * 6,
+         "published_utc": BASE_TS + 3600 * i}
+        for i in range(10)
+    ]
+
+
+def _assert_bom_corpus_ingested(out):
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["row", "reason"]]
+    summary = (out / "detect_summary.txt").read_text(encoding="utf-8")
+    assert "articles=10\n" in summary
+    with (out / "pairs.csv").open(encoding="utf-8") as fh:
+        pairs = list(csv.DictReader(fh))
+    assert {(r["earlier_id"], r["later_id"]) for r in pairs} == {
+        ("b0", "b1"), ("b0", "b2"), ("b1", "b2")
+    }
+
+
+def test_bom_prefixed_jsonl_keeps_every_row(tmp_path):
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(articles, _bom_rows())
+    articles.write_bytes(b"\xef\xbb\xbf" + articles.read_bytes())
+    out = tmp_path / "out"
+    assert _run("detect", "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    _assert_bom_corpus_ingested(out)
+
+
+def test_bom_prefixed_csv_keeps_given_ids(tmp_path):
+    articles = tmp_path / "articles.csv"
+    fields = ["id", "source", "title", "body", "published_utc"]
+    with articles.open("w", encoding="utf-8-sig", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_bom_rows())
+    assert articles.read_bytes().startswith(b"\xef\xbb\xbfid,")
+    out = tmp_path / "out"
+    code = _run("detect", "--articles", str(articles), "--format", "csv", "--out", str(out))
+    assert code == EXIT_OK
+    _assert_bom_corpus_ingested(out)
+
+
+def test_window_ending_in_year_10000_is_data_error(tmp_path, caplog):
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(articles, [{"id": "last", "source": "s", "body": "b",
+                            "published_utc": 253402300799}])
+    out = tmp_path / "out"
+    assert _run("detect", "--articles", str(articles), "--out", str(out)) == EXIT_DATA
+    assert not (out / "pairs.csv").exists()
+    assert any(
+        "253402300799" in r.message and "window_days=14" in r.message
+        for r in caplog.records
+    )
 
 
 _BODY = "alpha beta gamma delta epsilon zeta eta theta " * 3

@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from newsreuse import swilk
 from newsreuse.corpus import Lexicon
 from newsreuse.errors import DataError
 from newsreuse.headlines import (
@@ -199,6 +201,91 @@ def test_normality_bimodal_fails():
     assert normality_test([0.0] * 20 + [10.0] * 20) is False
 
 
+@st.composite
+def _shapiro_samples(draw):
+    """Samples of 3-400 values: continuous, tied, or constant but one."""
+    n = draw(st.integers(3, 400))
+    kind = draw(st.sampled_from(["gauss", "exponential", "ties", "ratios", "one_off"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gauss":
+        values = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    elif kind == "exponential":
+        values = [rng.expovariate(1.0) for _ in range(n)]
+    elif kind == "ties":
+        values = [float(rng.randint(0, 3)) for _ in range(n)]
+    elif kind == "ratios":
+        values = [rng.randint(1, 5) / rng.randint(1, 5) for _ in range(n)]
+    else:
+        values = [0.0] * n
+        values[rng.randrange(n)] = 1.0
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6])) * scale
+    return [offset + v * scale for v in values]
+
+
+@given(samples=_shapiro_samples())
+@settings(max_examples=300, deadline=None)
+def test_shapiro_matches_scipy(samples):
+    assume(max(samples) != min(samples))
+    w, p = swilk.shapiro(samples)
+    ref_w, ref_p = scipy_stats.shapiro(samples)
+    assert abs(w - ref_w) <= 1e-12
+    assert abs(p - ref_p) <= 1e-10
+    if abs(ref_p - 0.05) >= 1e-10:
+        assert normality_test(samples) == (ref_p > 0.05)
+
+
+# (sample, W, p) from scipy.stats.shapiro 1.17.1.
+_SHAPIRO_LITERALS = [
+    ([2.0, 7.5, 3.25], 0.9097744360902253, 0.41732765990798726),
+    ([0.0, 0.0, 0.0, 1.0], 0.629776264554299, 0.0012407259151036264),
+    ([1.0, 2.0, 2.0, 3.0, 8.0], 0.7775850442577392, 0.052542584921361275),
+    ([0.5, 1.5, 1.5, 2.0, 2.5, 3.5], 0.975244784642012, 0.9256279848137756),
+    ([0.0] * 6 + [1.0], 0.4529709881264229, 4.1356120884447944e-06),
+    ([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], 0.92772417971473, 0.4955969128634897),
+    ([10.0, 12.0, 11.0, 15.0, 9.0, 13.0, 12.0, 30.0, 11.0],
+     0.6466671876487076, 0.0003373585445654763),
+    ([0.1, 0.2, 0.2, 0.3, 0.3, 0.3, 0.4, 0.4, 0.5, 0.6],
+     0.9662390622608711, 0.8539548329946732),
+    ([0.0] * 10 + [1.0], 0.34499120525171123, 2.2434019096637374e-08),
+    ([float((i * 37) % 101) for i in range(12)], 0.9512575641909096, 0.6554376887416837),
+    ([float((i * i) % 23) for i in range(50)], 0.9192182198191728, 0.002209656019016659),
+    ([float((i * 37) % 101) for i in range(120)],
+     0.9546624289200645, 0.00048284676775072426),
+    ([0.0, 1e-20, 5e-20, 0.0], 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "samples, w, p", _SHAPIRO_LITERALS, ids=[f"n{len(s)}" for s, _, _ in _SHAPIRO_LITERALS]
+)
+def test_shapiro_pinned_values(samples, w, p):
+    got_w, got_p = swilk.shapiro(samples)
+    assert got_w == pytest.approx(w, rel=1e-14, abs=1e-16)
+    assert got_p == pytest.approx(p, rel=1e-12, abs=1e-16)
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_shapiro_small_sample_cutoff_is_out_of_reach(n):
+    # W >= n a1^2 / (n - 1), reached by a sample that is constant but one, so
+    # log(1 - W) stays below gamma(n) and the p = 1e-19 cutoff never applies.
+    w, p = swilk.shapiro([0.0] * (n - 1) + [1.0])
+    a1 = swilk._coefficients_for(n)[0]
+    assert w == pytest.approx(n * a1 * a1 / (n - 1), rel=1e-12)
+    assert math.log(1.0 - w) < -2.273 + 0.459 * n
+    assert p > 1e-19
+
+
+def test_shapiro_three_samples_w_is_at_least_three_quarters():
+    # Rounding can put the computed W a hair under 3/4, its exact minimum.
+    assert swilk.shapiro([1.0, 1.0 + 2.0**-52, 1.0]) == (0.75, 0.0)
+
+
+def test_shapiro_requires_three_samples():
+    with pytest.raises(ValueError):
+        swilk.shapiro([1.0, 2.0])
+
+
 def test_anova_identical_groups():
     f_stat, p = anova_f([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert f_stat == 0.0
@@ -228,6 +315,7 @@ def test_anova_matches_reference_on_random_groups():
         ref_f, ref_p = scipy_stats.f_oneway(a, b)
         assert abs(f_stat - ref_f) < 1e-9
         assert abs(p - ref_p) < 1e-9
+        assert p == scipy_stats.f.sf(f_stat, 1, len(a) + len(b) - 2)
 
 
 @given(
