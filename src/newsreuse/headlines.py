@@ -16,7 +16,7 @@ import statistics
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from scipy.special import fdtrc
 
@@ -178,7 +178,7 @@ class TitleFeatures:
 def extract_features(
     title: str,
     lexicons: Mapping[str, Lexicon],
-    stopwords: Collection[str] = DEFAULT_STOPWORDS,
+    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
 ) -> TitleFeatures:
     """Content features of one title.
 
@@ -196,9 +196,8 @@ def extract_features(
     bias = lexicons["bias"].words
     positive = lexicons["positive"].words
     negative = lexicons["negative"].words
-    stop = stopwords if isinstance(stopwords, (set, frozenset)) else set(stopwords)
     return TitleFeatures(
-        stopword_frac=sum(1 for t in tokens if t in stop) / n,
+        stopword_frac=sum(1 for t in tokens if t in stopwords) / n,
         punctuation_count=float(punctuation),
         quote_count=float(quotes),
         readability=flesch_kincaid_grade(tokens),
@@ -264,7 +263,7 @@ def significant_shifts(
     source: str,
     title_pairs: Sequence[TitlePair],
     lexicons: Mapping[str, Lexicon],
-    stopwords: Collection[str] = DEFAULT_STOPWORDS,
+    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
     *,
     alpha: float = 0.05,
     min_samples: int = 8,
