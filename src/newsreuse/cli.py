@@ -447,7 +447,8 @@ def cmd_headlines(cfg: RunConfig) -> int:
 
     eligible = [tp for tp in title_pairs if tp.eligible]
     changed = sum(1 for tp in eligible if tp.distance > threshold)
-    fraction = changed / len(eligible) if eligible else None
+    # changed_fraction raises when no pair is eligible.
+    fraction = headlines_mod.changed_fraction(title_pairs, threshold) if eligible else None
 
     most_changed, by_magnitude = headlines_mod.rank_changers(title_pairs, threshold)
     with (out / "ranking_most_changed.csv").open("w", encoding="utf-8", newline="") as fh:

@@ -9,8 +9,6 @@ sources copied from it.
 from __future__ import annotations
 
 import csv
-import heapq
-import itertools
 import logging
 import random
 import statistics
@@ -239,56 +237,17 @@ def _bfs_shortest_paths(succ, s):
     return order, sigma, preds
 
 
-def _dijkstra_shortest_paths(succ_weights, s):
-    # Edge length is 1/weight so heavier copy flows read as shorter paths.
-    dist: dict[str, float] = {}
-    seen = {s: 0.0}
-    sigma: dict[str, float] = defaultdict(float)
-    sigma[s] = 1.0
-    preds: dict[str, list[str]] = defaultdict(list)
-    order = []
-    counter = itertools.count()
-    heap = [(0.0, next(counter), s, s)]
-    while heap:
-        d, _, pred, v = heapq.heappop(heap)
-        if v in dist:
-            continue
-        sigma[v] += sigma[pred]
-        order.append(v)
-        dist[v] = d
-        for w, weight in succ_weights[v].items():
-            vw = d + 1.0 / weight
-            if w not in dist and (w not in seen or vw < seen[w]):
-                seen[w] = vw
-                sigma[w] = 0.0
-                preds[w] = [v]
-                heapq.heappush(heap, (vw, next(counter), v, w))
-            elif vw == seen.get(w):
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, sigma, preds
-
-
-def betweenness(
-    graph: RepublishGraph, *, weighted_inverse: bool = False
-) -> dict[str, float]:
+def betweenness(graph: RepublishGraph) -> dict[str, float]:
     """Directed betweenness via Brandes's dependency accumulation.
 
-    Unnormalized. Edge weights are copy counts, not distances, so the
-    default treats the graph as unweighted; `weighted_inverse` uses length
-    1/weight instead.
+    Unnormalized. Edge weights are copy counts, not distances, so the graph
+    is treated as unweighted.
     """
     nodes = graph.nodes()
     cb = dict.fromkeys(nodes, 0.0)
-    if weighted_inverse:
-        succ_w = {v: {w: graph.weight(v, w) for w in graph.successors(v)} for v in nodes}
-    else:
-        succ = {v: graph.successors(v) for v in nodes}
+    succ = {v: graph.successors(v) for v in nodes}
     for s in nodes:
-        if weighted_inverse:
-            order, sigma, preds = _dijkstra_shortest_paths(succ_w, s)
-        else:
-            order, sigma, preds = _bfs_shortest_paths(succ, s)
+        order, sigma, preds = _bfs_shortest_paths(succ, s)
         delta = dict.fromkeys(order, 0.0)
         for w in reversed(order):
             coeff = (1.0 + delta[w]) / sigma[w]
@@ -729,17 +688,3 @@ def export_dot(
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def export_graph(
-    graph: RepublishGraph,
-    format: str,
-    path: str | Path,
-    *,
-    color_by: str = "community",
-) -> None:
-    if format == "graphml":
-        export_graphml(graph, path)
-    elif format == "dot":
-        export_dot(graph, path, color_by=color_by)
-    else:
-        raise ValueError(f"unknown graph format {format!r}")

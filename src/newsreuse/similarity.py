@@ -3,10 +3,12 @@
 The matcher finds every cross-source article pair whose body cosine
 similarity exceeds a threshold. A window's TFIDF matrix is built in one
 array pass over all of its tokens: one L2-normalized row per document, in a
-single scipy.sparse CSR matrix. Every pair in the window is scored: the
-lower triangle of that matrix times its transpose is computed exactly, tile
-by tile. Nothing is pruned, so the result is the exhaustive set by
-construction. Output ordering and scores are deterministic.
+single scipy.sparse CSR matrix. The join is exact. Either every pair is
+scored, as the lower triangle of that matrix times its transpose, tile by
+tile, or, when a few terms are in almost every document, pairs are first
+filtered with an l2-norm bound on those terms and the survivors re-scored;
+`_threshold_join` says when and why no pair is lost. Both give the bits of
+the full product. Output ordering and scores are deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ DEFAULT_MIN_BODY_TOKENS = 20
 
 # Product entries per tile of the exact join; bounds its working memory.
 _TILE_ENTRIES = 1 << 16
+# A column is frequent when at least 1/_FREQUENT_DF_DIVISOR of a window's
+# documents hold it.
+_FREQUENT_DF_DIVISOR = 16
 
 FORWARD = "forward"
 AMBIGUOUS = "ambiguous"
@@ -144,14 +149,44 @@ def _threshold_join(
     matrix: sparse.csr_matrix, threshold: float
 ) -> list[tuple[int, int, float]]:
     """All row pairs (i, j), i < j, of a `vectorize` matrix with dot product
-    > threshold.
+    > threshold, in no particular order.
+
+    A score sums the products of the two rows' shared terms in ascending
+    term order, so it does not depend on the tiling, on argument order or on
+    which of the two paths below found the pair: both give the bits of the
+    plain product.
+
+    The frequent columns are those that at least 1/16 of the rows hold. When
+    they carry at least half of sum(df^2), the multiply-adds of the plain
+    product X X^T, most of that product is spent on them, and the window
+    goes to `_norm_bound_join`, which skips them. Otherwise the window goes
+    to `_product_join`, which scores every pair.
+    """
+    frequent = _frequent_columns(matrix)
+    if frequent is None:
+        return _product_join(matrix, threshold)
+    return _norm_bound_join(matrix, threshold, frequent)
+
+
+def _frequent_columns(matrix: sparse.csr_matrix) -> np.ndarray | None:
+    """Mask of the columns with df >= n / 16, or None when their share of
+    sum(df^2) is under half (the gate of `_threshold_join`)."""
+    df = np.bincount(matrix.indices, minlength=matrix.shape[1]).astype(np.int64)
+    frequent = df * _FREQUENT_DF_DIVISOR >= matrix.shape[0]
+    square = df * df
+    if 2 * int(square[frequent].sum()) < int(square.sum()):
+        return None
+    return frequent
+
+
+def _product_join(
+    matrix: sparse.csr_matrix, threshold: float
+) -> list[tuple[int, int, float]]:
+    """`_threshold_join` by scoring every pair.
 
     The strict lower triangle of X X^T is computed exactly with
     scipy.sparse, one square tile of about `_TILE_ENTRIES` entries at a
-    time, so memory does not grow with the window. Every pair is scored;
-    nothing is pruned. A score sums the products of the two rows' shared
-    terms in ascending term order, so it does not depend on the tiling or on
-    argument order.
+    time, so memory does not grow with the window.
     """
     n = matrix.shape[0]
     side = max(1, math.isqrt(_TILE_ENTRIES))
@@ -171,6 +206,95 @@ def _threshold_join(
                     tile.data[hits[keep]].tolist(),
                 )
             )
+    return out
+
+
+def _norm_bound_join(
+    matrix: sparse.csr_matrix, threshold: float, frequent: np.ndarray
+) -> list[tuple[int, int, float]]:
+    """`_threshold_join` by filtering with an l2-norm bound, then re-scoring.
+
+    Split each row x into its frequent part x_F (the `frequent` columns) and
+    its rare part x_R, and let R be the matrix of rare parts. By
+    Cauchy-Schwarz, x.y <= x_R.y_R + |x_F| |y_F|: this is the l2-norm bound
+    of L2AP (Anastasiu and Karypis, ICDE 2014), used as the filter of a
+    filter-then-verify join (Bayardo, Ma and Srikant, WWW 2007).
+
+    - Filter. R R^T is computed in the tiles of `_product_join`. A pair is a
+      candidate when R_ij + f_i f_j > threshold - margin, where f is the
+      frequent-part norm. A first cut per tile, with the largest f of its
+      rows on each side in place of f_i f_j, leaves few entries to check.
+    - No rare overlap. A pair that shares no rare term is not in R R^T. It
+      can pass only if f_i f_max and f_j f_max both pass, so the rows that
+      pass are joined with `_product_join` among themselves.
+    - Re-score. Each candidate is scored by `cosine`, which gives the bits of
+      the plain product, and kept when that score is > threshold. This runs
+      `_TILE_ENTRIES ** 0.5` pairs at a time, as many rows as a tile's two
+      operands, however many candidates pass the filter.
+
+    Margin. Every weight is >= 0, so each computed sum is within a relative
+    gamma_m = m u / (1 - m u) of its exact value, with u = 2^-53 and m the
+    terms summed, at most k, the most terms in a row. A computed score s > t
+    has an exact dot product d > t (1 - gamma_k). The filter's value carries
+    at most gamma_k from R_ij, gamma_{k+1} from each f (sum of squares, then
+    sqrt), and one rounding each for f_i f_j and for the sum, so it is at
+    least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}. The margin gamma_{3k+8}
+    also covers the roundings of t - margin and of the per-tile cut. So no
+    pair with s > t fails the filter, and the result equals
+    `_product_join`'s.
+    """
+    n = matrix.shape[0]
+    side = max(1, math.isqrt(_TILE_ENTRIES))
+    terms = 3 * int(np.diff(matrix.indptr).max(initial=0)) + 8
+    unit = np.finfo(np.float64).eps / 2
+    floor = threshold - terms * unit / (1 - terms * unit)
+
+    in_frequent = frequent[matrix.indices]
+    squares = sparse.csr_matrix(
+        (np.where(in_frequent, np.square(matrix.data), 0.0), matrix.indices, matrix.indptr),
+        shape=matrix.shape,
+    )
+    norms = np.sqrt(squares @ np.ones(matrix.shape[1]))
+    # Every weight is > 0, so only the frequent entries become zeros.
+    rare = matrix.copy()
+    rare.data[in_frequent] = 0.0
+    rare.eliminate_zeros()
+
+    heavy = np.flatnonzero(norms * norms.max(initial=0.0) > floor)
+    ids = heavy.tolist()
+    out = [(ids[i], ids[j], s) for i, j, s in _product_join(matrix[heavy], threshold)]
+    is_heavy = np.zeros(n, dtype=bool)
+    is_heavy[heavy] = True
+
+    def rescore(earlier: np.ndarray, later: np.ndarray) -> None:
+        for lo in range(0, len(earlier), side):
+            chunk = slice(lo, lo + side)
+            scores = cosine(matrix, earlier[chunk], later[chunk])
+            kept = scores > threshold
+            out.extend(
+                zip(earlier[chunk][kept].tolist(), later[chunk][kept].tolist(), scores[kept].tolist())
+            )
+
+    waiting: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
+    for earlier_lo in range(0, n, side):
+        earlier = rare[earlier_lo : earlier_lo + side].T.tocsr()
+        earlier_top = norms[earlier_lo : earlier_lo + side].max()
+        for later_lo in range(earlier_lo, n, side):
+            cut = floor - norms[later_lo : later_lo + side].max() * earlier_top
+            tile = rare[later_lo : later_lo + side] @ earlier
+            hits = np.flatnonzero(tile.data > cut)
+            later_pos = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
+            earlier_pos = earlier_lo + tile.indices[hits]
+            keep = (earlier_pos < later_pos) & ~(is_heavy[earlier_pos] & is_heavy[later_pos])
+            keep &= tile.data[hits] + norms[earlier_pos] * norms[later_pos] > floor
+            waiting.append((earlier_pos[keep], later_pos[keep]))
+            held += int(np.count_nonzero(keep))
+            if held >= side:
+                rescore(*map(np.concatenate, zip(*waiting)))
+                waiting, held = [], 0
+    if held:
+        rescore(*map(np.concatenate, zip(*waiting)))
     return out
 
 

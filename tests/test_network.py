@@ -214,12 +214,6 @@ def test_betweenness_matches_enumeration_oracle():
             assert abs(got[v] - want[v]) < 1e-9, f"trial {trial} node {v}"
 
 
-def test_betweenness_weighted_inverse_prefers_heavy_edges():
-    graph = _graph([("a", "b", 10), ("b", "c", 10), ("a", "c", 1)])
-    assert betweenness(graph)["b"] == 0.0
-    assert betweenness(graph, weighted_inverse=True)["b"] == 1.0
-
-
 def _two_cliques(bridge=True):
     graph = RepublishGraph(0)
     left = [f"l{i}" for i in range(8)]

@@ -2,8 +2,9 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newsreuse import similarity
@@ -392,3 +393,158 @@ def test_pairs_csv_unknown_id_errors(tmp_path):
     write_pairs_csv(pairs, path)
     with pytest.raises(DataError, match="not in corpus"):
         read_pairs_csv(path, {})
+
+
+def _skewed_docs(rng, size, common, rare, only_frequent, copies):
+    """Token lists of a skewed window, and the (original, copy) positions of
+    its planted near-copies.
+
+    Every document holds each of `common` frequent terms 1-4 times; all but
+    `only_frequent` of them also hold 1-12 of `rare` rare terms. A near-copy
+    repeats a document with one more rare term, or one more frequent one.
+    With at most 13 distinct rare terms per document, each with df < n/16
+    or counted as frequent, the frequent columns hold at least half of
+    sum(df^2), so the window always passes the gate.
+    """
+    frequent_words = [f"c{k}" for k in range(common)]
+    rare_words = [f"r{k}" for k in range(rare)]
+    docs = []
+    for k in range(size - copies):
+        doc = [w for w in frequent_words for _ in range(rng.randint(1, 4))]
+        if k >= only_frequent:
+            doc += rng.choices(rare_words, k=rng.randint(1, 12))
+        docs.append(doc)
+    planted = []
+    for _ in range(copies):
+        original = rng.randrange(len(docs))
+        extra = rng.choice(frequent_words if rng.random() < 0.2 else rare_words)
+        planted.append((original, len(docs)))
+        docs.append(docs[original] + [extra])
+    order = rng.sample(range(len(docs)), len(docs))
+    position = {old: new for new, old in enumerate(order)}
+    return [docs[k] for k in order], [(position[a], position[b]) for a, b in planted]
+
+
+def _skewed_matrix(docs):
+    tokenized = [TokenizedDoc(f"d{i}", tuple(d)) for i, d in enumerate(docs)]
+    return vectorize(fit_tfidf(tokenized, 0), tokenized)
+
+
+@st.composite
+def _skewed_windows(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(48, 120))
+    return _skewed_docs(
+        rng,
+        size,
+        common=draw(st.integers(1, 5)),
+        rare=draw(st.integers(size // 2, 3 * size)),
+        only_frequent=draw(st.integers(0, 6)),
+        copies=draw(st.integers(1, 12)),
+    )
+
+
+@given(
+    window=_skewed_windows(),
+    fixed=st.sampled_from([None, None, 0.3, 0.6, 0.9]),
+    pick=st.integers(0, 11),
+    ulps=st.integers(-2, 2),
+    tile_entries=st.sampled_from([64, 1024, similarity._TILE_ENTRIES]),
+)
+@settings(max_examples=150, deadline=None)
+def test_norm_bound_join_equals_product_join_on_skewed_windows(
+    window, fixed, pick, ulps, tile_entries
+):
+    docs, planted = window
+    matrix = _skewed_matrix(docs)
+    assert similarity._frequent_columns(matrix) is not None
+    if fixed is None:
+        # A threshold within a few ulps of a planted near-copy's score, far
+        # inside the margin.
+        earlier, later = planted[pick % len(planted)]
+        threshold = cosine(matrix, [earlier], [later])[0]
+        for _ in range(abs(ulps)):
+            threshold = np.nextafter(threshold, 2.0 if ulps > 0 else 0.0)
+        assume(0.0 < threshold < 1.0)
+    else:
+        threshold = fixed
+    # Tiles of side 8 and 32 split the window and batch the re-scoring.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
+        got = similarity._threshold_join(matrix, threshold)
+        want = similarity._product_join(matrix, threshold)
+    assert sorted(got) == sorted(want)
+
+
+def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
+    # The filter's value is within a few ulps of the score when the two
+    # frequent parts are parallel; without the margin some of these pairs
+    # are lost.
+    docs, planted = _skewed_docs(
+        random.Random(5), 100, common=4, rare=150, only_frequent=4, copies=30
+    )
+    matrix = _skewed_matrix(docs)
+    assert similarity._frequent_columns(matrix) is not None
+    checked = 0
+    for earlier, later in planted:
+        score = cosine(matrix, [earlier], [later])[0]
+        if not 0.0 < score < 1.0:
+            continue
+        threshold = np.nextafter(score, 0.0)
+        got = similarity._threshold_join(matrix, threshold)
+        assert sorted(got) == sorted(similarity._product_join(matrix, threshold))
+        assert (min(earlier, later), max(earlier, later), score) in got
+        checked += 1
+    assert checked >= 20
+
+
+def test_norm_bound_join_pairs_documents_of_frequent_terms_only():
+    # Such pairs share no rare term, so only the join of the rows whose
+    # frequent-part norm alone can pass finds them.
+    docs = [["c0", "c1", "c1"]] * 3 + [["c0", "c1", f"r{k}"] for k in range(60)]
+    matrix = _skewed_matrix(docs)
+    assert similarity._frequent_columns(matrix) is not None
+    got = similarity._threshold_join(matrix, 0.9)
+    assert sorted(got) == sorted(similarity._product_join(matrix, 0.9))
+    assert {(i, j) for i, j, _ in got} >= {(0, 1), (0, 2), (1, 2)}
+
+
+def _joins_taken(monkeypatch):
+    taken = []
+    for name in ("_product_join", "_norm_bound_join"):
+        def spy(*args, _name=name, _join=getattr(similarity, name)):
+            taken.append(_name)
+            return _join(*args)
+
+        monkeypatch.setattr(similarity, name, spy)
+    return taken
+
+
+def test_gate_sends_skewed_window_to_norm_bound_join(monkeypatch):
+    docs, planted = _skewed_docs(
+        random.Random(3), 80, common=3, rare=120, only_frequent=2, copies=8
+    )
+    window = make_window(
+        [
+            make_article(f"d{i:03d}", f"s{i % 7}", body=" ".join(d), ts=BASE_TS + i)
+            for i, d in enumerate(docs)
+        ]
+    )
+    taken = _joins_taken(monkeypatch)
+    result = match_window(window, threshold=0.5, min_body_tokens=0)
+    assert taken[0] == "_norm_bound_join"
+    assert result.pairs
+
+
+def test_gate_sends_fixture_window_to_product_join(tmp_path, monkeypatch):
+    from newsreuse.corpus import ingest_articles, partition_windows
+    from newsreuse.fixture import FixtureSpec, generate_fixture
+
+    paths = generate_fixture(
+        tmp_path, FixtureSpec(sources=6, articles_per_source=40, copies=10, windows=1)
+    )
+    (window,) = partition_windows(ingest_articles(paths["articles"]), window_days=14)
+    taken = _joins_taken(monkeypatch)
+    result = match_window(window)
+    assert taken == ["_product_join"]
+    assert len(result.pairs) >= 10
