@@ -170,11 +170,16 @@ def _threshold_join(
 
 def _frequent_columns(matrix: sparse.csr_matrix) -> np.ndarray | None:
     """Mask of the columns with df >= n / 16, or None when their share of
-    sum(df^2) is under half (the gate of `_threshold_join`)."""
+    sum(df^2) is under half or every column is frequent (the gate of
+    `_threshold_join`).
+
+    With every column frequent, as in any window of 16 or fewer documents,
+    no rare part is left and every row would pass the bound on its own.
+    """
     df = np.bincount(matrix.indices, minlength=matrix.shape[1]).astype(np.int64)
     frequent = df * _FREQUENT_DF_DIVISOR >= matrix.shape[0]
     square = df * df
-    if 2 * int(square[frequent].sum()) < int(square.sum()):
+    if frequent.all() or 2 * int(square[frequent].sum()) < int(square.sum()):
         return None
     return frequent
 

@@ -404,7 +404,8 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
     repeats a document with one more rare term, or one more frequent one.
     With at most 13 distinct rare terms per document, each with df < n/16
     or counted as frequent, the frequent columns hold at least half of
-    sum(df^2), so the window always passes the gate.
+    sum(df^2). With more rare words than documents, some stay below n/16.
+    So the window passes the gate.
     """
     frequent_words = [f"c{k}" for k in range(common)]
     rare_words = [f"r{k}" for k in range(rare)]
@@ -438,7 +439,7 @@ def _skewed_windows(draw):
         rng,
         size,
         common=draw(st.integers(1, 5)),
-        rare=draw(st.integers(size // 2, 3 * size)),
+        rare=draw(st.integers(2 * size, 6 * size)),
         only_frequent=draw(st.integers(0, 6)),
         copies=draw(st.integers(1, 12)),
     )
@@ -548,3 +549,14 @@ def test_gate_sends_fixture_window_to_product_join(tmp_path, monkeypatch):
     result = match_window(window)
     assert taken == ["_product_join"]
     assert len(result.pairs) >= 10
+
+
+def test_gate_sends_window_without_rare_columns_to_product_join(monkeypatch):
+    # In 16 or fewer documents every term is frequent: nothing is left for
+    # the bound to skip.
+    window = make_window(
+        _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A, "alpha zeta " * 10]})
+    )
+    taken = _joins_taken(monkeypatch)
+    assert len(match_window(window).pairs) == 1
+    assert taken == ["_product_join"]
