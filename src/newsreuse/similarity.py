@@ -243,16 +243,16 @@ def _norm_bound_join(
     has an exact dot product d > t (1 - gamma_k). The filter's value carries
     at most gamma_k from R_ij, gamma_{k+1} from each f (sum of squares, then
     sqrt), and one rounding each for f_i f_j and for the sum, so it is at
-    least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}. The margin gamma_{3k+8}
-    also covers the roundings of t - margin and of the per-tile cut. So no
-    pair with s > t fails the filter, and the result equals
-    `_product_join`'s.
+    least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}, as t < 1. The margin
+    gamma_{3k+8} also covers the roundings of t - margin and of the per-tile
+    cut. So no pair with s > t fails the filter, and the result equals
+    `_product_join`'s. Rows need not have unit norm for this.
     """
     n = matrix.shape[0]
     side = max(1, math.isqrt(_TILE_ENTRIES))
     terms = 3 * int(np.diff(matrix.indptr).max(initial=0)) + 8
-    unit = np.finfo(np.float64).eps / 2
-    floor = threshold - terms * unit / (1 - terms * unit)
+    unit_roundoff = np.finfo(np.float64).eps / 2
+    floor = threshold - terms * unit_roundoff / (1 - terms * unit_roundoff)
 
     in_frequent = frequent[matrix.indices]
     squares = sparse.csr_matrix(
@@ -273,12 +273,10 @@ def _norm_bound_join(
 
     def rescore(earlier: np.ndarray, later: np.ndarray) -> None:
         for lo in range(0, len(earlier), side):
-            chunk = slice(lo, lo + side)
-            scores = cosine(matrix, earlier[chunk], later[chunk])
+            rows_e, rows_l = earlier[lo : lo + side], later[lo : lo + side]
+            scores = cosine(matrix, rows_e, rows_l)
             kept = scores > threshold
-            out.extend(
-                zip(earlier[chunk][kept].tolist(), later[chunk][kept].tolist(), scores[kept].tolist())
-            )
+            out.extend(zip(rows_e[kept].tolist(), rows_l[kept].tolist(), scores[kept].tolist()))
 
     waiting: list[tuple[np.ndarray, np.ndarray]] = []
     held = 0

@@ -417,7 +417,7 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
         docs.append(doc)
     planted = []
     for _ in range(copies):
-        original = rng.randrange(len(docs))
+        original = rng.randrange(size - copies)
         extra = rng.choice(frequent_words if rng.random() < 0.2 else rare_words)
         planted.append((original, len(docs)))
         docs.append(docs[original] + [extra])
