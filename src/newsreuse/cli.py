@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -251,8 +252,11 @@ def cmd_detect(cfg: RunConfig) -> int:
     log.info("ingested %d articles into %d windows", len(collection), len(windows))
 
     payloads = [(w, cfg.similarity_threshold, cfg.min_body_tokens) for w in windows]
-    if cfg.jobs > 1 and len(windows) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # A pool forks all of its workers at once, so more than one per window or
+    # per CPU only costs memory.
+    workers = min(cfg.jobs, len(windows), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_match_window_worker, payloads))
     else:
         results = [_match_window_worker(p) for p in payloads]
@@ -561,7 +565,19 @@ def cmd_report(cfg: RunConfig) -> int:
         raise DataError(
             "missing upstream outputs; run first: " + ", ".join(missing)
         )
+    try:
+        text = _report_markdown(out, cfg.min_window_docs)
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise DataError(
+            f"{out}: malformed upstream output ({type(exc).__name__}: {exc}); "
+            f"re-run the stage that wrote it"
+        ) from None
+    (out / "report.md").write_text(text, encoding="utf-8")
+    log.info("report: wrote %s", out / "report.md")
+    return EXIT_OK
 
+
+def _report_markdown(out: Path, min_window_docs: int) -> str:
     detect = _read_kv(out / "detect_summary.txt")
     graph_summary = _read_kv(out / "graph_summary.txt")
     headline = _read_kv(out / "headline_summary.txt")
@@ -596,10 +612,10 @@ def cmd_report(cfg: RunConfig) -> int:
         f"{detect.get('sources')} sources participate in at least one match."
     )
     lines.append("")
-    visible = [w for w in windows if int(w["docs"]) >= cfg.min_window_docs]
+    visible = [w for w in windows if int(w["docs"]) >= min_window_docs]
     if len(visible) < len(windows):
         lines.append(
-            f"(windows with fewer than {cfg.min_window_docs} documents are omitted: "
+            f"(windows with fewer than {min_window_docs} documents are omitted: "
             f"{len(windows) - len(visible)} hidden)"
         )
         lines.append("")
@@ -705,10 +721,7 @@ def cmd_report(cfg: RunConfig) -> int:
     else:
         lines.append("none")
     lines.append("")
-
-    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
-    log.info("report: wrote %s", out / "report.md")
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:

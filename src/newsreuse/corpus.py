@@ -125,13 +125,6 @@ class ArticleCollection:
     def sources(self) -> set[str]:
         return {a.source for a in self.articles}
 
-    def span_days(self) -> float:
-        """Days between the earliest and latest publication instants."""
-        if not self.articles:
-            return 0.0
-        times = [a.published_utc for a in self.articles]
-        return (max(times) - min(times)) / SECONDS_PER_DAY
-
 
 @dataclass(frozen=True)
 class TimeWindow:
@@ -439,11 +432,6 @@ def load_labels(path: str | Path) -> dict[str, SourceLabels]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return labels
-
-
-def labels_for(labels: Mapping[str, SourceLabels], source: str) -> SourceLabels:
-    """Look up a source's labels, defaulting unknowns for unlisted sources."""
-    return labels.get(canonical_source(source)) or SourceLabels.unknown(source)
 
 
 @dataclass(frozen=True)

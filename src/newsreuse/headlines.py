@@ -79,7 +79,7 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
         {p.earlier.title for p in pairs} | {p.later.title for p in pairs}
     )
     row = {t: i for i, t in enumerate(titles)}
-    docs = [TokenizedDoc.from_text(f"title{i}", t) for i, t in enumerate(titles)]
+    docs = [TokenizedDoc.from_text(t) for t in titles]
     eligible = [
         bool(docs[row[p.earlier.title]].tokens) and bool(docs[row[p.later.title]].tokens)
         for p in pairs

@@ -70,14 +70,8 @@ class RepublishGraph:
     def node_attrs(self, source: str) -> dict:
         return self._nodes[source]
 
-    def weight(self, frm: str, to: str) -> int:
-        return self._out.get(frm, {}).get(to, 0)
-
     def successors(self, source: str) -> list[str]:
         return sorted(self._out.get(source, {}))
-
-    def predecessors(self, source: str) -> list[str]:
-        return sorted(self._in.get(source, {}))
 
     def in_weight(self, source: str) -> int:
         return sum(self._in.get(source, {}).values())
@@ -87,9 +81,6 @@ class RepublishGraph:
 
     def in_degree(self, source: str) -> int:
         return len(self._in.get(source, {}))
-
-    def out_degree(self, source: str) -> int:
-        return len(self._out.get(source, {}))
 
     @property
     def num_nodes(self) -> int:

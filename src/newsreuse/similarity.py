@@ -4,11 +4,13 @@ The matcher finds every cross-source article pair whose body cosine
 similarity exceeds a threshold. A window's TFIDF matrix is built in one
 array pass over all of its tokens: one L2-normalized row per document, in a
 single scipy.sparse CSR matrix. The join is exact. Either every pair is
-scored, as the lower triangle of that matrix times its transpose, tile by
-tile, or, when a few terms are in almost every document, pairs are first
-filtered with an l2-norm bound on those terms and the survivors re-scored;
-`_threshold_join` says when and why no pair is lost. Both give the bits of
-the full product. Output ordering and scores are deterministic.
+scored, as the lower triangle of that matrix times its transpose, or, when
+a few terms are in almost every document, pairs are first filtered with an
+l2-norm bound on those terms and the survivors re-scored; `_threshold_join`
+says when and why no pair is lost. Both walk their product through one tile
+loop, `_tiles`, and every norm and score is one row sum in ascending term
+order, `_row_sums`, so both give the bits of the full product. Output
+ordering and scores are deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -54,12 +56,11 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenizedDoc:
-    article_id: str
     tokens: tuple[str, ...]
 
     @classmethod
-    def from_text(cls, article_id: str, text: str) -> "TokenizedDoc":
-        return cls(article_id=article_id, tokens=tuple(tokenize(text)))
+    def from_text(cls, text: str) -> "TokenizedDoc":
+        return cls(tuple(tokenize(text)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,6 @@ class TfidfModel:
     smoothed idf of the term with id i.
     """
 
-    window_index: int
     vocabulary: dict[str, int]
     idf: np.ndarray
     num_docs: int
@@ -91,7 +91,6 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], window_index: int) -> TfidfModel:
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
     dfs = np.fromiter(map(doc_freq.__getitem__, terms), np.intp, len(terms))
     return TfidfModel(
-        window_index=window_index,
         vocabulary=dict(zip(terms, range(len(terms)))),
         idf=idf_by_df[dfs],
         num_docs=n,
@@ -121,12 +120,16 @@ def vectorize(model: TfidfModel, docs: Sequence[TokenizedDoc]) -> sparse.csr_mat
     )
     matrix.sum_duplicates()
     matrix.data *= model.idf[matrix.indices]
-    squares = sparse.csr_matrix(
-        (np.square(matrix.data), matrix.indices, matrix.indptr), shape=(n, dim)
-    )
-    norms = np.sqrt(squares @ np.ones(dim))
+    norms = np.sqrt(_row_sums(matrix, np.square(matrix.data)))
     matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
     return matrix
+
+
+def _row_sums(matrix: sparse.csr_matrix, data: np.ndarray) -> np.ndarray:
+    """Per-row sums of `data`, one value per stored entry of the canonical
+    CSR `matrix`, each summed in ascending term order."""
+    rows = sparse.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return rows @ np.ones(matrix.shape[1])
 
 
 def cosine(
@@ -142,7 +145,7 @@ def cosine(
     a = np.asarray(rows_a, dtype=np.intp)
     b = np.asarray(rows_b, dtype=np.intp)
     products = matrix[a].multiply(matrix[b])
-    return products @ np.ones(matrix.shape[1])
+    return _row_sums(products, products.data)
 
 
 def _threshold_join(
@@ -187,30 +190,11 @@ def _frequent_columns(matrix: sparse.csr_matrix) -> np.ndarray | None:
 def _product_join(
     matrix: sparse.csr_matrix, threshold: float
 ) -> list[tuple[int, int, float]]:
-    """`_threshold_join` by scoring every pair.
-
-    The strict lower triangle of X X^T is computed exactly with
-    scipy.sparse, one square tile of about `_TILE_ENTRIES` entries at a
-    time, so memory does not grow with the window.
-    """
-    n = matrix.shape[0]
-    side = max(1, math.isqrt(_TILE_ENTRIES))
+    """`_threshold_join` by scoring every pair: the entries of `_tiles` with
+    zero norms, which are those of X X^T above the threshold."""
     out: list[tuple[int, int, float]] = []
-    for later_lo in range(0, n, side):
-        later = matrix[later_lo : later_lo + side]
-        for earlier_lo in range(0, later_lo + 1, side):
-            tile = later @ matrix[earlier_lo : earlier_lo + side].T
-            hits = np.flatnonzero(tile.data > threshold)
-            later_pos = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
-            earlier_pos = earlier_lo + tile.indices[hits]
-            keep = earlier_pos < later_pos
-            out.extend(
-                zip(
-                    earlier_pos[keep].tolist(),
-                    later_pos[keep].tolist(),
-                    tile.data[hits[keep]].tolist(),
-                )
-            )
+    for earlier, later, value in _tiles(matrix, np.zeros(matrix.shape[0]), threshold):
+        out.extend(zip(earlier.tolist(), later.tolist(), value.tolist()))
     return out
 
 
@@ -225,10 +209,9 @@ def _norm_bound_join(
     of L2AP (Anastasiu and Karypis, ICDE 2014), used as the filter of a
     filter-then-verify join (Bayardo, Ma and Srikant, WWW 2007).
 
-    - Filter. R R^T is computed in the tiles of `_product_join`. A pair is a
-      candidate when R_ij + f_i f_j > threshold - margin, where f is the
-      frequent-part norm. A first cut per tile, with the largest f of its
-      rows on each side in place of f_i f_j, leaves few entries to check.
+    - Filter. `_tiles` walks R R^T with f, the frequent-part norms, and
+      yields the candidates: the pairs with R_ij + f_i f_j > threshold -
+      margin.
     - No rare overlap. A pair that shares no rare term is not in R R^T. It
       can pass only if f_i f_max and f_j f_max both pass, so the rows that
       pass are joined with `_product_join` among themselves.
@@ -248,18 +231,13 @@ def _norm_bound_join(
     cut. So no pair with s > t fails the filter, and the result equals
     `_product_join`'s. Rows need not have unit norm for this.
     """
-    n = matrix.shape[0]
     side = max(1, math.isqrt(_TILE_ENTRIES))
     terms = 3 * int(np.diff(matrix.indptr).max(initial=0)) + 8
     unit_roundoff = np.finfo(np.float64).eps / 2
     floor = threshold - terms * unit_roundoff / (1 - terms * unit_roundoff)
 
     in_frequent = frequent[matrix.indices]
-    squares = sparse.csr_matrix(
-        (np.where(in_frequent, np.square(matrix.data), 0.0), matrix.indices, matrix.indptr),
-        shape=matrix.shape,
-    )
-    norms = np.sqrt(squares @ np.ones(matrix.shape[1]))
+    norms = np.sqrt(_row_sums(matrix, np.where(in_frequent, np.square(matrix.data), 0.0)))
     # Every weight is > 0, so only the frequent entries become zeros.
     rare = matrix.copy()
     rare.data[in_frequent] = 0.0
@@ -268,7 +246,7 @@ def _norm_bound_join(
     heavy = np.flatnonzero(norms * norms.max(initial=0.0) > floor)
     ids = heavy.tolist()
     out = [(ids[i], ids[j], s) for i, j, s in _product_join(matrix[heavy], threshold)]
-    is_heavy = np.zeros(n, dtype=bool)
+    is_heavy = np.zeros(matrix.shape[0], dtype=bool)
     is_heavy[heavy] = True
 
     def rescore(earlier: np.ndarray, later: np.ndarray) -> None:
@@ -280,25 +258,46 @@ def _norm_bound_join(
 
     waiting: list[tuple[np.ndarray, np.ndarray]] = []
     held = 0
-    for earlier_lo in range(0, n, side):
-        earlier = rare[earlier_lo : earlier_lo + side].T.tocsr()
-        earlier_top = norms[earlier_lo : earlier_lo + side].max()
-        for later_lo in range(earlier_lo, n, side):
-            cut = floor - norms[later_lo : later_lo + side].max() * earlier_top
-            tile = rare[later_lo : later_lo + side] @ earlier
-            hits = np.flatnonzero(tile.data > cut)
-            later_pos = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
-            earlier_pos = earlier_lo + tile.indices[hits]
-            keep = (earlier_pos < later_pos) & ~(is_heavy[earlier_pos] & is_heavy[later_pos])
-            keep &= tile.data[hits] + norms[earlier_pos] * norms[later_pos] > floor
-            waiting.append((earlier_pos[keep], later_pos[keep]))
-            held += int(np.count_nonzero(keep))
-            if held >= side:
-                rescore(*map(np.concatenate, zip(*waiting)))
-                waiting, held = [], 0
+    for earlier, later, _ in _tiles(rare, norms, floor):
+        keep = ~(is_heavy[earlier] & is_heavy[later])
+        waiting.append((earlier[keep], later[keep]))
+        held += int(np.count_nonzero(keep))
+        if held >= side:
+            rescore(*map(np.concatenate, zip(*waiting)))
+            waiting, held = [], 0
     if held:
         rescore(*map(np.concatenate, zip(*waiting)))
     return out
+
+
+def _tiles(
+    rows: sparse.csr_matrix, norms: np.ndarray, floor: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The entries (earlier, later, value), earlier < later, of rows rows^T
+    with value + norms[earlier] norms[later] > floor, one tile at a time.
+
+    The strict lower triangle is computed exactly with scipy.sparse in
+    square tiles of about `_TILE_ENTRIES` entries, so memory does not grow
+    with the window; each block of earlier rows is transposed once. A first
+    cut per tile, with the largest norm of its rows on each side in place of
+    norms[earlier] norms[later], leaves few entries to check. Each value
+    sums the products of the two rows' shared terms in the later row's
+    ascending term order, so it has the bits of the untiled product.
+    """
+    n = rows.shape[0]
+    side = max(1, math.isqrt(_TILE_ENTRIES))
+    for earlier_lo in range(0, n, side):
+        block = rows[earlier_lo : earlier_lo + side].T.tocsr()
+        earlier_top = norms[earlier_lo : earlier_lo + side].max()
+        for later_lo in range(earlier_lo, n, side):
+            cut = floor - norms[later_lo : later_lo + side].max() * earlier_top
+            tile = rows[later_lo : later_lo + side] @ block
+            hits = np.flatnonzero(tile.data > cut)
+            later = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
+            earlier = earlier_lo + tile.indices[hits]
+            value = tile.data[hits]
+            keep = (earlier < later) & (value + norms[earlier] * norms[later] > floor)
+            yield earlier[keep], later[keep], value[keep]
 
 
 @dataclass(frozen=True)
@@ -348,7 +347,7 @@ def match_window(
     Pairs are sorted by (similarity desc, earlier id, later id).
     """
     articles = sorted(window.articles, key=lambda a: a.id)
-    docs = [TokenizedDoc.from_text(a.id, a.body) for a in articles]
+    docs = [TokenizedDoc.from_text(a.body) for a in articles]
     eligible = [i for i, d in enumerate(docs) if len(d.tokens) >= min_body_tokens]
     if len(eligible) < 2:
         log.info(
@@ -422,17 +421,22 @@ def read_pairs_csv(
                         f"{path} row {row}: sources disagree with the corpus; "
                         f"the corpus file changed since detect ran"
                     )
+                if earlier.source == later.source:
+                    raise DataError(
+                        f"{path} row {row}: both articles are from {earlier.source!r}"
+                    )
                 direction = record["direction"]
                 if direction not in (FORWARD, AMBIGUOUS):
                     raise DataError(f"{path} row {row}: bad direction {direction!r}")
+                try:
+                    similarity = float(record["similarity"])
+                    if not math.isfinite(similarity):
+                        raise ValueError(f"similarity {similarity!r} is not finite")
+                    window_index = int(record["window_index"])
+                except ValueError as exc:
+                    raise DataError(f"{path} row {row}: {exc}") from None
                 pairs.append(
-                    MatchedPair(
-                        earlier=earlier,
-                        later=later,
-                        similarity=float(record["similarity"]),
-                        window_index=int(record["window_index"]),
-                        direction=direction,
-                    )
+                    MatchedPair(earlier, later, similarity, window_index, direction)
                 )
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -2,7 +2,8 @@
 
 Everything here computes results by a different route than the library:
 dense numpy TFIDF and an all-pairs loop instead of a tiled sparse matrix
-product, one Python vector per document and a merge-loop dot product
+product, one untiled sparse product instead of the tiles and the norm
+bound, one Python vector per document and a merge-loop dot product
 instead of a TFIDF matrix built in one array pass, explicit shortest-path
 enumeration instead of Brandes accumulation, the raw pairwise modularity sum
 instead of the per-community aggregation.
@@ -41,6 +42,20 @@ def exhaustive_pairs(token_docs, threshold):
             if sims[i, j] > threshold:
                 out.append((i, j, float(sims[i, j])))
     return out
+
+
+def product_pairs(matrix, threshold):
+    """Sorted (i, j, score), i < j, of the entries of one untiled sparse
+    `matrix @ matrix.T` above the threshold.
+
+    scipy sums each entry over the row of the left operand in stored order,
+    as a tile of the join does, so the scores are the join's bits.
+    """
+    product = (matrix @ matrix.T).tocoo()
+    keep = (product.col < product.row) & (product.data > threshold)
+    return sorted(
+        zip(product.col[keep].tolist(), product.row[keep].tolist(), product.data[keep].tolist())
+    )
 
 
 def reference_vectors(fit_docs, token_docs):

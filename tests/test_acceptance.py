@@ -115,7 +115,7 @@ def test_criterion_2_similarity_exactness():
         window = _random_window(rng, vocab, size, index)
         result = match_window(window, threshold=0.90)
         articles = sorted(window.articles, key=lambda a: a.id)
-        docs = [list(TokenizedDoc.from_text(a.id, a.body).tokens) for a in articles]
+        docs = [list(TokenizedDoc.from_text(a.body).tokens) for a in articles]
         keep = [i for i, d in enumerate(docs) if len(d) >= 20]
         oracle = {}
         for i, j, sim in exhaustive_pairs([docs[k] for k in keep], 0.90):

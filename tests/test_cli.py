@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsreuse import network
+from newsreuse import cli, network
 from newsreuse.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -491,6 +492,126 @@ def test_graph_rejects_mismatched_windowing(tmp_path):
     assert _run("detect", "--config", cfg, "--out", str(out)) == EXIT_OK
     code = _run("graph", "--config", cfg, "--out", str(out), "--window-days", "100")
     assert code == EXIT_DATA
+
+
+def _edit_csv_rows(path, edit):
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _edit_csv_cell(path, column, value, row=1):
+    """Set one cell of a CSV file; row 0 is the header."""
+
+    def edit(rows):
+        rows[row][column if isinstance(column, int) else rows[0].index(column)] = value
+
+    _edit_csv_rows(path, edit)
+
+
+def _self_pair(path):
+    """Make the first pair's later article its earlier one."""
+
+    def edit(rows):
+        rows[1][3:5] = rows[1][1:3]
+
+    _edit_csv_rows(path, edit)
+
+
+def _short_row(path):
+    """Cut the first data row to two fields."""
+
+    def edit(rows):
+        del rows[1][2:]
+
+    _edit_csv_rows(path, edit)
+
+
+@pytest.fixture(scope="module")
+def upstream(tmp_path_factory):
+    """A fixture corpus and the outputs of detect, graph and headlines."""
+    root = tmp_path_factory.mktemp("upstream")
+    fx = _gen(root)
+    out = root / "out"
+    for command in ("detect", "graph", "headlines"):
+        assert _run(command, "--config", str(fx / "fixture.cfg"), "--out", str(out)) == EXIT_OK
+    return fx / "fixture.cfg", out
+
+
+@pytest.mark.parametrize(
+    "stage, damage, message",
+    [
+        ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "similarity", "high"),
+         "pairs.csv row 2"),
+        ("headlines", lambda out: _edit_csv_cell(out / "pairs.csv", "similarity", "high"),
+         "pairs.csv row 2"),
+        ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "similarity", "nan"),
+         "pairs.csv row 2"),
+        ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "window_index", "w0"),
+         "pairs.csv row 2"),
+        ("graph", lambda out: _self_pair(out / "pairs.csv"), "pairs.csv row 2"),
+        ("report", lambda out: _edit_csv_cell(out / "metrics.csv", "weighted_in", "1.5"),
+         "malformed upstream output"),
+        ("report", lambda out: _edit_csv_cell(out / "windows.csv", 3, "documents", row=0),
+         "malformed upstream output"),
+        ("report", lambda out: _short_row(out / "windows.csv"), "malformed upstream output"),
+        ("report", lambda out: _edit_csv_cell(out / "engagement.csv", 0, "x" * 200_000),
+         "malformed upstream output"),
+    ],
+    ids=["graph-similarity", "headlines-similarity", "nan-similarity", "window-index",
+         "self-pair",
+         "metrics-weighted-in", "windows-header", "windows-short-row", "oversized-field"],
+)
+def test_malformed_upstream_file_is_data_error(
+    upstream, tmp_path, caplog, stage, damage, message
+):
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    damage(out)
+    assert _run(stage, "--config", str(config), "--out", str(out)) == EXIT_DATA
+    assert any(message in r.getMessage() for r in caplog.records)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, expected",
+    [(100000, 8, [2]), (100000, 1, []), (100000, None, []), (2, 8, [2]), (1, 8, [])],
+)
+def test_detect_workers_capped_by_windows_and_cpus(
+    tmp_path, monkeypatch, jobs, cpus, expected
+):
+    # Two windows: no more than two workers, however many --jobs asks for.
+    fx = _gen(tmp_path)
+    cfg = str(fx / "fixture.cfg")
+    assert _run("detect", "--config", cfg, "--out", str(tmp_path / "ref")) == EXIT_OK
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    out = tmp_path / "out"
+    assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", str(jobs)) == EXIT_OK
+    assert _RecordingPool.created == expected
+    for name in ("pairs.csv", "windows.csv", "detect_summary.txt"):
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_unwritable_output_is_data_error(tmp_path):

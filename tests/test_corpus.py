@@ -9,13 +9,13 @@ from newsreuse.corpus import (
     SourceLabels,
     canonical_source,
     ingest_articles,
-    labels_for,
     load_labels,
     load_lexicon,
     parse_timestamp,
     partition_windows,
 )
 from newsreuse.errors import DataError
+from newsreuse.network import RepublishGraph, attach_labels
 
 from helpers import BASE_TS, DAY, write_jsonl
 
@@ -64,7 +64,9 @@ def test_ingest_full_span_accepted(tmp_path):
     )
     collection = ingest_articles(path)
     assert len(collection) == 3
-    assert round(collection.span_days()) == 98
+    times = [a.published_utc for a in collection]
+    assert times == [1491523800, 1495281600, 1499989800]
+    assert round((max(times) - min(times)) / DAY) == 98
 
 
 def test_ingest_derived_ids_deterministic(tmp_path):
@@ -309,10 +311,18 @@ def test_load_labels_bad_enum(tmp_path):
 
 
 def test_labels_default_to_unknown():
-    assert labels_for({}, "Unheard Of") == SourceLabels.unknown("Unheard Of")
-    assert labels_for({}, "x").audience is Audience.SATIRE_OR_UNKNOWN
-    assert labels_for({}, "x").reliability is Reliability.NOT_OR_UNKNOWN
-    assert labels_for({}, "x").leaning is Leaning.NEUTRAL_OR_UNKNOWN
+    assert SourceLabels.unknown("Unheard Of") == SourceLabels("Unheard Of")
+    assert SourceLabels.unknown("x").audience is Audience.SATIRE_OR_UNKNOWN
+    assert SourceLabels.unknown("x").reliability is Reliability.NOT_OR_UNKNOWN
+    assert SourceLabels.unknown("x").leaning is Leaning.NEUTRAL_OR_UNKNOWN
+    graph = RepublishGraph(0)
+    graph.add_node("Unheard Of")
+    attach_labels(graph, {})
+    assert graph.node_attrs("Unheard Of") == {
+        "audience": "satire_or_unknown",
+        "reliability": "not_or_unknown",
+        "leaning": "neutral_or_unknown",
+    }
 
 
 def test_load_lexicon_dedupes_and_lowercases(tmp_path):

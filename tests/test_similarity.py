@@ -23,7 +23,13 @@ from newsreuse.similarity import (
 )
 
 from helpers import BASE_TS, make_article, make_window, pseudo_vocab, random_body
-from oracles import dense_tfidf_matrix, exhaustive_pairs, merge_dot, reference_vectors
+from oracles import (
+    dense_tfidf_matrix,
+    exhaustive_pairs,
+    merge_dot,
+    product_pairs,
+    reference_vectors,
+)
 
 
 def test_tokenize_headline():
@@ -37,7 +43,7 @@ def test_tokenize_empty():
 
 
 def test_tokenize_punctuation_and_repeats():
-    doc = TokenizedDoc.from_text("x", "U.S.-backed plan, plan!")
+    doc = TokenizedDoc.from_text("U.S.-backed plan, plan!")
     assert list(doc.tokens) == ["u", "s", "backed", "plan", "plan"]
     assert doc.tokens.count("plan") == 2
 
@@ -45,7 +51,7 @@ def test_tokenize_punctuation_and_repeats():
 @given(st.text(max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_term_counts_sum_to_token_count(text):
-    doc = TokenizedDoc.from_text("x", text)
+    doc = TokenizedDoc.from_text(text)
     # Fitted on two copies of the document, every term has df == n, so
     # every idf is 1 and the row is the term counts divided by their norm.
     row = vectorize(fit_tfidf([doc, doc], 0), [doc])
@@ -55,7 +61,7 @@ def test_term_counts_sum_to_token_count(text):
 
 
 def _docs(*bodies):
-    return [TokenizedDoc.from_text(f"d{i}", b) for i, b in enumerate(bodies)]
+    return [TokenizedDoc.from_text(b) for b in bodies]
 
 
 def test_idf_smoothing_identity():
@@ -89,7 +95,7 @@ def test_vectorize_unit_norm_and_identity():
 def test_vectorize_oov_doc_is_empty():
     docs = _docs("a b", "a c")
     model = fit_tfidf(docs, 0)
-    vecs = vectorize(model, [TokenizedDoc.from_text("q", "zz yy"), docs[0]])
+    vecs = vectorize(model, [TokenizedDoc.from_text("zz yy"), docs[0]])
     assert not vecs[0].nnz
     assert cosine(vecs, [0], [1])[0] == 0.0
 
@@ -131,8 +137,8 @@ _WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"
 )
 @settings(max_examples=300, deadline=None)
 def test_vectorize_and_cosine_equal_per_document_reference(fit_docs, docs):
-    model = fit_tfidf([TokenizedDoc(f"f{i}", tuple(d)) for i, d in enumerate(fit_docs)], 0)
-    matrix = vectorize(model, [TokenizedDoc(f"d{i}", tuple(d)) for i, d in enumerate(docs)])
+    model = fit_tfidf([TokenizedDoc(tuple(d)) for d in fit_docs], 0)
+    matrix = vectorize(model, [TokenizedDoc(tuple(d)) for d in docs])
     vocab, idf, want = reference_vectors(fit_docs, docs)
     assert model.vocabulary == vocab
     assert model.idf.tolist() == idf
@@ -153,7 +159,7 @@ def test_idf_equals_math_log_at_every_document_frequency():
     # np.log differs from math.log in the last ulp for some of these n.
     for n in range(2, 64):
         fit_docs = [[f"t{k}" for k in range(d, n)] for d in range(n)]
-        model = fit_tfidf([TokenizedDoc(f"f{i}", tuple(d)) for i, d in enumerate(fit_docs)], 0)
+        model = fit_tfidf([TokenizedDoc(tuple(d)) for d in fit_docs], 0)
         assert model.idf.tolist() == reference_vectors(fit_docs, [])[1]
 
 
@@ -253,7 +259,7 @@ def test_planted_copies_recovered_exactly():
 def _oracle_pairs(window, threshold, min_body_tokens):
     """Cross-source pairs of `window` above `threshold`, scored densely."""
     articles = sorted(window.articles, key=lambda a: a.id)
-    docs = [list(TokenizedDoc.from_text(a.id, a.body).tokens) for a in articles]
+    docs = [list(TokenizedDoc.from_text(a.body).tokens) for a in articles]
     keep = [i for i, d in enumerate(docs) if len(d) >= min_body_tokens]
     oracle = {}
     for i, j, sim in exhaustive_pairs([docs[k] for k in keep], threshold):
@@ -310,11 +316,18 @@ def test_tiled_join_equals_exhaustive_oracle(
 ):
     # Tiles of side 1, 2 and 3 split every window into several tiles; the
     # default budget puts each of these windows in a single tile.
+    articles = sorted(window.articles, key=lambda a: a.id)
+    docs = [TokenizedDoc.from_text(a.body) for a in articles]
+    docs = [d for d in docs if len(d.tokens) >= min_body_tokens]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
         result = match_window(
             window, threshold=threshold, min_body_tokens=min_body_tokens
         )
+        if len(docs) >= 2:
+            matrix = vectorize(fit_tfidf(docs, 0), docs)
+            joined = similarity._threshold_join(matrix, threshold)
+            assert sorted(joined) == product_pairs(matrix, threshold)
     got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
     assert len(got) == len(result.pairs)
     # Tiny vocabularies produce pairs whose exact cosine equals the
@@ -427,7 +440,7 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
 
 
 def _skewed_matrix(docs):
-    tokenized = [TokenizedDoc(f"d{i}", tuple(d)) for i, d in enumerate(docs)]
+    tokenized = [TokenizedDoc(tuple(d)) for d in docs]
     return vectorize(fit_tfidf(tokenized, 0), tokenized)
 
 
@@ -475,6 +488,7 @@ def test_norm_bound_join_equals_product_join_on_skewed_windows(
         got = similarity._threshold_join(matrix, threshold)
         want = similarity._product_join(matrix, threshold)
     assert sorted(got) == sorted(want)
+    assert sorted(got) == product_pairs(matrix, threshold)
 
 
 def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
