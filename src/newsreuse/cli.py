@@ -1,9 +1,12 @@
 """Command-line interface: detect, graph, headlines, report, gen-fixture.
 
 Configuration comes from an optional flat key=value file plus command-line
-flags; flags win. Logs go to stderr, data goes to files under the output
-directory. Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 internal error.
+flags; flags win. Each `RunConfig` field is one config key and one flag,
+typed by its default. Logs go to stderr, data goes to files under the
+output directory, all read and written through `corpus`'s file functions.
+A stage reads every input before it writes its first output. Exit codes:
+0 success, 1 usage or config error (an unreadable config file included),
+2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import sys
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from . import corpus as corpus_mod
 from . import network as network_mod
 from .corpus import (
     format_timestamp,
@@ -27,13 +30,16 @@ from .corpus import (
     load_labels,
     load_lexicon,
     partition_windows,
+    read_csv,
+    read_text,
+    write_csv,
+    write_lines,
 )
 from .errors import DataError
 from .fixture import FixtureSpec, generate_fixture
 from .similarity import (
     FORWARD,
     MatchedPair,
-    WindowMatchResult,
     match_window,
     read_pairs_csv,
     write_pairs_csv,
@@ -51,8 +57,18 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
 
 
+_CORPUS_FORMATS = ("jsonl", "csv")
+# The keys that name an input file, which `validate` checks exists.
+_INPUT_KEYS = (
+    "articles", "labels", "bias_lexicon", "positive_lexicon", "negative_lexicon", "stopwords",
+)
+
+
 @dataclass
 class RunConfig:
+    """Every setting of a run. A key's type in a config file, and its flag's
+    type, is its default's type; a None default is a path."""
+
     articles: str | None = None
     format: str = "jsonl"
     labels: str | None = None
@@ -85,32 +101,26 @@ class RunConfig:
             raise UsageError("min_body_tokens must be >= 0")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
-        if self.format not in ("jsonl", "csv"):
+        if self.format not in _CORPUS_FORMATS:
             raise UsageError(f"unknown corpus format {self.format!r}")
         if need_articles and not self.articles:
             raise UsageError("an articles path is required (--articles or config file)")
-        for name in (
-            "articles", "labels", "bias_lexicon", "positive_lexicon",
-            "negative_lexicon", "stopwords",
-        ):
+        for name in _INPUT_KEYS:
             value = getattr(self, name)
             if value is not None and not Path(value).is_file():
                 raise UsageError(f"{name} file not found: {value}")
 
 
-_INT_KEYS = {"window_days", "min_body_tokens", "louvain_seed", "jobs", "min_window_docs"}
-_FLOAT_KEYS = {"similarity_threshold", "title_change_threshold", "louvain_resolution"}
-_BOOL_KEYS = {"dedupe_origin", "include_ambiguous"}
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def load_config_file(path: str | Path) -> dict[str, object]:
     """Parse a flat key=value config file."""
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        text = read_text(path)
+    except DataError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.__cause__ or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -119,17 +129,16 @@ def load_config_file(path: str | Path) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEY_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = _KEY_TYPES[key]
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
+            if kind is bool:
                 if value.lower() not in ("true", "false", "1", "0"):
                     raise ValueError(f"expected boolean, got {value!r}")
                 values[key] = value.lower() in ("true", "1")
+            elif kind in (int, float):
+                values[key] = kind(value)
             else:
                 values[key] = value
         except ValueError as exc:
@@ -154,38 +163,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_FLAG_HELP = {
+    "articles": "article corpus path",
+    "format": "corpus format",
+    "labels": "source labels CSV",
+    "stopwords": "stopword list path",
+    "out_dir": "output directory",
+    "dedupe_origin": "collapse pairwise story links to one edge per copier, aimed at "
+    "the cluster's earliest publisher",
+    "include_ambiguous": "keep same-timestamp pairs in graphs (lexicographic tie-break)",
+    "jobs": "worker processes for detection",
+    "min_window_docs": "hide windows below this occupancy in reports",
+}
+
+
 def _common_options() -> _Parser:
+    """`--config`, one flag per RunConfig field in field order, `--verbose`."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--articles", help="article corpus path")
-    common.add_argument("--format", choices=["jsonl", "csv"], help="corpus format")
-    common.add_argument("--labels", help="source labels CSV")
-    common.add_argument("--bias-lexicon", dest="bias_lexicon")
-    common.add_argument("--positive-lexicon", dest="positive_lexicon")
-    common.add_argument("--negative-lexicon", dest="negative_lexicon")
-    common.add_argument("--stopwords", help="stopword list path")
-    common.add_argument("--out", dest="out_dir", help="output directory")
-    common.add_argument("--window-days", dest="window_days", type=int)
-    common.add_argument("--similarity-threshold", dest="similarity_threshold", type=float)
-    common.add_argument(
-        "--title-change-threshold", dest="title_change_threshold", type=float
-    )
-    common.add_argument("--min-body-tokens", dest="min_body_tokens", type=int)
-    common.add_argument("--louvain-seed", dest="louvain_seed", type=int)
-    common.add_argument("--louvain-resolution", dest="louvain_resolution", type=float)
-    common.add_argument(
-        "--dedupe-origin", dest="dedupe_origin", action="store_true", default=None,
-        help="collapse pairwise story links to one edge per copier, aimed at "
-        "the cluster's earliest publisher",
-    )
-    common.add_argument(
-        "--include-ambiguous", dest="include_ambiguous", action="store_true",
-        default=None,
-        help="keep same-timestamp pairs in graphs (lexicographic tie-break)",
-    )
-    common.add_argument("--jobs", type=int, help="worker processes for detection")
-    common.add_argument("--min-window-docs", dest="min_window_docs", type=int,
-                        help="hide windows below this occupancy in reports")
+    for name, kind in _KEY_TYPES.items():
+        flag = "--out" if name == "out_dir" else "--" + name.replace("_", "-")
+        if kind is bool:
+            options = {"action": "store_true", "default": None}
+        else:
+            options = {"type": kind if kind in (int, float) else None}
+        if name == "format":
+            options["choices"] = _CORPUS_FORMATS
+        common.add_argument(flag, dest=name, help=_FLAG_HELP.get(name), **options)
     common.add_argument("--verbose", action="store_true", default=None)
     return common
 
@@ -221,26 +225,17 @@ def _build_parser() -> _Parser:
 
 
 def _write_kv(path: Path, items: Sequence[tuple[str, object]]) -> None:
-    path.write_text(
-        "".join(f"{key}={value}\n" for key, value in items), encoding="utf-8"
-    )
+    write_lines(path, (f"{key}={value}" for key, value in items))
 
 
 def _read_kv(path: Path) -> dict[str, str]:
     values = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if not line.strip():
             break
         key, _, value = line.partition("=")
         values[key] = value
     return values
-
-
-def _match_window_worker(
-    payload: tuple[corpus_mod.TimeWindow, float, int]
-) -> WindowMatchResult:
-    window, threshold, min_tokens = payload
-    return match_window(window, threshold=threshold, min_body_tokens=min_tokens)
 
 
 def cmd_detect(cfg: RunConfig) -> int:
@@ -251,41 +246,39 @@ def cmd_detect(cfg: RunConfig) -> int:
     windows = partition_windows(collection, cfg.window_days)
     log.info("ingested %d articles into %d windows", len(collection), len(windows))
 
-    payloads = [(w, cfg.similarity_threshold, cfg.min_body_tokens) for w in windows]
+    match = partial(
+        match_window, threshold=cfg.similarity_threshold, min_body_tokens=cfg.min_body_tokens
+    )
     # A pool forks all of its workers at once, so more than one per window or
     # per CPU only costs memory.
     workers = min(cfg.jobs, len(windows), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_match_window_worker, payloads))
+            results = list(pool.map(match, windows))
     else:
-        results = [_match_window_worker(p) for p in payloads]
+        results = [match(w) for w in windows]
 
     pairs = [p for r in results for p in r.pairs]
     write_pairs_csv(pairs, out / "pairs.csv")
 
-    with (out / "windows.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["window_index", "start_utc", "end_utc", "docs", "eligible_docs", "matches"]
-        )
-        for window, result in zip(windows, results):
-            writer.writerow(
-                [
-                    window.index,
-                    format_timestamp(window.start_utc),
-                    format_timestamp(window.end_utc),
-                    result.doc_count,
-                    result.eligible_count,
-                    len(result.pairs),
-                ]
-            )
-
-    with (out / "rejects.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "reason"])
-        for reject in collection.rejects:
-            writer.writerow([reject.row, reject.reason])
+    write_csv(
+        out / "windows.csv",
+        ["window_index", "start_utc", "end_utc", "docs", "eligible_docs", "matches"],
+        (
+            [
+                window.index,
+                format_timestamp(window.start_utc),
+                format_timestamp(window.end_utc),
+                result.doc_count,
+                result.eligible_count,
+                len(result.pairs),
+            ]
+            for window, result in zip(windows, results)
+        ),
+    )
+    write_csv(
+        out / "rejects.csv", ["row", "reason"], ((r.row, r.reason) for r in collection.rejects)
+    )
 
     matched_sources = {p.earlier.source for p in pairs} | {p.later.source for p in pairs}
     forward = sum(1 for p in pairs if p.direction == FORWARD)
@@ -383,29 +376,21 @@ def cmd_graph(cfg: RunConfig) -> int:
 
     network_mod.write_metrics_csv(metrics, out / "metrics.csv", partition.communities)
 
-    with (out / "engagement.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "median_fb_shares", "median_fb_reactions"])
-        for node in combined.nodes():
-            attrs = combined.node_attrs(node)
-            shares = attrs.get("median_fb_shares")
-            reactions = attrs.get("median_fb_reactions")
-            writer.writerow(
-                [
-                    node,
-                    "" if shares is None else repr(shares),
-                    "" if reactions is None else repr(reactions),
-                ]
-            )
+    medians = ["median_fb_shares", "median_fb_reactions"]
+    engagement = []
+    for node in combined.nodes():
+        values = map(combined.node_attrs(node).get, medians)
+        engagement.append([node, *("" if v is None else repr(v) for v in values)])
+    write_csv(out / "engagement.csv", ["source", *medians], engagement)
 
     flags = network_mod.flag_single_day_origins(
         [p for p in pairs if p.direction == FORWARD]
     )
-    with (out / "origin_flags.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "dominant_day", "share", "inbound_pairs"])
-        for source, day, share, inbound in flags:
-            writer.writerow([source, day, repr(share), inbound])
+    write_csv(
+        out / "origin_flags.csv",
+        ["source", "dominant_day", "share", "inbound_pairs"],
+        ((source, day, repr(share), inbound) for source, day, share, inbound in flags),
+    )
 
     _write_kv(
         out / "graph_summary.txt",
@@ -445,31 +430,10 @@ def cmd_headlines(cfg: RunConfig) -> int:
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
     pairs, _ = _load_pairs(cfg, out)
-    title_pairs = headlines_mod.title_distance(pairs)
-    threshold = cfg.title_change_threshold
-    headlines_mod.write_title_pairs_csv(title_pairs, out / "title_pairs.csv", threshold)
-
-    eligible = [tp for tp in title_pairs if tp.eligible]
-    changed = sum(1 for tp in eligible if tp.distance > threshold)
-    # changed_fraction raises when no pair is eligible.
-    fraction = headlines_mod.changed_fraction(title_pairs, threshold) if eligible else None
-
-    most_changed, by_magnitude = headlines_mod.rank_changers(title_pairs, threshold)
-    with (out / "ranking_most_changed.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "changed_titles"])
-        writer.writerows(most_changed)
-    with (out / "ranking_change_magnitude.csv").open(
-        "w", encoding="utf-8", newline=""
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "mean_distance"])
-        for source, mean in by_magnitude:
-            writer.writerow([source, repr(mean)])
-
-    lexicon_paths = (cfg.bias_lexicon, cfg.positive_lexicon, cfg.negative_lexicon)
-    shifts: list[headlines_mod.FeatureShift] = []
-    if all(lexicon_paths):
+    # Every input is read before the first write, so a bad one leaves the
+    # previous run's outputs whole.
+    lexicons = None
+    if cfg.bias_lexicon and cfg.positive_lexicon and cfg.negative_lexicon:
         lexicons = {
             "bias": load_lexicon(cfg.bias_lexicon, "bias"),
             "positive": load_lexicon(cfg.positive_lexicon, "positive"),
@@ -480,6 +444,28 @@ def cmd_headlines(cfg: RunConfig) -> int:
             if cfg.stopwords
             else headlines_mod.DEFAULT_STOPWORDS
         )
+    else:
+        log.warning("lexicons not configured; skipping feature-shift analysis")
+
+    title_pairs = headlines_mod.title_distance(pairs)
+    threshold = cfg.title_change_threshold
+    headlines_mod.write_title_pairs_csv(title_pairs, out / "title_pairs.csv", threshold)
+
+    eligible = [tp for tp in title_pairs if tp.eligible]
+    changed = sum(1 for tp in eligible if tp.distance > threshold)
+    # changed_fraction raises when no pair is eligible.
+    fraction = headlines_mod.changed_fraction(title_pairs, threshold) if eligible else None
+
+    most_changed, by_magnitude = headlines_mod.rank_changers(title_pairs, threshold)
+    write_csv(out / "ranking_most_changed.csv", ["source", "changed_titles"], most_changed)
+    write_csv(
+        out / "ranking_change_magnitude.csv",
+        ["source", "mean_distance"],
+        ((source, repr(mean)) for source, mean in by_magnitude),
+    )
+
+    shifts: list[headlines_mod.FeatureShift] = []
+    if lexicons is not None:
         by_copier: dict[str, list[headlines_mod.TitlePair]] = {}
         for tp in eligible:
             by_copier.setdefault(tp.pair.later.source, []).append(tp)
@@ -489,50 +475,45 @@ def cmd_headlines(cfg: RunConfig) -> int:
                     source, by_copier[source], lexicons, stopwords
                 )
             )
-    else:
-        log.warning("lexicons not configured; skipping feature-shift analysis")
     headlines_mod.write_shifts_csv(shifts, out / "shifts.csv")
 
-    lines = [
+    summary = [
         ("eligible_pairs", len(eligible)),
         ("changed_pairs", changed),
         ("changed_fraction", repr(fraction) if fraction is not None else ""),
         ("title_change_threshold", threshold),
         ("shift_sources", len({s.source for s in shifts})),
     ]
-    text = "".join(f"{k}={v}\n" for k, v in lines)
-    text += "\n"
+    lines = [f"{k}={v}" for k, v in summary] + [""]
     if fraction is None:
-        text += "No eligible title pairs (empty or missing titles).\n"
+        lines.append("No eligible title pairs (empty or missing titles).")
     else:
-        text += f"{fraction * 100.0:.2f}% of copied articles changed the title "
-        text += f"(cosine distance > {threshold}).\n"
-    text += "\nTop sources by changed-title count:\n"
-    for i, (source, count) in enumerate(most_changed[:10], start=1):
-        text += f"  {i:2d}. {source}: {count}\n"
-    text += "\nTop sources by mean change magnitude:\n"
-    for i, (source, mean) in enumerate(by_magnitude[:10], start=1):
-        text += f"  {i:2d}. {source}: {mean:.4f}\n"
-    text += "\nSignificant feature shifts (p < 0.05, normal groups, n > 8):\n"
-    if shifts:
-        for s in shifts:
-            text += (
-                f"  {s.source}: {s.feature} {s.direction} "
-                f"(F={s.f_stat:.3f}, p={s.p_value:.5f}, n={s.n_own})\n"
-            )
-    else:
-        text += "  none\n"
-    (out / "headline_summary.txt").write_text(text, encoding="utf-8")
+        lines.append(
+            f"{fraction * 100.0:.2f}% of copied articles changed the title "
+            f"(cosine distance > {threshold})."
+        )
+    lines += ["", "Top sources by changed-title count:"]
+    lines += [
+        f"  {i:2d}. {source}: {count}"
+        for i, (source, count) in enumerate(most_changed[:10], start=1)
+    ]
+    lines += ["", "Top sources by mean change magnitude:"]
+    lines += [
+        f"  {i:2d}. {source}: {mean:.4f}"
+        for i, (source, mean) in enumerate(by_magnitude[:10], start=1)
+    ]
+    lines += ["", "Significant feature shifts (p < 0.05, normal groups, n > 8):"]
+    lines += [
+        f"  {s.source}: {s.feature} {s.direction} "
+        f"(F={s.f_stat:.3f}, p={s.p_value:.5f}, n={s.n_own})"
+        for s in shifts
+    ] or ["  none"]
+    write_lines(out / "headline_summary.txt", lines)
     log.info(
         "headlines: %d eligible pairs, %d changed, %d feature shifts",
         len(eligible), changed, len(shifts),
     )
     return EXIT_OK
-
-
-def _read_csv_rows(path: Path) -> list[dict[str, str]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:
@@ -566,28 +547,28 @@ def cmd_report(cfg: RunConfig) -> int:
             "missing upstream outputs; run first: " + ", ".join(missing)
         )
     try:
-        text = _report_markdown(out, cfg.min_window_docs)
+        lines = _report_markdown(out, cfg.min_window_docs)
     except (KeyError, TypeError, ValueError, csv.Error) as exc:
         raise DataError(
             f"{out}: malformed upstream output ({type(exc).__name__}: {exc}); "
             f"re-run the stage that wrote it"
         ) from None
-    (out / "report.md").write_text(text, encoding="utf-8")
+    write_lines(out / "report.md", lines)
     log.info("report: wrote %s", out / "report.md")
     return EXIT_OK
 
 
-def _report_markdown(out: Path, min_window_docs: int) -> str:
+def _report_markdown(out: Path, min_window_docs: int) -> list[str]:
     detect = _read_kv(out / "detect_summary.txt")
     graph_summary = _read_kv(out / "graph_summary.txt")
     headline = _read_kv(out / "headline_summary.txt")
-    windows = _read_csv_rows(out / "windows.csv")
-    metrics = _read_csv_rows(out / "metrics.csv")
-    engagement = _read_csv_rows(out / "engagement.csv")
-    most_changed = _read_csv_rows(out / "ranking_most_changed.csv")
-    by_magnitude = _read_csv_rows(out / "ranking_change_magnitude.csv")
-    shifts = _read_csv_rows(out / "shifts.csv")
-    flags = _read_csv_rows(out / "origin_flags.csv")
+    windows = list(read_csv(out / "windows.csv"))
+    metrics = list(read_csv(out / "metrics.csv"))
+    engagement = list(read_csv(out / "engagement.csv"))
+    most_changed = list(read_csv(out / "ranking_most_changed.csv"))
+    by_magnitude = list(read_csv(out / "ranking_change_magnitude.csv"))
+    shifts = list(read_csv(out / "shifts.csv"))
+    flags = list(read_csv(out / "origin_flags.csv"))
 
     lines = ["# Verbatim republishing analysis", ""]
 
@@ -720,8 +701,7 @@ def _report_markdown(out: Path, min_window_docs: int) -> str:
         )
     else:
         lines.append("none")
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
@@ -766,10 +746,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
     except Exception:  # pragma: no cover - defensive

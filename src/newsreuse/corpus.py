@@ -1,16 +1,24 @@
-"""Corpus ingestion, validation, and time partitioning.
+"""Corpus ingestion, validation, time partitioning, and file I/O.
 
 Articles arrive as JSONL or CSV, one record per article. Rows that fail
 validation are collected into a rejects report instead of aborting the run,
 unless more than half the rows are bad, which signals a schema mismatch
 rather than dirty data. Collections are immutable after construction and
 safe to share across threads or worker processes.
+
+Every other file the pipeline reads or writes goes through four functions
+here: `read_text` and `read_csv` for side files (labels, lexicons, stopwords,
+config) and the tables one stage hands the next, `write_csv` and
+`write_lines` for every output. They read UTF-8 with or without a
+byte-order mark, turn an unreadable file or an undecodable byte into a
+`DataError` naming the file and line, and write UTF-8 with `\\n` line ends.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import re
@@ -18,7 +26,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError
 
@@ -398,39 +406,34 @@ LABELS_HEADER = ["source", "audience", "reliability", "leaning"]
 
 def load_labels(path: str | Path) -> dict[str, SourceLabels]:
     """Load the per-source label CSV keyed by canonical source name."""
-    path = Path(path)
     labels: dict[str, SourceLabels] = {}
     first_row: dict[str, int] = {}
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(LABELS_HEADER) - set(reader.fieldnames):
-                raise DataError(f"labels file {path} must have header {','.join(LABELS_HEADER)}")
-            for record in reader:
-                row = reader.line_num
-                source = canonical_source(record.get("source") or "")
-                if not source:
-                    raise DataError(f"labels row {row}: empty source")
-                try:
-                    rec = SourceLabels(
-                        source=source,
-                        audience=Audience(record["audience"]),
-                        reliability=Reliability(record["reliability"]),
-                        leaning=Leaning(record["leaning"]),
-                    )
-                except ValueError as exc:
-                    raise DataError(f"labels row {row}: {exc}") from None
-                if source in labels:
-                    if labels[source] != rec:
-                        raise DataError(
-                            f"conflicting label rows for {source!r}: "
-                            f"rows {first_row[source]} and {row}"
-                        )
-                    continue
-                labels[source] = rec
-                first_row[source] = row
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = read_csv(path)
+    if reader.fieldnames is None or set(LABELS_HEADER) - set(reader.fieldnames):
+        raise DataError(f"labels file {path} must have header {','.join(LABELS_HEADER)}")
+    for record in reader:
+        row = reader.line_num
+        source = canonical_source(record.get("source") or "")
+        if not source:
+            raise DataError(f"labels row {row}: empty source")
+        try:
+            rec = SourceLabels(
+                source=source,
+                audience=Audience(record["audience"]),
+                reliability=Reliability(record["reliability"]),
+                leaning=Leaning(record["leaning"]),
+            )
+        except ValueError as exc:
+            raise DataError(f"labels row {row}: {exc}") from None
+        if source in labels:
+            if labels[source] != rec:
+                raise DataError(
+                    f"conflicting label rows for {source!r}: "
+                    f"rows {first_row[source]} and {row}"
+                )
+            continue
+        labels[source] = rec
+        first_row[source] = row
     return labels
 
 
@@ -447,17 +450,53 @@ class Lexicon:
 
 def load_lexicon(path: str | Path, name: str) -> Lexicon:
     """Load a one-term-per-line lexicon; `#` lines are comments."""
-    path = Path(path)
     words = set()
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                term = line.strip()
-                if not term or term.startswith("#"):
-                    continue
-                words.add(term.lower())
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    # Lines end at \n, \r or \r\n, as in a file opened in text mode.
+    for line in io.StringIO(read_text(path), newline=None):
+        term = line.strip()
+        if not term or term.startswith("#"):
+            continue
+        words.add(term.lower())
     if not words:
         raise DataError(f"lexicon {name!r} from {path} is empty")
     return Lexicon(name=name, words=frozenset(words))
+
+
+def read_text(path: str | Path) -> str:
+    """The whole file as text: UTF-8, with or without a byte-order mark.
+
+    An unreadable file, or a byte that is not UTF-8, is a DataError naming
+    the file (and the line).
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
+
+
+def read_csv(path: str | Path) -> csv.DictReader:
+    """A DictReader over `read_text(path)`, split as a file opened with
+    newline="" is, so quoted newlines and `line_num` are a file's."""
+    return csv.DictReader(io.StringIO(read_text(path), newline=""))
+
+
+def write_csv(
+    path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]
+) -> None:
+    """Write a header and rows as UTF-8 CSV with `\\n` line ends; `rows` is
+    consumed as it is written."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by `\\n`, as UTF-8."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in lines)

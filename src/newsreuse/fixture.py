@@ -9,13 +9,12 @@ similarity threshold and the planted pairs are the exact ground truth.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import SECONDS_PER_DAY
+from .corpus import LABELS_HEADER, SECONDS_PER_DAY, write_csv, write_lines
 
 _SYLLABLES = [
     "ba", "be", "bi", "bo", "bu", "da", "de", "di", "do", "du",
@@ -199,21 +198,21 @@ def generate_fixture(
         "config": out / "fixture.cfg",
     }
 
-    with paths["articles"].open("w", encoding="utf-8") as fh:
-        for article in articles:
-            record = {k: v for k, v in article.items() if v is not None}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_lines(
+        paths["articles"],
+        (json.dumps({k: v for k, v in a.items() if v is not None}, sort_keys=True)
+         for a in articles),
+    )
 
     audiences = ["mainstream", "alternative", "satire_or_unknown"]
     reliabilities = ["not_or_unknown", "has_published_fake", "satire"]
     leanings = ["left", "right", "neutral_or_unknown"]
-    with paths["labels"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "audience", "reliability", "leaning"])
-        for i, source in enumerate(sources):
-            writer.writerow(
-                [source, audiences[i % 3], reliabilities[i % 3], leanings[i % 3]]
-            )
+    write_csv(
+        paths["labels"],
+        LABELS_HEADER,
+        ([source, audiences[i % 3], reliabilities[i % 3], leanings[i % 3]]
+         for i, source in enumerate(sources)),
+    )
 
     for name, words in (
         ("bias", BIAS_FIXTURE),
@@ -221,37 +220,28 @@ def generate_fixture(
         ("negative", NEGATIVE_FIXTURE),
         ("stopwords", STOPWORD_FIXTURE),
     ):
-        paths[name].write_text(
-            f"# fixture {name} lexicon\n" + "\n".join(sorted(words)) + "\n",
-            encoding="utf-8",
-        )
+        write_lines(paths[name], [f"# fixture {name} lexicon", *sorted(words)])
 
-    with paths["ground_truth"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["original_id", "copy_id", "original_source", "copy_source",
-             "window_index", "title_changed"]
-        )
-        for p in sorted(planted, key=lambda p: (p.original_id, p.copy_id)):
-            writer.writerow(
-                [p.original_id, p.copy_id, p.original_source, p.copy_source,
-                 p.window_index, str(p.title_changed).lower()]
-            )
+    write_csv(
+        paths["ground_truth"],
+        ["original_id", "copy_id", "original_source", "copy_source",
+         "window_index", "title_changed"],
+        ([p.original_id, p.copy_id, p.original_source, p.copy_source,
+          p.window_index, str(p.title_changed).lower()]
+         for p in sorted(planted, key=lambda p: (p.original_id, p.copy_id))),
+    )
 
-    paths["config"].write_text(
-        "\n".join(
-            [
-                f"articles={paths['articles']}",
-                "format=jsonl",
-                f"labels={paths['labels']}",
-                f"bias_lexicon={paths['bias']}",
-                f"positive_lexicon={paths['positive']}",
-                f"negative_lexicon={paths['negative']}",
-                f"stopwords={paths['stopwords']}",
-                f"window_days={spec.window_days}",
-            ]
-        )
-        + "\n",
-        encoding="utf-8",
+    write_lines(
+        paths["config"],
+        [
+            f"articles={paths['articles']}",
+            "format=jsonl",
+            f"labels={paths['labels']}",
+            f"bias_lexicon={paths['bias']}",
+            f"positive_lexicon={paths['positive']}",
+            f"negative_lexicon={paths['negative']}",
+            f"stopwords={paths['stopwords']}",
+            f"window_days={spec.window_days}",
+        ],
     )
     return paths

@@ -9,7 +9,6 @@ on feature distributions, gated by normality and sample-size checks).
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 import statistics
@@ -21,7 +20,7 @@ from typing import AbstractSet, Mapping, Sequence
 from scipy.special import fdtrc
 
 from . import swilk
-from .corpus import Lexicon
+from .corpus import Lexicon, write_csv
 from .errors import DataError
 from .similarity import MatchedPair, TokenizedDoc, cosine, fit_tfidf, tokenize, vectorize
 
@@ -332,33 +331,28 @@ def write_title_pairs_csv(
     path: str | Path,
     threshold: float = DEFAULT_CHANGE_THRESHOLD,
 ) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TITLE_PAIRS_HEADER)
-        for tp in title_pairs:
-            writer.writerow(
-                [
-                    tp.pair.earlier.id,
-                    tp.pair.later.id,
-                    repr(tp.distance) if tp.eligible else "",
-                    str(tp.changed(threshold)).lower(),
-                ]
-            )
+    write_csv(
+        path,
+        TITLE_PAIRS_HEADER,
+        (
+            [
+                tp.pair.earlier.id,
+                tp.pair.later.id,
+                repr(tp.distance) if tp.eligible else "",
+                str(tp.changed(threshold)).lower(),
+            ]
+            for tp in title_pairs
+        ),
+    )
 
 
 def write_shifts_csv(shifts: Sequence[FeatureShift], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SHIFTS_HEADER)
-        for s in shifts:
-            writer.writerow(
-                [
-                    s.source,
-                    s.feature,
-                    s.direction,
-                    repr(s.f_stat),
-                    repr(s.p_value),
-                    s.n_own,
-                    s.n_copied,
-                ]
-            )
+    write_csv(
+        path,
+        SHIFTS_HEADER,
+        (
+            [s.source, s.feature, s.direction, repr(s.f_stat), repr(s.p_value), s.n_own,
+             s.n_copied]
+            for s in shifts
+        ),
+    )

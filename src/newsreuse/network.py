@@ -8,7 +8,6 @@ sources copied from it.
 
 from __future__ import annotations
 
-import csv
 import logging
 import random
 import statistics
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .corpus import SourceLabels
+from .corpus import SourceLabels, write_csv, write_lines
 from .errors import DataError
 from .similarity import FORWARD, MatchedPair
 
@@ -455,28 +454,25 @@ METRICS_HEADER = [
 
 
 def write_metrics_csv(
-    metrics: Sequence[NodeMetrics],
-    path: str | Path,
-    communities: Mapping[str, int] | None = None,
+    metrics: Sequence[NodeMetrics], path: str | Path, communities: Mapping[str, int]
 ) -> None:
-    communities = communities or {}
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for m in metrics:
-            community = communities.get(m.source)
-            writer.writerow(
-                [
-                    m.source,
-                    m.weighted_in_degree,
-                    m.weighted_out_degree,
-                    repr(m.in_centrality_mean),
-                    repr(m.in_centrality_var),
-                    repr(m.betweenness_mean),
-                    repr(m.betweenness_var),
-                    "" if community is None else community,
-                ]
-            )
+    write_csv(
+        path,
+        METRICS_HEADER,
+        (
+            [
+                m.source,
+                m.weighted_in_degree,
+                m.weighted_out_degree,
+                repr(m.in_centrality_mean),
+                repr(m.in_centrality_var),
+                repr(m.betweenness_mean),
+                repr(m.betweenness_var),
+                communities.get(m.source, ""),
+            ]
+            for m in metrics
+        ),
+    )
 
 
 def attach_labels(
@@ -635,7 +631,7 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
         )
     lines.append("  </graph>")
     lines.append("</graphml>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 _PALETTE = [
@@ -650,16 +646,14 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(
-    graph: RepublishGraph, path: str | Path, *, color_by: str = "community"
-) -> None:
+def export_dot(graph: RepublishGraph, path: str | Path) -> None:
     """Write a Graphviz digraph, penwidth scaled by edge weight and node
-    fill color bucketed by the chosen attribute."""
+    fill color bucketed by community."""
     values = sorted(
         {
-            graph.node_attrs(v)[color_by]
+            graph.node_attrs(v)["community"]
             for v in graph.nodes()
-            if graph.node_attrs(v).get(color_by) is not None
+            if graph.node_attrs(v).get("community") is not None
         },
         key=str,
     )
@@ -667,7 +661,7 @@ def export_dot(
     max_weight = max((w for _, _, w in graph.edges()), default=1)
     lines = ["digraph republishing {", "  node [shape=ellipse, style=filled];"]
     for node in graph.nodes():
-        value = graph.node_attrs(node).get(color_by)
+        value = graph.node_attrs(node).get("community")
         color = color_of.get(value, "#ffffff")
         lines.append(f'  {_dot_quote(node)} [fillcolor="{color}"];')
     for frm, to, w in graph.edges():
@@ -677,5 +671,4 @@ def export_dot(
             f'[weight={w}, penwidth={penwidth:.3f}, label="{w}"];'
         )
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    write_lines(path, lines)

@@ -15,7 +15,6 @@ ordering and scores are deterministic.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import re
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import Article, TimeWindow
+from .corpus import Article, TimeWindow, read_csv, write_csv
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -73,7 +72,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    num_docs: int
 
 
 def fit_tfidf(docs: Sequence[TokenizedDoc], window_index: int) -> TfidfModel:
@@ -93,7 +91,6 @@ def fit_tfidf(docs: Sequence[TokenizedDoc], window_index: int) -> TfidfModel:
     return TfidfModel(
         vocabulary=dict(zip(terms, range(len(terms)))),
         idf=idf_by_df[dfs],
-        num_docs=n,
     )
 
 
@@ -328,7 +325,6 @@ def pair_articles(a: Article, b: Article, similarity: float, window_index: int) 
 
 @dataclass(frozen=True)
 class WindowMatchResult:
-    window_index: int
     doc_count: int
     eligible_count: int
     pairs: tuple[MatchedPair, ...]
@@ -354,7 +350,7 @@ def match_window(
             "window %d skipped: %d eligible of %d documents",
             window.index, len(eligible), len(docs),
         )
-        return WindowMatchResult(window.index, len(docs), len(eligible), ())
+        return WindowMatchResult(len(docs), len(eligible), ())
     eligible_docs = [docs[i] for i in eligible]
     model = fit_tfidf(eligible_docs, window.index)
     pairs = []
@@ -364,7 +360,7 @@ def match_window(
             continue
         pairs.append(pair_articles(a, b, sim, window.index))
     pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
-    return WindowMatchResult(window.index, len(docs), len(eligible), tuple(pairs))
+    return WindowMatchResult(len(docs), len(eligible), tuple(pairs))
 
 
 PAIRS_HEADER = [
@@ -379,65 +375,57 @@ PAIRS_HEADER = [
 
 
 def write_pairs_csv(pairs: Iterable[MatchedPair], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PAIRS_HEADER)
-        for p in pairs:
-            writer.writerow(
-                [
-                    p.window_index,
-                    p.earlier.source,
-                    p.earlier.id,
-                    p.later.source,
-                    p.later.id,
-                    repr(p.similarity),
-                    p.direction,
-                ]
-            )
+    write_csv(
+        path,
+        PAIRS_HEADER,
+        (
+            [
+                p.window_index,
+                p.earlier.source,
+                p.earlier.id,
+                p.later.source,
+                p.later.id,
+                repr(p.similarity),
+                p.direction,
+            ]
+            for p in pairs
+        ),
+    )
 
 
 def read_pairs_csv(
     path: str | Path, articles_by_id: Mapping[str, Article]
 ) -> list[MatchedPair]:
     """Rebuild matched pairs from CSV, resolving article refs by id."""
-    path = Path(path)
     pairs = []
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != PAIRS_HEADER:
-                raise DataError(f"{path} does not look like a matched-pairs CSV")
-            for record in reader:
-                row = reader.line_num
-                earlier = articles_by_id.get(record["earlier_id"])
-                later = articles_by_id.get(record["later_id"])
-                if earlier is None or later is None:
-                    raise DataError(f"{path} row {row}: article id not in corpus")
-                if (
-                    earlier.source != record["earlier_source"]
-                    or later.source != record["later_source"]
-                ):
-                    raise DataError(
-                        f"{path} row {row}: sources disagree with the corpus; "
-                        f"the corpus file changed since detect ran"
-                    )
-                if earlier.source == later.source:
-                    raise DataError(
-                        f"{path} row {row}: both articles are from {earlier.source!r}"
-                    )
-                direction = record["direction"]
-                if direction not in (FORWARD, AMBIGUOUS):
-                    raise DataError(f"{path} row {row}: bad direction {direction!r}")
-                try:
-                    similarity = float(record["similarity"])
-                    if not math.isfinite(similarity):
-                        raise ValueError(f"similarity {similarity!r} is not finite")
-                    window_index = int(record["window_index"])
-                except ValueError as exc:
-                    raise DataError(f"{path} row {row}: {exc}") from None
-                pairs.append(
-                    MatchedPair(earlier, later, similarity, window_index, direction)
-                )
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = read_csv(path)
+    if reader.fieldnames != PAIRS_HEADER:
+        raise DataError(f"{path} does not look like a matched-pairs CSV")
+    for record in reader:
+        row = reader.line_num
+        earlier = articles_by_id.get(record["earlier_id"])
+        later = articles_by_id.get(record["later_id"])
+        if earlier is None or later is None:
+            raise DataError(f"{path} row {row}: article id not in corpus")
+        if (
+            earlier.source != record["earlier_source"]
+            or later.source != record["later_source"]
+        ):
+            raise DataError(
+                f"{path} row {row}: sources disagree with the corpus; "
+                f"the corpus file changed since detect ran"
+            )
+        if earlier.source == later.source:
+            raise DataError(f"{path} row {row}: both articles are from {earlier.source!r}")
+        direction = record["direction"]
+        if direction not in (FORWARD, AMBIGUOUS):
+            raise DataError(f"{path} row {row}: bad direction {direction!r}")
+        try:
+            similarity = float(record["similarity"])
+            if not math.isfinite(similarity):
+                raise ValueError(f"similarity {similarity!r} is not finite")
+            window_index = int(record["window_index"])
+        except ValueError as exc:
+            raise DataError(f"{path} row {row}: {exc}") from None
+        pairs.append(MatchedPair(earlier, later, similarity, window_index, direction))
     return pairs

@@ -24,6 +24,8 @@ from newsreuse.cli import (
     main,
 )
 
+from newsreuse.corpus import load_lexicon
+
 from helpers import BASE_TS, write_jsonl
 
 
@@ -573,6 +575,81 @@ def test_malformed_upstream_file_is_data_error(
     damage(out)
     assert _run(stage, "--config", str(config), "--out", str(out)) == EXIT_DATA
     assert any(message in r.getMessage() for r in caplog.records)
+
+
+def test_bad_lexicon_leaves_headline_outputs_whole(upstream, tmp_path, caplog):
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    names = ["title_pairs.csv", "ranking_most_changed.csv", "ranking_change_magnitude.csv",
+             "shifts.csv", "headline_summary.txt"]
+    before = {name: (out / name).read_bytes() for name in names}
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no terms\n", encoding="utf-8")
+    # Had the run got as far as writing, the new threshold would change its outputs.
+    code = _run("headlines", "--config", str(config), "--out", str(out),
+                "--title-change-threshold", "0.5", "--bias-lexicon", str(empty))
+    assert code == EXIT_DATA
+    assert "is empty" in caplog.text
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def _prefix_bom(path):
+    """Prefix a byte-order mark, first dropping a leading comment line so
+    that a term, header or key follows the mark."""
+    data = path.read_bytes()
+    if data.startswith(b"#"):
+        data = data.split(b"\n", 1)[1]
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+
+
+def _bad_byte_on_line_2(path):
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff" + rest)
+
+
+@pytest.mark.parametrize(
+    "name, flag, damage, stage, code, message",
+    [
+        ("bias.txt", "--bias-lexicon", _prefix_bom, "headlines", EXIT_OK, None),
+        ("labels.csv", "--labels", _prefix_bom, "graph", EXIT_OK, None),
+        ("fixture.cfg", "--config", _prefix_bom, "detect", EXIT_OK, None),
+        ("bias.txt", "--bias-lexicon", _bad_byte_on_line_2, "headlines", EXIT_DATA,
+         "bias.txt line 2: not valid UTF-8"),
+        ("stopwords.txt", "--stopwords", _bad_byte_on_line_2, "headlines", EXIT_DATA,
+         "stopwords.txt line 2: not valid UTF-8"),
+        ("labels.csv", "--labels", _bad_byte_on_line_2, "graph", EXIT_DATA,
+         "labels.csv line 2: not valid UTF-8"),
+        ("pairs.csv", None, _bad_byte_on_line_2, "graph", EXIT_DATA,
+         "pairs.csv line 2: not valid UTF-8"),
+        ("fixture.cfg", "--config", _bad_byte_on_line_2, "detect", EXIT_USAGE,
+         "fixture.cfg line 2: not valid UTF-8"),
+    ],
+    ids=["bom-lexicon", "bom-labels", "bom-config", "bad-byte-lexicon", "bad-byte-stopwords",
+         "bad-byte-labels", "bad-byte-pairs", "bad-byte-config"],
+)
+def test_side_file_encoding(
+    upstream, tmp_path, capsys, caplog, name, flag, damage, stage, code, message
+):
+    """Side files and pairs.csv may carry a byte-order mark; an undecodable
+    byte is a data error (a usage error in the config file) naming the line."""
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    argv = [stage, "--config", str(config), "--out", str(out)]
+    if flag is None:
+        target = out / name
+    else:
+        target = tmp_path / name
+        shutil.copy(config.parent / name, target)
+        argv += [flag, str(target)]  # a second --config wins over the first
+    damage(target)
+    assert _run(*argv) == code
+    if message is not None:
+        assert message in capsys.readouterr().err + caplog.text
+    if name == "bias.txt" and code == EXIT_OK:
+        # The first term follows the mark: the fixture's lexicons are sorted.
+        assert "best" in load_lexicon(target, "bias")
 
 
 class _RecordingPool:

@@ -409,7 +409,7 @@ def test_export_dot_contents(tmp_path):
     graph.node_attrs("a")["community"] = 0
     graph.node_attrs("b")["community"] = 1
     path = tmp_path / "g.dot"
-    export_dot(graph, path, color_by="community")
+    export_dot(graph, path)
     text = path.read_text(encoding="utf-8")
     assert text.startswith("digraph")
     assert '"a" -> "b" [weight=3, penwidth=6.000' in text

@@ -71,7 +71,6 @@ def test_idf_smoothing_identity():
     assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
         math.log(11 / 2) + 1.0, abs=1e-12
     )
-    assert model.num_docs == 10
     assert vectorize(model, docs)[:, model.vocabulary["common"]].nnz == 10
 
 
