@@ -4,15 +4,17 @@ Configuration comes from an optional flat key=value file plus command-line
 flags; flags win. Each `RunConfig` field is one config key and one flag,
 typed by its default. Logs go to stderr, data goes to files under the
 output directory, all read and written through `corpus`'s file functions.
-A stage reads every input before it writes its first output. Exit codes:
-0 success, 1 usage or config error (an unreadable config file included),
-2 data error, 3 internal error.
+A stage reads every input before it writes its first output, and its
+outputs appear only when it succeeds. Only detect parses the corpus; graph
+and headlines read the matched articles detect hands off, and refuse them
+if detect ran on another corpus or config. Exit codes: 0 success, 1 usage
+or config error (an unreadable config file included), 2 data error,
+3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -25,15 +27,19 @@ from typing import Sequence
 
 from . import network as network_mod
 from .corpus import (
+    file_sha256,
     format_timestamp,
     ingest_articles,
     load_labels,
     load_lexicon,
     partition_windows,
     read_csv,
+    read_matched_articles,
     read_text,
+    staged_outputs,
     write_csv,
     write_lines,
+    write_matched_articles,
 )
 from .errors import DataError
 from .fixture import FixtureSpec, generate_fixture
@@ -58,6 +64,8 @@ class UsageError(Exception):
 
 
 _CORPUS_FORMATS = ("jsonl", "csv")
+# The articles of pairs.csv, with the fields graph and headlines read.
+MATCHED_ARTICLES = "matched_articles.jsonl"
 # The keys that name an input file, which `validate` checks exists.
 _INPUT_KEYS = (
     "articles", "labels", "bias_lexicon", "positive_lexicon", "negative_lexicon", "stopwords",
@@ -238,10 +246,22 @@ def _read_kv(path: Path) -> dict[str, str]:
     return values
 
 
+def _detect_record(cfg: RunConfig) -> list[tuple[str, object]]:
+    """The detect_summary.txt keys that name the corpus and the config that
+    detect's outputs came from."""
+    return [
+        ("window_days", cfg.window_days),
+        ("similarity_threshold", cfg.similarity_threshold),
+        ("min_body_tokens", cfg.min_body_tokens),
+        ("format", cfg.format),
+        ("corpus_sha256", file_sha256(cfg.articles)),
+    ]
+
+
 def cmd_detect(cfg: RunConfig) -> int:
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    record = _detect_record(cfg)
     collection = ingest_articles(cfg.articles, cfg.format)
     windows = partition_windows(collection, cfg.window_days)
     log.info("ingested %d articles into %d windows", len(collection), len(windows))
@@ -260,6 +280,9 @@ def cmd_detect(cfg: RunConfig) -> int:
 
     pairs = [p for r in results for p in r.pairs]
     write_pairs_csv(pairs, out / "pairs.csv")
+    write_matched_articles(
+        out / MATCHED_ARTICLES, {a.id: a for p in pairs for a in (p.earlier, p.later)}.values()
+    )
 
     write_csv(
         out / "windows.csv",
@@ -289,9 +312,7 @@ def cmd_detect(cfg: RunConfig) -> int:
             ("rejected_rows", len(collection.rejects)),
             ("sources", len(collection.sources())),
             ("windows", len(windows)),
-            ("window_days", cfg.window_days),
-            ("similarity_threshold", cfg.similarity_threshold),
-            ("min_body_tokens", cfg.min_body_tokens),
+            *record,
             ("matched_pairs", len(pairs)),
             ("forward_pairs", forward),
             ("ambiguous_pairs", len(pairs) - forward),
@@ -305,39 +326,60 @@ def cmd_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list]:
+def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int]]:
+    """The matched pairs, resolved against detect's hand-off, and the window
+    indices, from an out directory that detect wrote for this corpus and
+    config."""
+    summary_path = out / "detect_summary.txt"
+    handoff_path = out / MATCHED_ARTICLES
+    windows_path = out / "windows.csv"
     pairs_path = out / "pairs.csv"
-    if not pairs_path.is_file():
-        raise DataError(f"{pairs_path} not found; run `newsreuse detect` first")
-    collection = ingest_articles(cfg.articles, cfg.format)
-    windows = partition_windows(collection, cfg.window_days)
-    pairs = read_pairs_csv(pairs_path, collection.by_id)
-    known = {w.index for w in windows}
-    stray = {p.window_index for p in pairs} - known
+    for path in (summary_path, handoff_path, windows_path, pairs_path):
+        if not path.is_file():
+            raise DataError(f"{path} not found; re-run detect")
+    recorded = _read_kv(summary_path)
+    for key, value in _detect_record(cfg):
+        if key not in recorded:
+            raise DataError(f"{summary_path} records no {key}; re-run detect")
+        if recorded[key] != str(value):
+            raise DataError(
+                f"{key} is {value}, but detect ran with {key}={recorded[key]}; re-run detect"
+            )
+    pairs = read_pairs_csv(pairs_path, read_matched_articles(handoff_path))
+    reader = read_csv(windows_path)
+    indices = []
+    for row in reader:
+        try:
+            indices.append(int(row["window_index"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"{windows_path} row {reader.line_num}: bad window_index ({exc}); re-run detect"
+            ) from None
+    stray = {p.window_index for p in pairs}.difference(indices)
     if stray:
         raise DataError(
-            f"{pairs_path} references windows {sorted(stray)} that the current "
-            f"window_days={cfg.window_days} does not produce; re-run detect"
+            f"{pairs_path} references windows {sorted(stray)} that {windows_path} does not "
+            f"list; re-run detect"
         )
-    return pairs, windows
+    return pairs, indices
 
 
 def cmd_graph(cfg: RunConfig) -> int:
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
-    pairs, windows = _load_pairs(cfg, out)
+    pairs, window_indices = _load_pairs(cfg, out)
 
     by_window: dict[int, list[MatchedPair]] = defaultdict(list)
     for p in pairs:
         by_window[p.window_index].append(p)
     window_graphs = [
         network_mod.build_window_graph(
-            by_window.get(w.index, []),
+            by_window.get(index, []),
             include_ambiguous=cfg.include_ambiguous,
             dedupe_origin=cfg.dedupe_origin,
-            window_index=w.index,
+            window_index=index,
         )
-        for w in windows
+        for index in window_indices
     ]
     combined = network_mod.merge_graphs(window_graphs)
     partition = network_mod.louvain(
@@ -351,16 +393,15 @@ def cmd_graph(cfg: RunConfig) -> int:
         log.warning("no labels file configured; graphs carry no label attributes")
 
     graphs_dir = out / "graphs"
-    graphs_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     per_window = []
-    for window, graph in zip(windows, window_graphs):
-        scope = by_window.get(window.index, [])
+    for index, graph in zip(window_indices, window_graphs):
+        scope = by_window.get(index, [])
         per_window.append(_decorate_graph(graph, labels, partition, scope))
         if graph.num_nodes == 0:
             continue
-        network_mod.export_graphml(graph, graphs_dir / f"window_{window.index:03d}.graphml")
-        network_mod.export_dot(graph, graphs_dir / f"window_{window.index:03d}.dot")
+        network_mod.export_graphml(graph, graphs_dir / f"window_{index:03d}.graphml")
+        network_mod.export_dot(graph, graphs_dir / f"window_{index:03d}.dot")
         written += 1
     combined_metrics = _decorate_graph(combined, labels, partition, pairs)
     metrics = network_mod.compute_node_metrics(combined_metrics, per_window)
@@ -466,14 +507,13 @@ def cmd_headlines(cfg: RunConfig) -> int:
 
     shifts: list[headlines_mod.FeatureShift] = []
     if lexicons is not None:
+        features = headlines_mod.title_features(eligible, lexicons, stopwords)
         by_copier: dict[str, list[headlines_mod.TitlePair]] = {}
         for tp in eligible:
             by_copier.setdefault(tp.pair.later.source, []).append(tp)
         for source in sorted(by_copier):
             shifts.extend(
-                headlines_mod.significant_shifts(
-                    source, by_copier[source], lexicons, stopwords
-                )
+                headlines_mod.significant_shifts(source, by_copier[source], features)
             )
     headlines_mod.write_shifts_csv(shifts, out / "shifts.csv")
 
@@ -548,7 +588,7 @@ def cmd_report(cfg: RunConfig) -> int:
         )
     try:
         lines = _report_markdown(out, cfg.min_window_docs)
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(
             f"{out}: malformed upstream output ({type(exc).__name__}: {exc}); "
             f"re-run the stage that wrote it"
@@ -731,18 +771,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        if args.command == "gen-fixture":
-            return cmd_gen_fixture(args)
-        cfg = build_config(args)
-        if args.command == "detect":
-            return cmd_detect(cfg)
-        if args.command == "graph":
-            return cmd_graph(cfg)
-        if args.command == "headlines":
-            return cmd_headlines(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        with staged_outputs():
+            if args.command == "gen-fixture":
+                return cmd_gen_fixture(args)
+            cfg = build_config(args)
+            if args.command == "detect":
+                return cmd_detect(cfg)
+            if args.command == "graph":
+                return cmd_graph(cfg)
+            if args.command == "headlines":
+                return cmd_headlines(cfg)
+            if args.command == "report":
+                return cmd_report(cfg)
+            raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

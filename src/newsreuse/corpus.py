@@ -10,8 +10,11 @@ Every other file the pipeline reads or writes goes through four functions
 here: `read_text` and `read_csv` for side files (labels, lexicons, stopwords,
 config) and the tables one stage hands the next, `write_csv` and
 `write_lines` for every output. They read UTF-8 with or without a
-byte-order mark, turn an unreadable file or an undecodable byte into a
-`DataError` naming the file and line, and write UTF-8 with `\\n` line ends.
+byte-order mark, turn an unreadable file, an undecodable byte or a CSV the
+parser cannot read into a `DataError` naming the file and line, and write
+UTF-8 with `\\n` line ends. An output is written under a temporary name and
+moved into place once whole; inside `staged_outputs` the move waits until
+the block succeeds.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import DataError
 
@@ -125,10 +130,6 @@ class ArticleCollection:
 
     def __iter__(self) -> Iterator[Article]:
         return iter(self.articles)
-
-    @property
-    def by_id(self) -> dict[str, Article]:
-        return {a.id: a for a in self.articles}
 
     def sources(self) -> set[str]:
         return {a.source for a in self.articles}
@@ -479,10 +480,114 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
 
 
+class _CsvRows:
+    """A csv.reader over text whose parse errors are DataErrors naming the
+    file and the line, such as a field over the parser's size limit."""
+
+    def __init__(self, path: str | Path, text: str):
+        self._path = path
+        self._reader = csv.reader(io.StringIO(text, newline=""))
+
+    @property
+    def line_num(self) -> int:
+        return self._reader.line_num
+
+    def __iter__(self) -> "_CsvRows":
+        return self
+
+    def __next__(self) -> list[str]:
+        try:
+            return next(self._reader)
+        except csv.Error as exc:
+            raise DataError(
+                f"{self._path} line {self._reader.line_num}: malformed CSV: {exc}"
+            ) from None
+
+
 def read_csv(path: str | Path) -> csv.DictReader:
     """A DictReader over `read_text(path)`, split as a file opened with
     newline="" is, so quoted newlines and `line_num` are a file's."""
-    return csv.DictReader(io.StringIO(read_text(path), newline=""))
+    reader = csv.DictReader(())
+    reader.reader = _CsvRows(path, read_text(path))
+    return reader
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read in chunks so memory stays flat."""
+    digest = hashlib.sha256()
+    try:
+        with Path(path).open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
+class _Staging:
+    """Outputs written inside `staged_outputs`: temporary name by final
+    path, and the directories made for them."""
+
+    def __init__(self) -> None:
+        self.files: dict[Path, Path] = {}
+        self.dirs: list[Path] = []
+
+
+_staging: _Staging | None = None
+
+
+@contextmanager
+def staged_outputs() -> Iterator[None]:
+    """Hold back every output written in the block under its temporary name,
+    and move them all into place when the block succeeds. When it raises,
+    remove them and the directories made for them, so the previous outputs
+    stay as they were."""
+    global _staging
+    outer, staging = _staging, _Staging()
+    _staging = staging
+    try:
+        yield
+        for final, temp in staging.files.items():
+            os.replace(temp, final)
+    except BaseException:
+        for temp in staging.files.values():
+            temp.unlink(missing_ok=True)
+        for directory in reversed(staging.dirs):
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: it holds a file moved into place
+                pass
+        raise
+    finally:
+        _staging = outer
+
+
+def _make_dirs(directory: Path) -> None:
+    if directory.is_dir():
+        return
+    _make_dirs(directory.parent)
+    directory.mkdir(exist_ok=True)
+    if _staging is not None:
+        _staging.dirs.append(directory)
+
+
+@contextmanager
+def _output(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file for `path` under a temporary name beside it, moved
+    into place once it is whole (or staged, inside `staged_outputs`)."""
+    path = Path(path)
+    _make_dirs(path.parent)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        if _staging is None:
+            os.replace(temp, path)
+        else:
+            _staging.files[path] = temp
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(
@@ -490,7 +595,7 @@ def write_csv(
 ) -> None:
     """Write a header and rows as UTF-8 CSV with `\\n` line ends; `rows` is
     consumed as it is written."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -498,5 +603,54 @@ def write_csv(
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line followed by `\\n`, as UTF-8."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         fh.writelines(f"{line}\n" for line in lines)
+
+
+# The fields of an Article that the stages after detect read, with their
+# JSON types; the counts may also be null.
+_MATCHED_FIELDS = {
+    "id": str, "source": str, "published_utc": int, "title": str,
+    "fb_shares": int, "fb_reactions": int,
+}
+_NULLABLE = frozenset({"fb_shares", "fb_reactions"})
+
+
+def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> None:
+    """One JSON object per article, sorted by id, holding the fields that
+    `read_matched_articles` reads back. JSON, not CSV, because a title is
+    free text: Python 3.10's csv writer cannot write a NUL."""
+    write_lines(
+        path,
+        (
+            json.dumps({key: getattr(a, key) for key in _MATCHED_FIELDS})
+            for a in sorted(articles, key=lambda a: a.id)
+        ),
+    )
+
+
+def read_matched_articles(path: str | Path) -> dict[str, Article]:
+    """The articles `write_matched_articles` wrote, by id, with empty
+    bodies. A line that is not such a record is a DataError naming it."""
+    articles = {}
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            values = {key: record[key] for key in _MATCHED_FIELDS}
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise DataError(
+                f"{path} line {lineno}: not a matched-article record "
+                f"({type(exc).__name__}: {exc}); re-run detect"
+            ) from None
+        bad = [
+            key for key, kind in _MATCHED_FIELDS.items()
+            if type(values[key]) is not kind and not (values[key] is None and key in _NULLABLE)
+        ]
+        if bad or not _MIN_TS <= values["published_utc"] <= _MAX_TS:
+            raise DataError(
+                f"{path} line {lineno}: bad value of {bad or ['published_utc']}; re-run detect"
+            )
+        articles[values["id"]] = Article(body="", **values)
+    return articles

@@ -115,7 +115,6 @@ def generate_fixture(
     if spec.copies > spec.sources * spec.articles_per_source // 2:
         raise ValueError("too many copies for the corpus size")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(spec.seed)
     vocab = _vocabulary(rng, 4000)
     sources = [f"source{i:02d}" for i in range(spec.sources)]

@@ -208,6 +208,19 @@ def extract_features(
     )
 
 
+def title_features(
+    title_pairs: Sequence[TitlePair],
+    lexicons: Mapping[str, Lexicon],
+    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
+) -> dict[str, TitleFeatures]:
+    """Features of each distinct title of the eligible pairs, extracted once
+    per title: a story copied by many sources repeats its original title."""
+    titles = dict.fromkeys(
+        title for tp in title_pairs if tp.eligible for title in (tp.copy_title, tp.original_title)
+    )
+    return {title: extract_features(title, lexicons, stopwords) for title in titles}
+
+
 def normality_test(samples: Sequence[float], alpha: float = 0.05) -> bool:
     """Shapiro-Wilk check; True when the sample looks normal at `alpha`."""
     if len(samples) < 3:
@@ -261,14 +274,14 @@ class FeatureShift:
 def significant_shifts(
     source: str,
     title_pairs: Sequence[TitlePair],
-    lexicons: Mapping[str, Lexicon],
-    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
+    features: Mapping[str, TitleFeatures],
     *,
     alpha: float = 0.05,
     min_samples: int = 8,
 ) -> list[FeatureShift]:
     """Features that shift significantly between a source's copy titles and
-    the originals they copied.
+    the originals they copied. `features` maps each eligible title to its
+    features, as `title_features` builds it.
 
     Group A holds the source's own titles on copied articles, group B the
     corresponding original titles. A shift is emitted only when both groups
@@ -280,8 +293,8 @@ def significant_shifts(
     for tp in title_pairs:
         if not tp.eligible or tp.pair.later.source != source:
             continue
-        own.append(extract_features(tp.copy_title, lexicons, stopwords))
-        originals.append(extract_features(tp.original_title, lexicons, stopwords))
+        own.append(features[tp.copy_title])
+        originals.append(features[tp.original_title])
     if len(own) <= min_samples:
         log.info(
             "source %s: insufficient samples for shift analysis (%d pairs)",

@@ -412,8 +412,7 @@ def read_pairs_csv(
             or later.source != record["later_source"]
         ):
             raise DataError(
-                f"{path} row {row}: sources disagree with the corpus; "
-                f"the corpus file changed since detect ran"
+                f"{path} row {row}: sources disagree with the articles it names; re-run detect"
             )
         if earlier.source == later.source:
             raise DataError(f"{path} row {row}: both articles are from {earlier.source!r}")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,14 @@ from newsreuse.cli import (
     main,
 )
 
-from newsreuse.corpus import load_lexicon
+from newsreuse.corpus import (
+    ingest_articles,
+    load_lexicon,
+    partition_windows,
+    read_matched_articles,
+    write_lines,
+)
+from newsreuse.similarity import read_pairs_csv
 
 from helpers import BASE_TS, write_jsonl
 
@@ -531,6 +539,17 @@ def _short_row(path):
     _edit_csv_rows(path, edit)
 
 
+def _oversized_labels(out):
+    """A labels file beside `out` whose one source name is past the CSV
+    parser's 131072-character field limit."""
+    labels = out.parent / "labels.csv"
+    labels.write_text(
+        "source,audience,reliability,leaning\n" + "x" * 200_000 + ",mainstream,satire,left\n",
+        encoding="utf-8",
+    )
+    return ["--labels", str(labels)]
+
+
 @pytest.fixture(scope="module")
 def upstream(tmp_path_factory):
     """A fixture corpus and the outputs of detect, graph and headlines."""
@@ -553,7 +572,11 @@ def upstream(tmp_path_factory):
          "pairs.csv row 2"),
         ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "window_index", "w0"),
          "pairs.csv row 2"),
+        ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "window_index", "999"),
+         "references windows [999]"),
         ("graph", lambda out: _self_pair(out / "pairs.csv"), "pairs.csv row 2"),
+        ("headlines", lambda out: _edit_csv_cell(out / "pairs.csv", "later_source", "x"),
+         "pairs.csv row 2: sources disagree"),
         ("report", lambda out: _edit_csv_cell(out / "metrics.csv", "weighted_in", "1.5"),
          "malformed upstream output"),
         ("report", lambda out: _edit_csv_cell(out / "windows.csv", 3, "documents", row=0),
@@ -561,20 +584,162 @@ def upstream(tmp_path_factory):
         ("report", lambda out: _short_row(out / "windows.csv"), "malformed upstream output"),
         ("report", lambda out: _edit_csv_cell(out / "engagement.csv", 0, "x" * 200_000),
          "malformed upstream output"),
+        ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "later_id", "x" * 200_000),
+         "pairs.csv line 2: malformed CSV"),
+        ("headlines", lambda out: _edit_csv_cell(out / "pairs.csv", "later_id", "x" * 200_000),
+         "pairs.csv line 2: malformed CSV"),
+        ("graph", _oversized_labels, "labels.csv line 2: malformed CSV"),
     ],
     ids=["graph-similarity", "headlines-similarity", "nan-similarity", "window-index",
-         "self-pair",
-         "metrics-weighted-in", "windows-header", "windows-short-row", "oversized-field"],
+         "stray-window", "self-pair", "sources-disagree",
+         "metrics-weighted-in", "windows-header", "windows-short-row", "oversized-field",
+         "graph-oversized-pairs", "headlines-oversized-pairs", "graph-oversized-labels"],
 )
 def test_malformed_upstream_file_is_data_error(
     upstream, tmp_path, caplog, stage, damage, message
 ):
+    """`damage` spoils a file and returns any flags that point the stage at it."""
     config, clean = upstream
     out = tmp_path / "out"
     shutil.copytree(clean, out)
-    damage(out)
-    assert _run(stage, "--config", str(config), "--out", str(out)) == EXIT_DATA
+    extra = damage(out) or []
+    assert _run(stage, "--config", str(config), "--out", str(out), *extra) == EXIT_DATA
     assert any(message in r.getMessage() for r in caplog.records)
+
+
+def _edited_title(tmp_path, fx, out):
+    """A copy of the corpus with one title byte changed."""
+    corpus = tmp_path / "articles.jsonl"
+    data = (fx / "articles.jsonl").read_bytes()
+    at = data.index(b'"title": "') + len(b'"title": "')
+    corpus.write_bytes(data[:at] + (b"Z" if data[at:at + 1] == b"Y" else b"Y") + data[at + 1:])
+    return ["--articles", str(corpus)]
+
+
+def _drop_run_record(tmp_path, fx, out):
+    """detect_summary.txt as a detect without a run record wrote it."""
+    summary = out / "detect_summary.txt"
+    lines = summary.read_text(encoding="utf-8").splitlines(keepends=True)
+    summary.write_text(
+        "".join(line for line in lines if not line.startswith(("format=", "corpus_sha256="))),
+        encoding="utf-8",
+    )
+    return []
+
+
+@pytest.mark.parametrize("stage", ["graph", "headlines"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_edited_title, "corpus_sha256 is "),
+        (lambda tmp_path, fx, out: ["--similarity-threshold", "0.8"],
+         "similarity_threshold is 0.8, but detect ran with similarity_threshold=0.9"),
+        (lambda tmp_path, fx, out: (out / "matched_articles.jsonl").unlink() or [],
+         "matched_articles.jsonl not found"),
+        (_drop_run_record, "detect_summary.txt records no format"),
+    ],
+    ids=["edited-title", "threshold", "missing-hand-off", "no-run-record"],
+)
+def test_downstream_refuses_another_runs_outputs(
+    upstream, tmp_path, caplog, stage, change, message
+):
+    """graph and headlines refuse detect outputs from another corpus or
+    config, or without the hand-off and run record, and write nothing."""
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    extra = change(tmp_path, config.parent, out)
+    before = _tree(out)
+    assert _run(stage, "--config", str(config), "--out", str(out), *extra) == EXIT_DATA
+    assert any(
+        message in r.getMessage() and "re-run detect" in r.getMessage() for r in caplog.records
+    )
+    assert _tree(out) == before
+
+
+def _tree(root):
+    """Every path under `root`: a file's bytes, None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
+
+
+def _fail_after(lines, n):
+    yield from lines[:n]
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "earlier", [("detect",), ("detect", "graph")], ids=["first-graph", "graph-again"]
+)
+def test_failed_stage_leaves_out_dir_as_it_was(tmp_path, monkeypatch, earlier):
+    """graph fails partway through its third graph export: none of its
+    outputs appears or changes, and no temporary file or directory is left."""
+    fx = _gen(tmp_path)
+    cfg = str(fx / "fixture.cfg")
+    out = tmp_path / "out"
+    for command in earlier:
+        assert _run(command, "--config", cfg, "--out", str(out)) == EXIT_OK
+    before = _tree(out)
+    written = []
+
+    def failing(path, lines):
+        written.append(path)
+        if len(written) == 3:
+            lines = _fail_after(list(lines), 2)
+        write_lines(path, lines)
+
+    monkeypatch.setattr(network, "write_lines", failing)
+    assert _run("graph", "--config", cfg, "--out", str(out)) == EXIT_DATA
+    assert len(written) == 3
+    assert _tree(out) == before
+
+
+def _from_whole_corpus(cfg, out):
+    """Pairs resolved against the whole corpus, re-ingested and
+    re-partitioned: what graph and headlines read before the hand-off."""
+    collection = ingest_articles(cfg.articles, cfg.format)
+    windows = partition_windows(collection, cfg.window_days)
+    pairs = read_pairs_csv(out / "pairs.csv", {a.id: a for a in collection})
+    return pairs, [w.index for w in windows]
+
+
+def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):
+    """Titles with a NUL, a CR LF and non-ASCII text, and absent share
+    counts, reach graph and headlines as they are in the corpus."""
+    body = " ".join(f"word{i}" for i in range(30))
+    titles = [
+        "Nul\x00 byte and \"quotes\" \u201cbest\u201d",
+        "CR LF\r\nsecond line \u2014 \u6771\u4eac 'lies'",
+        "Na\u00efve caf\u00e9\u2028separator",
+        "A plain honest title",
+    ]
+    rows = [
+        {"id": f"t{i}", "source": f"src{i}", "title": title, "body": body,
+         "published_utc": BASE_TS + 600 * i, **({"fb_shares": 7 * i} if i % 2 else {})}
+        for i, title in enumerate(titles)
+    ]
+    corpus = tmp_path / "articles.jsonl"
+    write_jsonl(corpus, rows)
+    args = ["--articles", str(corpus)]
+    for name, word in (("bias", "lies"), ("positive", "honest"), ("negative", "best")):
+        lexicon = tmp_path / f"{name}.txt"
+        lexicon.write_text(word + "\n", encoding="utf-8")
+        args += [f"--{name}-lexicon", str(lexicon)]
+    out, reference = tmp_path / "out", tmp_path / "reference"
+    assert _run("detect", "--out", str(out), *args) == EXIT_OK
+    shutil.copytree(out, reference)
+    handoff = read_matched_articles(out / "matched_articles.jsonl")
+    assert handoff == {
+        a.id: replace(a, body="") for a in ingest_articles(corpus).articles
+    }
+    for command in ("graph", "headlines"):
+        assert _run(command, "--out", str(out), *args) == EXIT_OK
+    monkeypatch.setattr(cli, "_load_pairs", _from_whole_corpus)
+    for command in ("graph", "headlines"):
+        assert _run(command, "--out", str(reference), *args) == EXIT_OK
+    assert _tree(out) == _tree(reference)
 
 
 def test_bad_lexicon_leaves_headline_outputs_whole(upstream, tmp_path, caplog):

@@ -20,6 +20,7 @@ from newsreuse.headlines import (
     rank_changers,
     significant_shifts,
     title_distance,
+    title_features,
     write_shifts_csv,
     write_title_pairs_csv,
 )
@@ -356,7 +357,8 @@ def _shift_fixture():
 
 
 def test_significant_shifts_detects_bias_increase():
-    shifts = significant_shifts("spinner", _shift_fixture(), LEXICONS, STOPWORDS)
+    tps = _shift_fixture()
+    shifts = significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS))
     by_feature = {s.feature: s for s in shifts}
     assert "bias_frac" in by_feature
     shift = by_feature["bias_frac"]
@@ -372,11 +374,35 @@ def test_significant_shifts_detects_bias_increase():
 
 def test_significant_shifts_requires_enough_pairs():
     tps = _shift_fixture()[:5]
-    assert significant_shifts("spinner", tps, LEXICONS, STOPWORDS) == []
+    assert significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS)) == []
 
 
 def test_significant_shifts_ignores_other_sources():
-    assert significant_shifts("wire", _shift_fixture(), LEXICONS, STOPWORDS) == []
+    tps = _shift_fixture()
+    assert significant_shifts("wire", tps, title_features(tps, LEXICONS, STOPWORDS)) == []
+
+
+def test_title_features_extracts_each_distinct_title_once(monkeypatch):
+    from newsreuse import headlines
+
+    tps = title_distance(
+        [
+            make_pair("wire", f"copier{i}", earlier_id="o", later_id=f"c{i}",
+                      earlier_title="Senator lies", later_title=later)
+            for i, later in enumerate(["Senator lies", "Best plan", "Best plan", ""])
+        ]
+    )
+    calls = []
+
+    def counting(title, lexicons, stopwords):
+        calls.append(title)
+        return extract_features(title, lexicons, stopwords)
+
+    monkeypatch.setattr(headlines, "extract_features", counting)
+    features = title_features(tps, LEXICONS, STOPWORDS)
+    # The pair with an empty copy title is ineligible, so "" is not extracted.
+    assert sorted(calls) == ["Best plan", "Senator lies"]
+    assert features == {t: extract_features(t, LEXICONS, STOPWORDS) for t in calls}
 
 
 def test_csv_writers(tmp_path):
@@ -385,7 +411,7 @@ def test_csv_writers(tmp_path):
     write_title_pairs_csv(tps, title_path)
     header = title_path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "earlier_id,later_id,distance,changed"
-    shifts = significant_shifts("spinner", tps, LEXICONS, STOPWORDS)
+    shifts = significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS))
     shift_path = tmp_path / "shifts.csv"
     write_shifts_csv(shifts, shift_path)
     lines = shift_path.read_text(encoding="utf-8").splitlines()
