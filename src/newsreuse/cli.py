@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from collections import defaultdict
@@ -103,6 +104,8 @@ class RunConfig:
             raise UsageError("similarity_threshold must be in (0, 1)")
         if not 0.0 < self.title_change_threshold <= 1.0:
             raise UsageError("title_change_threshold must be in (0, 1]")
+        if not 0.0 < self.louvain_resolution < math.inf:
+            raise UsageError("louvain_resolution must be a finite number > 0")
         if self.window_days < 1:
             raise UsageError("window_days must be >= 1")
         if self.min_body_tokens < 0:
@@ -424,9 +427,7 @@ def cmd_graph(cfg: RunConfig) -> int:
         engagement.append([node, *("" if v is None else repr(v) for v in values)])
     write_csv(out / "engagement.csv", ["source", *medians], engagement)
 
-    flags = network_mod.flag_single_day_origins(
-        [p for p in pairs if p.direction == FORWARD]
-    )
+    flags = network_mod.flag_single_day_origins(pairs)
     write_csv(
         out / "origin_flags.csv",
         ["source", "dominant_day", "share", "inbound_pairs"],
@@ -481,7 +482,7 @@ def cmd_headlines(cfg: RunConfig) -> int:
             "negative": load_lexicon(cfg.negative_lexicon, "negative"),
         }
         stopwords = (
-            load_lexicon(cfg.stopwords, "stopwords").words
+            load_lexicon(cfg.stopwords, "stopwords")
             if cfg.stopwords
             else headlines_mod.DEFAULT_STOPWORDS
         )
@@ -542,7 +543,8 @@ def cmd_headlines(cfg: RunConfig) -> int:
         f"  {i:2d}. {source}: {mean:.4f}"
         for i, (source, mean) in enumerate(by_magnitude[:10], start=1)
     ]
-    lines += ["", "Significant feature shifts (p < 0.05, normal groups, n > 8):"]
+    alpha, n = headlines_mod.SHIFT_ALPHA, headlines_mod.SHIFT_MIN_SAMPLES
+    lines += ["", f"Significant feature shifts (p < {alpha}, normal groups, n > {n}):"]
     lines += [
         f"  {s.source}: {s.feature} {s.direction} "
         f"(F={s.f_stat:.3f}, p={s.p_value:.5f}, n={s.n_own})"

@@ -42,6 +42,8 @@ SECONDS_PER_DAY = 86400
 _WS_RE = re.compile(r"\s+")
 _INT_RE = re.compile(r"[+-]?\d+")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# Characters XML 1.0 forbids; a source becomes a GraphML node id.
+_XML_FORBIDDEN_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 # The instants `format_timestamp` can format.
 _MIN_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 _MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
@@ -182,6 +184,8 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
     source = canonical_source(str(source_raw)) if source_raw is not None else ""
     if not source:
         raise ValueError("missing source")
+    if _XML_FORBIDDEN_RE.search(source):
+        raise ValueError("source holds a control character")
 
     body = record.get("body")
     if body is None:
@@ -250,27 +254,20 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str
 def _iter_csv(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
     # utf-8-sig: a byte-order mark would otherwise prefix the first header.
     with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            fields = reader.fieldnames
-            if fields is None:
-                raise DataError(f"unparseable header in {path}: file is empty")
-            missing = {"source", "body", "published_utc"} - set(fields)
-            if missing:
-                raise DataError(
-                    f"unparseable header in {path}: missing columns {sorted(missing)}"
-                )
-            for record in reader:
-                record.pop(None, None)
-                cleaned = {k: v for k, v in record.items() if v is not None and v != ""}
-                if _has_surrogate(cleaned.values()):
-                    yield reader.line_num, None, "not valid UTF-8"
-                    continue
-                yield reader.line_num, cleaned, None
-        except csv.Error as exc:
-            # DictReader.line_num lags a row that failed to parse.
-            line = reader.reader.line_num
-            raise DataError(f"{path} line {line}: malformed CSV: {exc}") from None
+        reader = _dict_reader(path, fh)
+        fields = reader.fieldnames
+        if fields is None:
+            raise DataError(f"unparseable header in {path}: file is empty")
+        missing = {"source", "body", "published_utc"} - set(fields)
+        if missing:
+            raise DataError(f"unparseable header in {path}: missing columns {sorted(missing)}")
+        for record in reader:
+            record.pop(None, None)
+            cleaned = {k: v for k, v in record.items() if v is not None and v != ""}
+            if _has_surrogate(cleaned.values()):
+                yield reader.line_num, None, "not valid UTF-8"
+                continue
+            yield reader.line_num, cleaned, None
 
 
 def _has_surrogate(values) -> bool:
@@ -397,10 +394,6 @@ class SourceLabels:
     reliability: Reliability = Reliability.NOT_OR_UNKNOWN
     leaning: Leaning = Leaning.NEUTRAL_OR_UNKNOWN
 
-    @classmethod
-    def unknown(cls, source: str) -> "SourceLabels":
-        return cls(source=source)
-
 
 LABELS_HEADER = ["source", "audience", "reliability", "leaning"]
 
@@ -438,19 +431,9 @@ def load_labels(path: str | Path) -> dict[str, SourceLabels]:
     return labels
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """A named set of lowercased single-token terms."""
-
-    name: str
-    words: frozenset[str]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
-
-
-def load_lexicon(path: str | Path, name: str) -> Lexicon:
-    """Load a one-term-per-line lexicon; `#` lines are comments."""
+def load_lexicon(path: str | Path, name: str) -> frozenset[str]:
+    """The lowercased terms of a one-term-per-line lexicon; `#` lines are
+    comments. `name` only labels the error for an empty file."""
     words = set()
     # Lines end at \n, \r or \r\n, as in a file opened in text mode.
     for line in io.StringIO(read_text(path), newline=None):
@@ -460,7 +443,7 @@ def load_lexicon(path: str | Path, name: str) -> Lexicon:
         words.add(term.lower())
     if not words:
         raise DataError(f"lexicon {name!r} from {path} is empty")
-    return Lexicon(name=name, words=frozenset(words))
+    return frozenset(words)
 
 
 def read_text(path: str | Path) -> str:
@@ -481,12 +464,13 @@ def read_text(path: str | Path) -> str:
 
 
 class _CsvRows:
-    """A csv.reader over text whose parse errors are DataErrors naming the
-    file and the line, such as a field over the parser's size limit."""
+    """A csv.reader over lines split as a file opened with newline="" splits
+    them, whose parse errors are DataErrors naming the file and the line,
+    such as a field over the parser's size limit."""
 
-    def __init__(self, path: str | Path, text: str):
+    def __init__(self, path: str | Path, lines: Iterable[str]):
         self._path = path
-        self._reader = csv.reader(io.StringIO(text, newline=""))
+        self._reader = csv.reader(lines)
 
     @property
     def line_num(self) -> int:
@@ -504,12 +488,16 @@ class _CsvRows:
             ) from None
 
 
+def _dict_reader(path: str | Path, lines: Iterable[str]) -> csv.DictReader:
+    reader = csv.DictReader(())
+    reader.reader = _CsvRows(path, lines)
+    return reader
+
+
 def read_csv(path: str | Path) -> csv.DictReader:
     """A DictReader over `read_text(path)`, split as a file opened with
     newline="" is, so quoted newlines and `line_num` are a file's."""
-    reader = csv.DictReader(())
-    reader.reader = _CsvRows(path, read_text(path))
-    return reader
+    return _dict_reader(path, io.StringIO(read_text(path), newline=""))
 
 
 def file_sha256(path: str | Path) -> str:
@@ -543,8 +531,7 @@ def staged_outputs() -> Iterator[None]:
     remove them and the directories made for them, so the previous outputs
     stay as they were."""
     global _staging
-    outer, staging = _staging, _Staging()
-    _staging = staging
+    staging = _staging = _Staging()
     try:
         yield
         for final, temp in staging.files.items():
@@ -559,7 +546,7 @@ def staged_outputs() -> Iterator[None]:
                 pass
         raise
     finally:
-        _staging = outer
+        _staging = None
 
 
 def _make_dirs(directory: Path) -> None:

@@ -20,13 +20,18 @@ from typing import AbstractSet, Mapping, Sequence
 from scipy.special import fdtrc
 
 from . import swilk
-from .corpus import Lexicon, write_csv
+from .corpus import write_csv
 from .errors import DataError
 from .similarity import MatchedPair, TokenizedDoc, cosine, fit_tfidf, tokenize, vectorize
 
 log = logging.getLogger(__name__)
 
 DEFAULT_CHANGE_THRESHOLD = 0.10
+# A feature shift needs more than SHIFT_MIN_SAMPLES titles in each group,
+# both groups normal at NORMALITY_ALPHA, and an ANOVA p below SHIFT_ALPHA.
+SHIFT_MIN_SAMPLES = 8
+NORMALITY_ALPHA = 0.05
+SHIFT_ALPHA = 0.05
 
 FEATURE_NAMES = (
     "stopword_frac",
@@ -57,8 +62,6 @@ class TitlePair:
     """Title drift for one matched pair; ineligible when a title is empty."""
 
     pair: MatchedPair
-    original_title: str
-    copy_title: str
     distance: float
     eligible: bool
 
@@ -97,13 +100,7 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
         for k, sim in zip(scored, sims.tolist()):
             distances[k] = min(1.0, max(0.0, 1.0 - sim))
     return [
-        TitlePair(
-            pair=p,
-            original_title=p.earlier.title,
-            copy_title=p.later.title,
-            distance=distance,
-            eligible=ok,
-        )
+        TitlePair(pair=p, distance=distance, eligible=ok)
         for p, distance, ok in zip(pairs, distances, eligible)
     ]
 
@@ -176,7 +173,7 @@ class TitleFeatures:
 
 def extract_features(
     title: str,
-    lexicons: Mapping[str, Lexicon],
+    lexicons: Mapping[str, AbstractSet[str]],
     stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
 ) -> TitleFeatures:
     """Content features of one title.
@@ -192,9 +189,9 @@ def extract_features(
         return TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, False)
     punctuation = sum(1 for ch in title if unicodedata.category(ch).startswith("P"))
     quotes = sum(1 for ch in title if ch in _QUOTE_CHARS)
-    bias = lexicons["bias"].words
-    positive = lexicons["positive"].words
-    negative = lexicons["negative"].words
+    bias = lexicons["bias"]
+    positive = lexicons["positive"]
+    negative = lexicons["negative"]
     return TitleFeatures(
         stopword_frac=sum(1 for t in tokens if t in stopwords) / n,
         punctuation_count=float(punctuation),
@@ -210,25 +207,24 @@ def extract_features(
 
 def title_features(
     title_pairs: Sequence[TitlePair],
-    lexicons: Mapping[str, Lexicon],
+    lexicons: Mapping[str, AbstractSet[str]],
     stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
 ) -> dict[str, TitleFeatures]:
     """Features of each distinct title of the eligible pairs, extracted once
     per title: a story copied by many sources repeats its original title."""
-    titles = dict.fromkeys(
-        title for tp in title_pairs if tp.eligible for title in (tp.copy_title, tp.original_title)
-    )
+    pairs = [tp.pair for tp in title_pairs if tp.eligible]
+    titles = dict.fromkeys(title for p in pairs for title in (p.later.title, p.earlier.title))
     return {title: extract_features(title, lexicons, stopwords) for title in titles}
 
 
-def normality_test(samples: Sequence[float], alpha: float = 0.05) -> bool:
-    """Shapiro-Wilk check; True when the sample looks normal at `alpha`."""
+def normality_test(samples: Sequence[float]) -> bool:
+    """Shapiro-Wilk check; True when the sample looks normal at NORMALITY_ALPHA."""
     if len(samples) < 3:
         raise ValueError("normality test needs at least 3 samples")
     if max(samples) == min(samples):
         return False
     _, p = swilk.shapiro(samples)
-    return p > alpha
+    return p > NORMALITY_ALPHA
 
 
 def anova_f(
@@ -275,9 +271,6 @@ def significant_shifts(
     source: str,
     title_pairs: Sequence[TitlePair],
     features: Mapping[str, TitleFeatures],
-    *,
-    alpha: float = 0.05,
-    min_samples: int = 8,
 ) -> list[FeatureShift]:
     """Features that shift significantly between a source's copy titles and
     the originals they copied. `features` maps each eligible title to its
@@ -285,17 +278,18 @@ def significant_shifts(
 
     Group A holds the source's own titles on copied articles, group B the
     corresponding original titles. A shift is emitted only when both groups
-    pass normality, both exceed `min_samples`, and ANOVA gives p < alpha.
-    Titles under 3 tokens are excluded from the readability comparison.
+    exceed SHIFT_MIN_SAMPLES, both pass normality, and ANOVA gives
+    p < SHIFT_ALPHA. Titles under 3 tokens are excluded from the readability
+    comparison.
     """
     own: list[TitleFeatures] = []
     originals: list[TitleFeatures] = []
     for tp in title_pairs:
         if not tp.eligible or tp.pair.later.source != source:
             continue
-        own.append(features[tp.copy_title])
-        originals.append(features[tp.original_title])
-    if len(own) <= min_samples:
+        own.append(features[tp.pair.later.title])
+        originals.append(features[tp.pair.earlier.title])
+    if len(own) <= SHIFT_MIN_SAMPLES:
         log.info(
             "source %s: insufficient samples for shift analysis (%d pairs)",
             source, len(own),
@@ -309,15 +303,15 @@ def significant_shifts(
         else:
             group_a = [getattr(f, feature) for f in own]
             group_b = [getattr(f, feature) for f in originals]
-        if len(group_a) <= min_samples or len(group_b) <= min_samples:
+        if len(group_a) <= SHIFT_MIN_SAMPLES or len(group_b) <= SHIFT_MIN_SAMPLES:
             continue
-        if not normality_test(group_a, alpha) or not normality_test(group_b, alpha):
+        if not normality_test(group_a) or not normality_test(group_b):
             continue
         try:
             f_stat, p = anova_f(group_a, group_b)
         except ValueError:
             continue
-        if p < alpha:
+        if p < SHIFT_ALPHA:
             mean_a = statistics.fmean(group_a)
             mean_b = statistics.fmean(group_b)
             shifts.append(

@@ -135,7 +135,7 @@ def build_window_graph(
     *,
     include_ambiguous: bool = False,
     dedupe_origin: bool = False,
-    window_index: int | str | None = None,
+    window_index: int | str,
 ) -> RepublishGraph:
     """Aggregate matched pairs into a directed weighted source graph.
 
@@ -145,11 +145,6 @@ def build_window_graph(
     within one story cluster collapse to a single edge per copying article,
     pointing at the cluster's earliest publisher.
     """
-    if window_index is None:
-        indices = {p.window_index for p in matches}
-        if len(indices) > 1:
-            raise ValueError(f"matches span windows {sorted(indices)}; pass window_index")
-        window_index = indices.pop() if indices else 0
     graph = RepublishGraph(window_index)
     included = [
         p for p in matches if p.direction == FORWARD or include_ambiguous
@@ -175,11 +170,11 @@ def build_window_graph(
 
 
 def merge_graphs(graphs: Iterable[RepublishGraph]) -> RepublishGraph:
-    """Union of nodes, edge weights summed; node attrs merge in order."""
+    """Union of nodes, edge weights summed; node attributes are not carried."""
     combined = RepublishGraph(COMBINED)
     for graph in graphs:
         for node in graph.nodes():
-            combined.add_node(node).update(graph.node_attrs(node))
+            combined.add_node(node)
         for frm, to, w in graph.edges():
             combined.add_edge(frm, to, w)
     return combined
@@ -390,15 +385,12 @@ def louvain(
 
 @dataclass(frozen=True)
 class NodeMetrics:
-    """Combined-graph totals plus per-window centrality trajectories."""
+    """Combined-graph totals plus the mean and variance of per-window
+    centralities."""
 
     source: str
     weighted_in_degree: int
     weighted_out_degree: int
-    in_degree_centrality: float
-    betweenness: float
-    in_centrality_windows: tuple[float, ...]
-    betweenness_windows: tuple[float, ...]
     in_centrality_mean: float
     in_centrality_var: float
     betweenness_mean: float
@@ -411,7 +403,7 @@ def compute_node_metrics(
     """Per-source metric suite from what `attach_metrics` returned for the
     combined graph and for each window graph; absent-from-window counts as
     zero there."""
-    combined_degrees, combined_betweenness = combined
+    combined_degrees, _ = combined
     sources = set(combined_degrees)
     for degrees, _ in per_window:
         sources.update(degrees)
@@ -428,10 +420,6 @@ def compute_node_metrics(
                 source=source,
                 weighted_in_degree=deg.weighted_in,
                 weighted_out_degree=deg.weighted_out,
-                in_degree_centrality=deg.in_degree_centrality,
-                betweenness=combined_betweenness.get(source, 0.0),
-                in_centrality_windows=cent,
-                betweenness_windows=betw,
                 in_centrality_mean=statistics.fmean(cent) if cent else 0.0,
                 in_centrality_var=statistics.pvariance(cent) if cent else 0.0,
                 betweenness_mean=statistics.fmean(betw) if betw else 0.0,
@@ -475,24 +463,20 @@ def write_metrics_csv(
     )
 
 
-def attach_labels(
-    graph: RepublishGraph, labels: Mapping[str, SourceLabels]
-) -> RepublishGraph:
+def attach_labels(graph: RepublishGraph, labels: Mapping[str, SourceLabels]) -> None:
     for node in graph.nodes():
-        rec = labels.get(node) or SourceLabels.unknown(node)
+        rec = labels.get(node) or SourceLabels(node)
         attrs = graph.node_attrs(node)
         attrs["audience"] = rec.audience.value
         attrs["reliability"] = rec.reliability.value
         attrs["leaning"] = rec.leaning.value
-    return graph
 
 
-def attach_communities(graph: RepublishGraph, partition: Partition) -> RepublishGraph:
+def attach_communities(graph: RepublishGraph, partition: Partition) -> None:
     for node in graph.nodes():
         community = partition.communities.get(node)
         if community is not None:
             graph.node_attrs(node)["community"] = community
-    return graph
 
 
 def attach_metrics(graph: RepublishGraph) -> GraphMetrics:
@@ -509,9 +493,7 @@ def attach_metrics(graph: RepublishGraph) -> GraphMetrics:
     return degrees, central
 
 
-def attach_engagement(
-    graph: RepublishGraph, matches: Sequence[MatchedPair]
-) -> RepublishGraph:
+def attach_engagement(graph: RepublishGraph, matches: Sequence[MatchedPair]) -> None:
     """Median Facebook engagement over each node's matched articles.
 
     Articles count once regardless of how many pairs they appear in; a node
@@ -530,16 +512,17 @@ def attach_engagement(
         attrs["median_fb_reactions"] = (
             float(statistics.median(reactions)) if reactions else None
         )
-    return graph
 
 
-def flag_single_day_origins(
-    matches: Sequence[MatchedPair],
-    *,
-    min_inbound: int = 5,
-    dominance: float = 0.8,
-) -> list[tuple[str, str, float, int]]:
-    """Sources whose copied-from articles cluster on a single UTC day.
+# A source is flagged when it has at least FLAG_MIN_INBOUND copied-from
+# articles and FLAG_DOMINANCE or more of them share one UTC day.
+FLAG_MIN_INBOUND = 5
+FLAG_DOMINANCE = 0.8
+
+
+def flag_single_day_origins(matches: Sequence[MatchedPair]) -> list[tuple[str, str, float, int]]:
+    """Sources whose forward-pair copied-from articles cluster on a single
+    UTC day; ambiguous pairs are skipped.
 
     Timestamp-only direction inference mislabels origin when one outlet
     happens to post shared material (wire stories, speeches) first; this
@@ -556,11 +539,11 @@ def flag_single_day_origins(
     for source in sorted(days):
         counts = days[source]
         inbound = sum(counts.values())
-        if inbound < min_inbound:
+        if inbound < FLAG_MIN_INBOUND:
             continue
         day, top = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
         share = top / inbound
-        if share >= dominance:
+        if share >= FLAG_DOMINANCE:
             flags.append((source, day, share, inbound))
     return flags
 

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -111,6 +112,17 @@ def test_bad_threshold_is_usage_error(tmp_path):
         "--similarity-threshold", "1.5", "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("resolution", ["nan", "inf", "-inf", "0", "-1"])
+def test_bad_louvain_resolution_is_usage_error(tmp_path, capsys, resolution):
+    fx = _gen(tmp_path)
+    code = _run(
+        "graph", "--config", str(fx / "fixture.cfg"),
+        f"--louvain-resolution={resolution}", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_USAGE
+    assert "louvain_resolution must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_threshold_of_one_is_usage_error(tmp_path, capsys):
@@ -362,6 +374,36 @@ def test_graph_single_pair(tmp_path):
     assert metrics["blog"]["weighted_out"] == "1"
 
 
+def test_control_character_in_source_is_rejected_row(tmp_path):
+    """XML 1.0 forbids most control characters, and a source is a GraphML
+    node id: such a row is a reject, and every graph written parses."""
+    articles = tmp_path / "articles.jsonl"
+    body = "alpha beta gamma delta " * 10
+    sources = ["wire", "alpha\u0001news", "blog", "gamma\u0000x", "daily"]
+    write_jsonl(
+        articles,
+        [
+            {"id": f"a{i}", "source": source, "body": body, "published_utc": BASE_TS + 60 * i}
+            for i, source in enumerate(sources)
+        ],
+    )
+    out = tmp_path / "out"
+    assert _run("detect", "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    assert _run("graph", "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    graphml = sorted((out / "graphs").glob("*.graphml"))
+    assert [p.name for p in graphml] == ["combined.graphml", "window_000.graphml"]
+    for path in graphml:
+        root = ET.parse(path).getroot()
+        ids = {node.get("id") for node in root.iter("{http://graphml.graphdrawing.org/xmlns}node")}
+        assert ids == {"wire", "blog", "daily"}
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        rejects = list(csv.DictReader(fh))
+    assert [(r["row"], r["reason"]) for r in rejects] == [
+        ("2", "source holds a control character"),
+        ("4", "source holds a control character"),
+    ]
+
+
 def test_graph_without_labels_warns_but_writes(tmp_path, caplog):
     fx = _gen(tmp_path)
     out = tmp_path / "out"
@@ -550,6 +592,27 @@ def _oversized_labels(out):
     return ["--labels", str(labels)]
 
 
+def _matched_line_2(edit):
+    """A damage that replaces line 2 of matched_articles.jsonl with
+    `edit(record)`."""
+
+    def damage(out):
+        path = out / "matched_articles.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = edit(json.loads(lines[1]))
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    return damage
+
+
+_BAD_MATCHED = {
+    "not-json": lambda record: "{not json",
+    "missing-key": lambda record: json.dumps({k: v for k, v in record.items() if k != "title"}),
+    "string-count": lambda record: json.dumps({**record, "fb_shares": "7"}),
+    "far-future": lambda record: json.dumps({**record, "published_utc": 10**13}),
+}
+
+
 @pytest.fixture(scope="module")
 def upstream(tmp_path_factory):
     """A fixture corpus and the outputs of detect, graph and headlines."""
@@ -589,11 +652,17 @@ def upstream(tmp_path_factory):
         ("headlines", lambda out: _edit_csv_cell(out / "pairs.csv", "later_id", "x" * 200_000),
          "pairs.csv line 2: malformed CSV"),
         ("graph", _oversized_labels, "labels.csv line 2: malformed CSV"),
+        *[
+            (stage, _matched_line_2(edit), "matched_articles.jsonl line 2")
+            for stage in ("graph", "headlines")
+            for edit in _BAD_MATCHED.values()
+        ],
     ],
     ids=["graph-similarity", "headlines-similarity", "nan-similarity", "window-index",
          "stray-window", "self-pair", "sources-disagree",
          "metrics-weighted-in", "windows-header", "windows-short-row", "oversized-field",
-         "graph-oversized-pairs", "headlines-oversized-pairs", "graph-oversized-labels"],
+         "graph-oversized-pairs", "headlines-oversized-pairs", "graph-oversized-labels",
+         *[f"{stage}-matched-{name}" for stage in ("graph", "headlines") for name in _BAD_MATCHED]],
 )
 def test_malformed_upstream_file_is_data_error(
     upstream, tmp_path, caplog, stage, damage, message

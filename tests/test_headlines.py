@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from newsreuse import swilk
-from newsreuse.corpus import Lexicon
 from newsreuse.errors import DataError
 from newsreuse.headlines import (
     FEATURE_NAMES,
@@ -28,9 +27,9 @@ from newsreuse.headlines import (
 from helpers import make_pair
 
 LEXICONS = {
-    "bias": Lexicon("bias", frozenset({"corruption", "propaganda", "best"})),
-    "positive": Lexicon("positive", frozenset({"accomplished", "honest", "improved"})),
-    "negative": Lexicon("negative", frozenset({"lies", "disrespectful", "crying"})),
+    "bias": frozenset({"corruption", "propaganda", "best"}),
+    "positive": frozenset({"accomplished", "honest", "improved"}),
+    "negative": frozenset({"lies", "disrespectful", "crying"}),
 }
 STOPWORDS = frozenset({"the", "a", "of", "for", "and", "to", "in"})
 

@@ -38,14 +38,14 @@ def test_build_aggregates_repeat_pairs():
     pairs = [
         make_pair("y", "x", earlier_id=f"y{i}", later_id=f"x{i}") for i in range(3)
     ]
-    graph = build_window_graph(pairs)
+    graph = build_window_graph(pairs, window_index=0)
     assert graph.edges() == [("x", "y", 3)]
     assert graph.total_weight == 3
 
 
 def test_build_chain_direction():
     pairs = [make_pair("b", "a"), make_pair("c", "b")]
-    graph = build_window_graph(pairs)
+    graph = build_window_graph(pairs, window_index=0)
     assert ("a", "b", 1) in graph.edges()
     assert ("b", "c", 1) in graph.edges()
 
@@ -53,15 +53,13 @@ def test_build_chain_direction():
 def test_build_excludes_ambiguous_by_default():
     tie = make_pair("a", "b", delta=0)
     assert tie.direction == "ambiguous"
-    assert build_window_graph([tie]).edges() == []
-    with_flag = build_window_graph([tie], include_ambiguous=True)
+    assert build_window_graph([tie], window_index=0).edges() == []
+    with_flag = build_window_graph([tie], include_ambiguous=True, window_index=0)
     assert with_flag.edges() == [("b", "a", 1)]
 
 
-def test_build_rejects_mixed_windows_without_override():
+def test_build_combined_graph_from_mixed_windows():
     pairs = [make_pair("a", "b", window=0), make_pair("b", "c", window=1)]
-    with pytest.raises(ValueError):
-        build_window_graph(pairs)
     graph = build_window_graph(pairs, window_index=COMBINED)
     assert graph.total_weight == 2
 
@@ -75,7 +73,7 @@ def test_weight_conservation():
             make_pair(a, b, earlier_id=f"e{i}", later_id=f"l{i}",
                       delta=rng.choice([0, 600, 3600]))
         )
-    graph = build_window_graph(pairs)
+    graph = build_window_graph(pairs, window_index=0)
     forward = sum(1 for p in pairs if p.direction == "forward")
     assert graph.total_weight == forward
 
@@ -88,9 +86,9 @@ def test_dedupe_origin_collapses_star():
         "copier1", "copier2", earlier_id="c1", later_id="c2",
         earlier_ts=BASE_TS + 3600, delta=3600,
     )
-    full = build_window_graph([first, second, cross])
+    full = build_window_graph([first, second, cross], window_index=0)
     assert full.total_weight == 3
-    deduped = build_window_graph([first, second, cross], dedupe_origin=True)
+    deduped = build_window_graph([first, second, cross], dedupe_origin=True, window_index=0)
     assert deduped.edges() == [("copier1", "origin", 1), ("copier2", "origin", 1)]
 
 
@@ -298,14 +296,14 @@ def test_attach_engagement_medians():
     p2 = replace(p2, earlier=replace(p2.earlier, fb_shares=20))
     p3 = replace(p3, earlier=replace(p3.earlier, fb_shares=30, fb_reactions=4))
     pairs = [p1, p2, p3]
-    graph = build_window_graph(pairs)
+    graph = build_window_graph(pairs, window_index=0)
     attach_engagement(graph, pairs)
     assert graph.node_attrs("orig")["median_fb_shares"] == 20.0
     assert graph.node_attrs("orig")["median_fb_reactions"] == 4.0
     assert graph.node_attrs("copier")["median_fb_shares"] is None
 
     even = [p1, p2]
-    graph2 = build_window_graph(even)
+    graph2 = build_window_graph(even, window_index=0)
     attach_engagement(graph2, even)
     assert graph2.node_attrs("orig")["median_fb_shares"] == 15.0
 
@@ -315,7 +313,7 @@ def test_attach_engagement_dedupes_articles():
     p2 = make_pair("orig", "c2", earlier_id="same", later_id="x2")
     p1 = replace(p1, earlier=replace(p1.earlier, fb_shares=100))
     p2 = replace(p2, earlier=replace(p2.earlier, fb_shares=100))
-    graph = build_window_graph([p1, p2])
+    graph = build_window_graph([p1, p2], window_index=0)
     attach_engagement(graph, [p1, p2])
     # one article, not two samples
     assert graph.node_attrs("orig")["median_fb_shares"] == 100.0
@@ -333,8 +331,9 @@ def test_compute_node_metrics_across_windows():
     }
     b = metrics["b"]
     assert b.weighted_in_degree == 3
-    assert b.in_centrality_windows == (1.0, 1.0)
-    assert metrics["c"].in_centrality_windows == (0.0, 0.0)
+    # b's in-degree centrality is 1.0 in both windows, c's is 0.0 in both.
+    assert (b.in_centrality_mean, b.in_centrality_var) == (1.0, 0.0)
+    assert (metrics["c"].in_centrality_mean, metrics["c"].in_centrality_var) == (0.0, 0.0)
     assert b.betweenness_mean == 0.0
     assert metrics["a"].weighted_out_degree == 2
 
