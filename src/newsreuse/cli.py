@@ -7,8 +7,9 @@ output directory, all read and written through `corpus`'s file functions.
 A stage reads every input before it writes its first output, and its
 outputs appear only when it succeeds. Only detect parses the corpus; graph
 and headlines read the matched articles detect hands off, and refuse them
-if detect ran on another corpus or config. Exit codes: 0 success, 1 usage
-or config error (an unreadable config file included), 2 data error,
+if detect ran on another corpus or config; report refuses graph and
+headlines outputs made from another detect run. Exit codes: 0 success,
+1 usage or config error (an unreadable config file included), 2 data error,
 3 internal error.
 """
 
@@ -45,6 +46,8 @@ from .corpus import (
 from .errors import DataError
 from .fixture import FixtureSpec, generate_fixture
 from .similarity import (
+    DEFAULT_MIN_BODY_TOKENS,
+    DEFAULT_THRESHOLD,
     FORWARD,
     MatchedPair,
     match_window,
@@ -67,6 +70,9 @@ class UsageError(Exception):
 _CORPUS_FORMATS = ("jsonl", "csv")
 # The articles of pairs.csv, with the fields graph and headlines read.
 MATCHED_ARTICLES = "matched_articles.jsonl"
+# The graph_summary.txt and headline_summary.txt key that records the
+# detect_summary.txt the stage checked, so report can refuse a mix of runs.
+DETECT_SUMMARY_SHA256 = "detect_summary_sha256"
 # The keys that name an input file, which `validate` checks exists.
 _INPUT_KEYS = (
     "articles", "labels", "bias_lexicon", "positive_lexicon", "negative_lexicon", "stopwords",
@@ -87,9 +93,9 @@ class RunConfig:
     stopwords: str | None = None
     out_dir: str = "out"
     window_days: int = 14
-    similarity_threshold: float = 0.90
+    similarity_threshold: float = DEFAULT_THRESHOLD
     title_change_threshold: float = 0.10
-    min_body_tokens: int = 20
+    min_body_tokens: int = DEFAULT_MIN_BODY_TOKENS
     louvain_seed: int = 0
     louvain_resolution: float = 1.0
     dedupe_origin: bool = False
@@ -329,10 +335,10 @@ def cmd_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int]]:
-    """The matched pairs, resolved against detect's hand-off, and the window
-    indices, from an out directory that detect wrote for this corpus and
-    config."""
+def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int], str]:
+    """The matched pairs, resolved against detect's hand-off, the window
+    indices and the sha256 of detect_summary.txt, from an out directory that
+    detect wrote for this corpus and config."""
     summary_path = out / "detect_summary.txt"
     handoff_path = out / MATCHED_ARTICLES
     windows_path = out / "windows.csv"
@@ -348,6 +354,7 @@ def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int]
             raise DataError(
                 f"{key} is {value}, but detect ran with {key}={recorded[key]}; re-run detect"
             )
+    summary_sha256 = file_sha256(summary_path)
     pairs = read_pairs_csv(pairs_path, read_matched_articles(handoff_path))
     reader = read_csv(windows_path)
     indices = []
@@ -364,13 +371,13 @@ def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int]
             f"{pairs_path} references windows {sorted(stray)} that {windows_path} does not "
             f"list; re-run detect"
         )
-    return pairs, indices
+    return pairs, indices, summary_sha256
 
 
 def cmd_graph(cfg: RunConfig) -> int:
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
-    pairs, window_indices = _load_pairs(cfg, out)
+    pairs, window_indices, summary_sha256 = _load_pairs(cfg, out)
 
     by_window: dict[int, list[MatchedPair]] = defaultdict(list)
     for p in pairs:
@@ -397,35 +404,19 @@ def cmd_graph(cfg: RunConfig) -> int:
 
     graphs_dir = out / "graphs"
     written = 0
-    per_window = []
     for index, graph in zip(window_indices, window_graphs):
-        scope = by_window.get(index, [])
-        per_window.append(_decorate_graph(graph, labels, partition, scope))
+        _decorate_graph(graph, labels, partition, by_window.get(index, []))
         if graph.num_nodes == 0:
             continue
         network_mod.export_graphml(graph, graphs_dir / f"window_{index:03d}.graphml")
         network_mod.export_dot(graph, graphs_dir / f"window_{index:03d}.dot")
         written += 1
-    combined_metrics = _decorate_graph(combined, labels, partition, pairs)
-    metrics = network_mod.compute_node_metrics(combined_metrics, per_window)
-    for m in metrics:
-        if combined.has_node(m.source):
-            attrs = combined.node_attrs(m.source)
-            attrs["in_centrality_mean"] = m.in_centrality_mean
-            attrs["in_centrality_var"] = m.in_centrality_var
-            attrs["betweenness_mean"] = m.betweenness_mean
-            attrs["betweenness_var"] = m.betweenness_var
+    _decorate_graph(combined, labels, partition, pairs)
+    network_mod.compute_node_metrics(combined, window_graphs)
     network_mod.export_graphml(combined, graphs_dir / "combined.graphml")
     network_mod.export_dot(combined, graphs_dir / "combined.dot")
-
-    network_mod.write_metrics_csv(metrics, out / "metrics.csv", partition.communities)
-
-    medians = ["median_fb_shares", "median_fb_reactions"]
-    engagement = []
-    for node in combined.nodes():
-        values = map(combined.node_attrs(node).get, medians)
-        engagement.append([node, *("" if v is None else repr(v) for v in values)])
-    write_csv(out / "engagement.csv", ["source", *medians], engagement)
+    network_mod.write_node_csv(combined, out / "metrics.csv", network_mod.METRICS_COLUMNS)
+    network_mod.write_node_csv(combined, out / "engagement.csv", network_mod.ENGAGEMENT_COLUMNS)
 
     flags = network_mod.flag_single_day_origins(pairs)
     write_csv(
@@ -447,6 +438,7 @@ def cmd_graph(cfg: RunConfig) -> int:
             ("louvain_resolution", cfg.louvain_resolution),
             ("dedupe_origin", str(cfg.dedupe_origin).lower()),
             ("include_ambiguous", str(cfg.include_ambiguous).lower()),
+            (DETECT_SUMMARY_SHA256, summary_sha256),
         ],
     )
     log.info(
@@ -456,13 +448,12 @@ def cmd_graph(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _decorate_graph(graph, labels, partition, matches) -> network_mod.GraphMetrics:
+def _decorate_graph(graph, labels, partition, matches) -> None:
     if labels is not None:
         network_mod.attach_labels(graph, labels)
-    measured = network_mod.attach_metrics(graph)
+    network_mod.attach_metrics(graph)
     network_mod.attach_engagement(graph, matches)
     network_mod.attach_communities(graph, partition)
-    return measured
 
 
 def cmd_headlines(cfg: RunConfig) -> int:
@@ -471,7 +462,7 @@ def cmd_headlines(cfg: RunConfig) -> int:
 
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
-    pairs, _ = _load_pairs(cfg, out)
+    pairs, _, summary_sha256 = _load_pairs(cfg, out)
     # Every input is read before the first write, so a bad one leaves the
     # previous run's outputs whole.
     lexicons = None
@@ -524,6 +515,7 @@ def cmd_headlines(cfg: RunConfig) -> int:
         ("changed_fraction", repr(fraction) if fraction is not None else ""),
         ("title_change_threshold", threshold),
         ("shift_sources", len({s.source for s in shifts})),
+        (DETECT_SUMMARY_SHA256, summary_sha256),
     ]
     lines = [f"{k}={v}" for k, v in summary] + [""]
     if fraction is None:
@@ -588,6 +580,16 @@ def cmd_report(cfg: RunConfig) -> int:
         raise DataError(
             "missing upstream outputs; run first: " + ", ".join(missing)
         )
+    detect_sha256 = file_sha256(out / "detect_summary.txt")
+    for name, stage in (("graph_summary.txt", "graph"), ("headline_summary.txt", "headlines")):
+        recorded = _read_kv(out / name).get(DETECT_SUMMARY_SHA256)
+        if recorded is None:
+            raise DataError(f"{out / name} records no {DETECT_SUMMARY_SHA256}; re-run {stage}")
+        if recorded != detect_sha256:
+            raise DataError(
+                f"{out / name} came from another detect run than "
+                f"{out / 'detect_summary.txt'}; re-run {stage}"
+            )
     try:
         lines = _report_markdown(out, cfg.min_window_docs)
     except (KeyError, TypeError, ValueError, DataError) as exc:

@@ -168,7 +168,6 @@ class TitleFeatures:
     pos_opinion_frac: float
     neg_opinion_frac: float
     token_count: int
-    eligible: bool
 
 
 def extract_features(
@@ -180,13 +179,12 @@ def extract_features(
 
     `lexicons` must carry `bias`, `positive` and `negative` entries; matching
     is exact on lowercased tokens. Punctuation and quotes are counted on the
-    raw string, everything else on tokens. An empty title is all zeros and
-    ineligible.
+    raw string, everything else on tokens. An empty title is all zeros.
     """
     tokens = tokenize(title)
     n = len(tokens)
     if n == 0:
-        return TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, False)
+        return TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
     punctuation = sum(1 for ch in title if unicodedata.category(ch).startswith("P"))
     quotes = sum(1 for ch in title if ch in _QUOTE_CHARS)
     bias = lexicons["bias"]
@@ -201,7 +199,6 @@ def extract_features(
         pos_opinion_frac=sum(1 for t in tokens if t in positive) / n,
         neg_opinion_frac=sum(1 for t in tokens if t in negative) / n,
         token_count=n,
-        eligible=True,
     )
 
 

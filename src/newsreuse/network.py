@@ -180,26 +180,6 @@ def merge_graphs(graphs: Iterable[RepublishGraph]) -> RepublishGraph:
     return combined
 
 
-@dataclass(frozen=True)
-class DegreeMetrics:
-    weighted_in: int
-    weighted_out: int
-    in_degree_centrality: float
-
-
-def degree_metrics(graph: RepublishGraph) -> dict[str, DegreeMetrics]:
-    n = graph.num_nodes
-    out = {}
-    for v in graph.nodes():
-        centrality = graph.in_degree(v) / (n - 1) if n > 1 else 0.0
-        out[v] = DegreeMetrics(graph.in_weight(v), graph.out_weight(v), centrality)
-    return out
-
-
-# Degree metrics and betweenness of every node of one graph.
-GraphMetrics = tuple[dict[str, DegreeMetrics], dict[str, float]]
-
-
 def _bfs_shortest_paths(succ, s):
     dist = {s: 0}
     sigma = {s: 1.0}
@@ -383,54 +363,26 @@ def louvain(
     return Partition(communities, modularity(graph, communities, resolution))
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
-    """Combined-graph totals plus the mean and variance of per-window
-    centralities."""
-
-    source: str
-    weighted_in_degree: int
-    weighted_out_degree: int
-    in_centrality_mean: float
-    in_centrality_var: float
-    betweenness_mean: float
-    betweenness_var: float
-
-
 def compute_node_metrics(
-    combined: GraphMetrics, per_window: Sequence[GraphMetrics]
-) -> list[NodeMetrics]:
-    """Per-source metric suite from what `attach_metrics` returned for the
-    combined graph and for each window graph; absent-from-window counts as
-    zero there."""
-    combined_degrees, _ = combined
-    sources = set(combined_degrees)
-    for degrees, _ in per_window:
-        sources.update(degrees)
-    metrics = []
-    for source in sorted(sources):
-        cent = tuple(
-            deg[source].in_degree_centrality if source in deg else 0.0
-            for deg, _ in per_window
-        )
-        betw = tuple(bc.get(source, 0.0) for _, bc in per_window)
-        deg = combined_degrees.get(source, DegreeMetrics(0, 0, 0.0))
-        metrics.append(
-            NodeMetrics(
-                source=source,
-                weighted_in_degree=deg.weighted_in,
-                weighted_out_degree=deg.weighted_out,
-                in_centrality_mean=statistics.fmean(cent) if cent else 0.0,
-                in_centrality_var=statistics.pvariance(cent) if cent else 0.0,
-                betweenness_mean=statistics.fmean(betw) if betw else 0.0,
-                betweenness_var=statistics.pvariance(betw) if betw else 0.0,
-            )
-        )
-    return metrics
+    combined: RepublishGraph, window_graphs: Sequence[RepublishGraph]
+) -> None:
+    """Set the mean and population variance, over `window_graphs` in order,
+    of each combined node's in-degree centrality and betweenness, as
+    `in_centrality_*` and `betweenness_*`. `attach_metrics` must have run on
+    every window graph; a window without the node counts as zero there."""
+    for node in combined.nodes():
+        attrs = combined.node_attrs(node)
+        for prefix, name in (("in_centrality", "in_degree_centrality"),
+                             ("betweenness", "betweenness")):
+            series = [
+                g.node_attrs(node)[name] if g.has_node(node) else 0.0 for g in window_graphs
+            ]
+            attrs[f"{prefix}_mean"] = statistics.fmean(series)
+            attrs[f"{prefix}_var"] = statistics.pvariance(series)
 
 
-METRICS_HEADER = [
-    "source",
+# The node attributes that metrics.csv and engagement.csv hold, after `source`.
+METRICS_COLUMNS = (
     "weighted_in",
     "weighted_out",
     "in_centrality_mean",
@@ -438,29 +390,19 @@ METRICS_HEADER = [
     "betweenness_mean",
     "betweenness_var",
     "community",
-]
+)
+ENGAGEMENT_COLUMNS = ("median_fb_shares", "median_fb_reactions")
 
 
-def write_metrics_csv(
-    metrics: Sequence[NodeMetrics], path: str | Path, communities: Mapping[str, int]
-) -> None:
-    write_csv(
-        path,
-        METRICS_HEADER,
-        (
-            [
-                m.source,
-                m.weighted_in_degree,
-                m.weighted_out_degree,
-                repr(m.in_centrality_mean),
-                repr(m.in_centrality_var),
-                repr(m.betweenness_mean),
-                repr(m.betweenness_var),
-                communities.get(m.source, ""),
-            ]
-            for m in metrics
-        ),
-    )
+def write_node_csv(graph: RepublishGraph, path: str | Path, columns: Sequence[str]) -> None:
+    """One row per node: its name under `source`, then its attribute of each
+    name in `columns`; a cell is empty where the node lacks the attribute or
+    holds None."""
+    rows = []
+    for node in graph.nodes():
+        values = map(graph.node_attrs(node).get, columns)
+        rows.append([node, *("" if v is None else v for v in values)])
+    write_csv(path, ["source", *columns], rows)
 
 
 def attach_labels(graph: RepublishGraph, labels: Mapping[str, SourceLabels]) -> None:
@@ -479,18 +421,17 @@ def attach_communities(graph: RepublishGraph, partition: Partition) -> None:
             graph.node_attrs(node)["community"] = community
 
 
-def attach_metrics(graph: RepublishGraph) -> GraphMetrics:
-    """Set degree and betweenness attributes on every node; returns the
-    metrics it set, for `compute_node_metrics`."""
-    degrees = degree_metrics(graph)
+def attach_metrics(graph: RepublishGraph) -> None:
+    """Set weighted in- and out-degree, in-degree centrality and betweenness
+    on every node."""
+    n = graph.num_nodes
     central = betweenness(graph)
     for node in graph.nodes():
         attrs = graph.node_attrs(node)
-        attrs["weighted_in"] = degrees[node].weighted_in
-        attrs["weighted_out"] = degrees[node].weighted_out
-        attrs["in_degree_centrality"] = degrees[node].in_degree_centrality
+        attrs["weighted_in"] = graph.in_weight(node)
+        attrs["weighted_out"] = graph.out_weight(node)
+        attrs["in_degree_centrality"] = graph.in_degree(node) / (n - 1) if n > 1 else 0.0
         attrs["betweenness"] = central[node]
-    return degrees, central
 
 
 def attach_engagement(graph: RepublishGraph, matches: Sequence[MatchedPair]) -> None:

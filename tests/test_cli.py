@@ -27,6 +27,7 @@ from newsreuse.cli import (
 )
 
 from newsreuse.corpus import (
+    file_sha256,
     ingest_articles,
     load_lexicon,
     partition_windows,
@@ -734,6 +735,72 @@ def _tree(root):
     }
 
 
+_RERUN_DETECT = ("detect", "--similarity-threshold", "0.999", "--window-days", "7")
+_RERUN_GRAPH = ("graph", "--similarity-threshold", "0.999", "--window-days", "7")
+
+
+def _strip_summary_record(out):
+    path = out / "headline_summary.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(
+        "".join(line for line in lines if not line.startswith("detect_summary_sha256=")),
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize(
+    "reruns, edit, stale, message",
+    [
+        ([_RERUN_DETECT], None, "graph", "came from another detect run than"),
+        ([_RERUN_DETECT, _RERUN_GRAPH], None, "headlines", "came from another detect run than"),
+        ([], _strip_summary_record, "headlines", "records no detect_summary_sha256"),
+    ],
+    ids=["detect-again", "detect-and-graph-again", "no-record"],
+)
+def test_report_refuses_outputs_of_another_detect_run(
+    upstream, tmp_path, caplog, reruns, edit, stale, message
+):
+    """report refuses graph and headlines outputs that were not made from
+    the detect_summary.txt beside them, naming the stage to re-run."""
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    for argv in reruns:
+        assert _run(*argv, "--config", str(config), "--out", str(out)) == EXIT_OK
+    if edit is not None:
+        edit(out)
+    before = _tree(out)
+    assert _run("report", "--config", str(config), "--out", str(out)) == EXIT_DATA
+    assert any(
+        message in r.getMessage() and r.getMessage().endswith(f"re-run {stale}")
+        for r in caplog.records
+    )
+    assert _tree(out) == before
+
+
+def test_node_csvs_match_combined_graphml(upstream):
+    """Every metrics.csv and engagement.csv cell is the combined graph's
+    node attribute of that name, as combined.graphml writes it."""
+    _, out = upstream
+    root = ET.parse(out / "graphs" / "combined.graphml").getroot()
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    names = {key.get("id"): key.get("attr.name") for key in root.findall("g:key", ns)}
+    nodes = {
+        node.get("id"): {names[d.get("key")]: d.text for d in node.findall("g:data", ns)}
+        for node in root.findall("g:graph/g:node", ns)
+    }
+    for name, columns in (("metrics.csv", network.METRICS_COLUMNS),
+                          ("engagement.csv", network.ENGAGEMENT_COLUMNS)):
+        with (out / name).open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["source"] for r in rows] == sorted(nodes)
+        for row in rows:
+            for column in columns:
+                want = nodes[row["source"]].get(column)
+                assert row[column] == ("" if want is None else want), (name, row, column)
+        assert any(row[column] for row in rows for column in columns)
+
+
 def _fail_after(lines, n):
     yield from lines[:n]
     raise OSError(28, "No space left on device")
@@ -771,7 +838,7 @@ def _from_whole_corpus(cfg, out):
     collection = ingest_articles(cfg.articles, cfg.format)
     windows = partition_windows(collection, cfg.window_days)
     pairs = read_pairs_csv(out / "pairs.csv", {a.id: a for a in collection})
-    return pairs, [w.index for w in windows]
+    return pairs, [w.index for w in windows], file_sha256(out / "detect_summary.txt")
 
 
 def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):

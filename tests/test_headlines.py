@@ -148,7 +148,7 @@ def test_extract_features_lexicon_hits():
     assert feats.neg_opinion_frac > 0
     assert feats.bias_frac > 0
     assert feats.pos_opinion_frac == 0.0
-    assert feats.eligible
+    assert feats.token_count == 4
 
 
 def test_extract_features_fractions_and_counts():
@@ -164,7 +164,7 @@ def test_extract_features_fractions_and_counts():
 
 def test_extract_features_empty_title():
     feats = extract_features("", LEXICONS, STOPWORDS)
-    assert feats == TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, False)
+    assert feats == TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
 
 def test_extract_features_pure():

@@ -14,7 +14,6 @@ from newsreuse.network import (
     betweenness,
     build_window_graph,
     compute_node_metrics,
-    degree_metrics,
     export_dot,
     export_graphml,
     flag_single_day_origins,
@@ -134,20 +133,22 @@ def test_merge_equals_build_from_concatenation():
 
 def test_degree_metrics_star():
     graph = _graph([(leaf, "hub") for leaf in ["l1", "l2", "l3", "l4"]])
-    metrics = degree_metrics(graph)
-    assert metrics["hub"].weighted_in == 4
-    assert metrics["hub"].weighted_out == 0
-    assert metrics["hub"].in_degree_centrality == 1.0
-    assert metrics["l1"].in_degree_centrality == 0.0
+    attach_metrics(graph)
+    hub = graph.node_attrs("hub")
+    assert hub["weighted_in"] == 4
+    assert hub["weighted_out"] == 0
+    assert hub["in_degree_centrality"] == 1.0
+    assert graph.node_attrs("l1")["in_degree_centrality"] == 0.0
 
 
 def test_degree_metrics_isolated_node():
     graph = _graph([("a", "b")])
     graph.add_node("loner")
-    metrics = degree_metrics(graph)
-    assert metrics["loner"].weighted_in == 0
-    assert metrics["loner"].weighted_out == 0
-    assert metrics["loner"].in_degree_centrality == 0.0
+    attach_metrics(graph)
+    loner = graph.node_attrs("loner")
+    assert loner["weighted_in"] == 0
+    assert loner["weighted_out"] == 0
+    assert loner["in_degree_centrality"] == 0.0
 
 
 def test_degree_metrics_match_adjacency_sums():
@@ -160,14 +161,14 @@ def test_degree_metrics_match_adjacency_sums():
             w = rng.randint(1, 5)
             graph.add_edge(a, b, w)
             weights[(a, b)] = w
-    metrics = degree_metrics(graph)
+    attach_metrics(graph)
     for v in nodes:
         if not graph.has_node(v):
             continue
-        assert metrics[v].weighted_in == sum(
+        assert graph.node_attrs(v)["weighted_in"] == sum(
             w for (a, b), w in weights.items() if b == v
         )
-        assert metrics[v].weighted_out == sum(
+        assert graph.node_attrs(v)["weighted_out"] == sum(
             w for (a, b), w in weights.items() if a == v
         )
 
@@ -323,19 +324,16 @@ def test_compute_node_metrics_across_windows():
     g0 = _graph([("a", "b")], window=0)
     g1 = _graph([("a", "b"), ("c", "b")], window=1)
     combined = merge_graphs([g0, g1])
-    metrics = {
-        m.source: m
-        for m in compute_node_metrics(
-            attach_metrics(combined), [attach_metrics(g0), attach_metrics(g1)]
-        )
-    }
-    b = metrics["b"]
-    assert b.weighted_in_degree == 3
+    for graph in (combined, g0, g1):
+        attach_metrics(graph)
+    compute_node_metrics(combined, [g0, g1])
+    b, c = combined.node_attrs("b"), combined.node_attrs("c")
+    assert b["weighted_in"] == 3
     # b's in-degree centrality is 1.0 in both windows, c's is 0.0 in both.
-    assert (b.in_centrality_mean, b.in_centrality_var) == (1.0, 0.0)
-    assert (metrics["c"].in_centrality_mean, metrics["c"].in_centrality_var) == (0.0, 0.0)
-    assert b.betweenness_mean == 0.0
-    assert metrics["a"].weighted_out_degree == 2
+    assert (b["in_centrality_mean"], b["in_centrality_var"]) == (1.0, 0.0)
+    assert (c["in_centrality_mean"], c["in_centrality_var"]) == (0.0, 0.0)
+    assert b["betweenness_mean"] == 0.0
+    assert combined.node_attrs("a")["weighted_out"] == 2
 
 
 def test_flag_single_day_origins():
