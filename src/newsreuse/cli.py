@@ -335,15 +335,14 @@ def cmd_detect(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int], str]:
-    """The matched pairs, resolved against detect's hand-off, the window
-    indices and the sha256 of detect_summary.txt, from an out directory that
+def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], int, str]:
+    """The matched pairs, resolved against detect's hand-off, the number of
+    windows and the sha256 of detect_summary.txt, from an out directory that
     detect wrote for this corpus and config."""
     summary_path = out / "detect_summary.txt"
     handoff_path = out / MATCHED_ARTICLES
-    windows_path = out / "windows.csv"
     pairs_path = out / "pairs.csv"
-    for path in (summary_path, handoff_path, windows_path, pairs_path):
+    for path in (summary_path, handoff_path, pairs_path):
         if not path.is_file():
             raise DataError(f"{path} not found; re-run detect")
     recorded = _read_kv(summary_path)
@@ -354,42 +353,38 @@ def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], list[int]
             raise DataError(
                 f"{key} is {value}, but detect ran with {key}={recorded[key]}; re-run detect"
             )
+    try:
+        window_count = int(recorded["windows"])
+    except (KeyError, ValueError):
+        raise DataError(f"{summary_path} records no windows; re-run detect") from None
     summary_sha256 = file_sha256(summary_path)
     pairs = read_pairs_csv(pairs_path, read_matched_articles(handoff_path))
-    reader = read_csv(windows_path)
-    indices = []
-    for row in reader:
-        try:
-            indices.append(int(row["window_index"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(
-                f"{windows_path} row {reader.line_num}: bad window_index ({exc}); re-run detect"
-            ) from None
-    stray = {p.window_index for p in pairs}.difference(indices)
+    stray = {p.window_index for p in pairs if not 0 <= p.window_index < window_count}
     if stray:
         raise DataError(
-            f"{pairs_path} references windows {sorted(stray)} that {windows_path} does not "
-            f"list; re-run detect"
+            f"{pairs_path} references windows {sorted(stray)}, but {summary_path} records "
+            f"{window_count}; re-run detect"
         )
-    return pairs, indices, summary_sha256
+    return pairs, window_count, summary_sha256
 
 
 def cmd_graph(cfg: RunConfig) -> int:
     cfg.validate(need_articles=True)
     out = Path(cfg.out_dir)
-    pairs, window_indices, summary_sha256 = _load_pairs(cfg, out)
+    pairs, window_count, summary_sha256 = _load_pairs(cfg, out)
 
     by_window: dict[int, list[MatchedPair]] = defaultdict(list)
     for p in pairs:
         by_window[p.window_index].append(p)
+    # A window without pairs would add only zeros to compute_node_metrics.
     window_graphs = [
         network_mod.build_window_graph(
-            by_window.get(index, []),
+            by_window[index],
             include_ambiguous=cfg.include_ambiguous,
             dedupe_origin=cfg.dedupe_origin,
             window_index=index,
         )
-        for index in window_indices
+        for index in sorted(by_window)
     ]
     combined = network_mod.merge_graphs(window_graphs)
     partition = network_mod.louvain(
@@ -404,15 +399,16 @@ def cmd_graph(cfg: RunConfig) -> int:
 
     graphs_dir = out / "graphs"
     written = 0
-    for index, graph in zip(window_indices, window_graphs):
-        _decorate_graph(graph, labels, partition, by_window.get(index, []))
+    for graph in window_graphs:
+        index = graph.window_index
+        _decorate_graph(graph, labels, partition, by_window[index])
         if graph.num_nodes == 0:
             continue
         network_mod.export_graphml(graph, graphs_dir / f"window_{index:03d}.graphml")
         network_mod.export_dot(graph, graphs_dir / f"window_{index:03d}.dot")
         written += 1
     _decorate_graph(combined, labels, partition, pairs)
-    network_mod.compute_node_metrics(combined, window_graphs)
+    network_mod.compute_node_metrics(combined, window_graphs, window_count)
     network_mod.export_graphml(combined, graphs_dir / "combined.graphml")
     network_mod.export_dot(combined, graphs_dir / "combined.dot")
     network_mod.write_node_csv(combined, out / "metrics.csv", network_mod.METRICS_COLUMNS)

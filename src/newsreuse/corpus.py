@@ -47,6 +47,9 @@ _XML_FORBIDDEN_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 # The instants `format_timestamp` can format.
 _MIN_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 _MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+# The largest engagement count accepted: the largest integer a double holds
+# exactly, since the medians are written as doubles.
+MAX_COUNT = 2**53 - 1
 
 
 def canonical_source(name: str) -> str:
@@ -169,6 +172,8 @@ def _optional_count(value: Any, name: str) -> int | None:
             raise ValueError(f"non-integer {name} {value!r}")
     if value < 0:
         raise ValueError(f"negative {name}")
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} out of range")
     return value
 
 
@@ -186,6 +191,8 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
         raise ValueError("missing source")
     if _XML_FORBIDDEN_RE.search(source):
         raise ValueError("source holds a control character")
+    if len(source) > csv.field_size_limit():
+        raise ValueError("source longer than the CSV field limit")
 
     body = record.get("body")
     if body is None:
@@ -307,9 +314,13 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
             if key in seen_keys:
                 rejects.append(Reject(row, f"duplicate id {article.id!r} within source"))
                 continue
-            seen_keys.add(key)
             if article.id in seen_ids:
                 article = replace(article, id=f"{article.id}@{article.source}")
+            # pairs.csv holds each id, and graph and headlines read it back.
+            if len(article.id) > csv.field_size_limit():
+                rejects.append(Reject(row, "id longer than the CSV field limit"))
+                continue
+            seen_keys.add(key)
             seen_ids.add(article.id)
             accepted.append(article)
     except OSError as exc:
@@ -595,12 +606,22 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 # The fields of an Article that the stages after detect read, with their
-# JSON types; the counts may also be null.
+# JSON types; the counts may also be null. An integer must lie in the range
+# ingest accepts.
 _MATCHED_FIELDS = {
     "id": str, "source": str, "published_utc": int, "title": str,
     "fb_shares": int, "fb_reactions": int,
 }
 _NULLABLE = frozenset({"fb_shares", "fb_reactions"})
+_RANGES = {"published_utc": (_MIN_TS, _MAX_TS), **dict.fromkeys(_NULLABLE, (0, MAX_COUNT))}
+
+
+def _matched_value_ok(key: str, value: object) -> bool:
+    if value is None:
+        return key in _NULLABLE
+    if type(value) is not _MATCHED_FIELDS[key]:
+        return False
+    return key not in _RANGES or _RANGES[key][0] <= value <= _RANGES[key][1]
 
 
 def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> None:
@@ -631,13 +652,8 @@ def read_matched_articles(path: str | Path) -> dict[str, Article]:
                 f"{path} line {lineno}: not a matched-article record "
                 f"({type(exc).__name__}: {exc}); re-run detect"
             ) from None
-        bad = [
-            key for key, kind in _MATCHED_FIELDS.items()
-            if type(values[key]) is not kind and not (values[key] is None and key in _NULLABLE)
-        ]
-        if bad or not _MIN_TS <= values["published_utc"] <= _MAX_TS:
-            raise DataError(
-                f"{path} line {lineno}: bad value of {bad or ['published_utc']}; re-run detect"
-            )
+        bad = [key for key, value in values.items() if not _matched_value_ok(key, value)]
+        if bad:
+            raise DataError(f"{path} line {lineno}: bad value of {bad}; re-run detect")
         articles[values["id"]] = Article(body="", **values)
     return articles

@@ -50,6 +50,8 @@ POSITIVE_FIXTURE = [
 
 # 2017-04-07T00:00:00Z
 DEFAULT_START_UTC = 1491523200
+# The share of planted copies whose title is rewritten.
+CHANGED_TITLE_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -59,19 +61,7 @@ class FixtureSpec:
     copies: int = 30
     window_days: int = 14
     windows: int = 4
-    changed_title_fraction: float = 0.6
     seed: int = 20170407
-    start_utc: int = DEFAULT_START_UTC
-
-
-@dataclass(frozen=True)
-class PlantedCopy:
-    original_id: str
-    copy_id: str
-    original_source: str
-    copy_source: str
-    window_index: int
-    title_changed: bool
 
 
 def _vocabulary(rng: random.Random, size: int) -> list[str]:
@@ -128,9 +118,9 @@ def generate_fixture(
             # window anchoring (midnight of the earliest article) lands on
             # the same grid the copies are planted against.
             if source == sources[0] and k == 0:
-                published = spec.start_utc
+                published = DEFAULT_START_UTC
             else:
-                published = spec.start_utc + rng.randrange(span)
+                published = DEFAULT_START_UTC + rng.randrange(span)
             body = " ".join(rng.choice(vocab) for _ in range(rng.randint(60, 150)))
             articles.append(
                 {
@@ -149,19 +139,19 @@ def generate_fixture(
     # Originals need at least an hour of room before their window closes so
     # the copy can land later but inside the same window.
     def window_of(ts: int) -> int:
-        return (ts - spec.start_utc) // window_len
+        return (ts - DEFAULT_START_UTC) // window_len
 
     def window_end(ts: int) -> int:
-        return spec.start_utc + (window_of(ts) + 1) * window_len
+        return DEFAULT_START_UTC + (window_of(ts) + 1) * window_len
 
     candidates = [a for a in articles if window_end(a["published_utc"]) - a["published_utc"] > 3600]
     originals = rng.sample(candidates, spec.copies)
-    planted: list[PlantedCopy] = []
+    ground_truth = []
     for j, original in enumerate(originals):
         copy_source = rng.choice([s for s in sources if s != original["source"]])
         room = window_end(original["published_utc"]) - original["published_utc"]
         offset = rng.randint(1800, min(3 * SECONDS_PER_DAY, room - 1))
-        change_title = rng.random() < spec.changed_title_fraction
+        change_title = rng.random() < CHANGED_TITLE_FRACTION
         copy = {
             "id": f"{copy_source}-copy-{j:02d}",
             "source": copy_source,
@@ -175,16 +165,10 @@ def generate_fixture(
             "fb_reactions": rng.randrange(8000) if rng.random() > 0.1 else None,
         }
         articles.append(copy)
-        planted.append(
-            PlantedCopy(
-                original_id=original["id"],
-                copy_id=copy["id"],
-                original_source=original["source"],
-                copy_source=copy_source,
-                window_index=window_of(original["published_utc"]),
-                title_changed=change_title,
-            )
-        )
+        ground_truth.append([
+            original["id"], copy["id"], original["source"], copy_source,
+            window_of(original["published_utc"]), str(change_title).lower(),
+        ])
 
     paths = {
         "articles": out / "articles.jsonl",
@@ -225,9 +209,8 @@ def generate_fixture(
         paths["ground_truth"],
         ["original_id", "copy_id", "original_source", "copy_source",
          "window_index", "title_changed"],
-        ([p.original_id, p.copy_id, p.original_source, p.copy_source,
-          p.window_index, str(p.title_changed).lower()]
-         for p in sorted(planted, key=lambda p: (p.original_id, p.copy_id))),
+        # Sorted by (original_id, copy_id), a unique key since copy ids are.
+        sorted(ground_truth),
     )
 
     write_lines(

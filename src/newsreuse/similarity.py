@@ -15,7 +15,6 @@ ordering and scores are deterministic.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from collections import Counter
@@ -29,8 +28,6 @@ from scipy import sparse
 
 from .corpus import Article, TimeWindow, read_csv, write_csv
 from .errors import DataError
-
-log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.90
 DEFAULT_MIN_BODY_TOKENS = 20
@@ -338,18 +335,14 @@ def match_window(
 ) -> WindowMatchResult:
     """Fit a TFIDF model on one window and extract all cross-source matches.
 
-    Bodies shorter than `min_body_tokens` tokens do not participate. Windows
-    with fewer than two eligible documents are skipped with a logged notice.
+    Bodies shorter than `min_body_tokens` tokens do not participate. A window
+    with fewer than two eligible documents has no pairs.
     Pairs are sorted by (similarity desc, earlier id, later id).
     """
     articles = sorted(window.articles, key=lambda a: a.id)
     docs = [TokenizedDoc.from_text(a.body) for a in articles]
     eligible = [i for i, d in enumerate(docs) if len(d.tokens) >= min_body_tokens]
     if len(eligible) < 2:
-        log.info(
-            "window %d skipped: %d eligible of %d documents",
-            window.index, len(eligible), len(docs),
-        )
         return WindowMatchResult(len(docs), len(eligible), ())
     eligible_docs = [docs[i] for i in eligible]
     model = fit_tfidf(eligible_docs, window.index)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from newsreuse.cli import (
 )
 
 from newsreuse.corpus import (
+    MAX_COUNT,
     file_sha256,
     ingest_articles,
     load_lexicon,
@@ -405,6 +407,67 @@ def test_control_character_in_source_is_rejected_row(tmp_path):
     ]
 
 
+def test_count_past_a_doubles_exact_range_is_rejected_row(tmp_path):
+    """A count a double cannot hold exactly is a reject; the largest one it
+    can hold reaches engagement.csv unrounded."""
+    body = "alpha beta gamma delta " * 10
+    articles = tmp_path / "articles.jsonl"
+    articles.write_text(
+        "".join(
+            f'{{"id": "a{i}", "source": "{source}", "body": "{body}", '
+            f'"published_utc": {BASE_TS + 60 * i}, "fb_shares": {shares}}}\n'
+            for i, (source, shares) in enumerate(
+                [("wire", MAX_COUNT), ("blog", "1" + "0" * 400), ("daily", MAX_COUNT + 1),
+                 ("news", 3)]
+            )
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    for command in ("detect", "graph", "headlines", "report"):
+        assert _run(command, "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        rejects = list(csv.DictReader(fh))
+    assert [(r["row"], r["reason"]) for r in rejects] == [
+        ("2", "fb_shares out of range"), ("3", "fb_shares out of range")
+    ]
+    with (out / "engagement.csv").open(encoding="utf-8") as fh:
+        shares = {r["source"]: r["median_fb_shares"] for r in csv.DictReader(fh)}
+    assert shares == {"news": "3.0", "wire": repr(float(MAX_COUNT))}
+    assert float(MAX_COUNT) == MAX_COUNT
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "over-limit"])
+def test_id_or_source_past_csv_field_limit_is_rejected_row(tmp_path, over):
+    """pairs.csv holds ids and sources, and metrics.csv sources, which the
+    stages after detect read back with the CSV parser."""
+    length = csv.field_size_limit() + over
+    body = "alpha beta gamma delta " * 10
+    rows = [
+        {"id": "i" * length, "source": "wire", "body": body},
+        {"id": "b", "source": "s" * length, "body": body},
+        {"id": "c", "source": "blog", "body": body},
+        {"id": "d", "source": "daily", "body": body},
+        {"id": "e", "source": "news", "body": body},
+    ]
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(articles, [{**r, "published_utc": BASE_TS + 60 * i} for i, r in enumerate(rows)])
+    out = tmp_path / "out"
+    for command in ("detect", "graph", "headlines", "report"):
+        assert _run(command, "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        rejects = [(r["row"], r["reason"]) for r in csv.DictReader(fh)]
+    with (out / "metrics.csv").open(encoding="utf-8", newline="") as fh:
+        sources = [r["source"] for r in csv.DictReader(fh)]
+    if over:
+        assert rejects == [("1", "id longer than the CSV field limit"),
+                           ("2", "source longer than the CSV field limit")]
+        assert sources == ["blog", "daily", "news"]
+    else:
+        assert rejects == []
+        assert sources == ["blog", "daily", "news", "s" * length, "wire"]
+
+
 def test_graph_without_labels_warns_but_writes(tmp_path, caplog):
     fx = _gen(tmp_path)
     out = tmp_path / "out"
@@ -538,6 +601,81 @@ def test_graph_computes_betweenness_once_per_graph(tmp_path, monkeypatch):
     assert calls[network.COMBINED] == 1
 
 
+def test_graph_and_headlines_do_not_read_windows_csv(upstream, tmp_path):
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    (out / "windows.csv").unlink()
+    for command in ("graph", "headlines"):
+        assert _run(command, "--config", str(config), "--out", str(out)) == EXIT_OK
+    assert _tree(out) == {k: v for k, v in _tree(clean).items() if k != "windows.csv"}
+
+
+def _story(tag, copies):
+    """Articles sharing one body, one per (source, hours after BASE_TS)."""
+    body = " ".join(f"{tag}{i}" for i in range(40))
+    return [
+        {"id": f"{tag}-{source}", "source": source, "body": body,
+         "published_utc": BASE_TS + 3600 * hours}
+        for source, hours in copies
+    ]
+
+
+def test_windows_without_pairs_get_no_graph(tmp_path, monkeypatch):
+    """Pairs in windows 0 and 3 of 4: two window graphs and the combined one
+    are scored, and metrics.csv holds the mean and variance of each source's
+    series over all 4 windows, with zeros where it has no graph."""
+    day = 24
+    rows = [
+        # window 0: s3 -> s2 -> s1
+        *_story("a", [("s1", 0), ("s2", 1)]),
+        *_story("b", [("s2", 2), ("s3", 3)]),
+        # window 1: an article without a copy; window 2: nothing
+        *_story("lone", [("s1", 15 * day)]),
+        # window 3: s3 -> s1 -> s4
+        *_story("c", [("s1", 43 * day), ("s3", 43 * day + 1)]),
+        *_story("d", [("s4", 44 * day), ("s1", 44 * day + 1)]),
+    ]
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(articles, rows)
+    out = tmp_path / "out"
+    assert _run("detect", "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    assert "windows=4\n" in (out / "detect_summary.txt").read_text(encoding="utf-8")
+    calls = []
+    original = network.betweenness
+
+    def counting(graph):
+        calls.append(graph.window_index)
+        return original(graph)
+
+    monkeypatch.setattr(network, "betweenness", counting)
+    assert _run("graph", "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    assert sorted(calls, key=str) == [0, 3, network.COMBINED]
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    per_window = {}
+    for index in (0, 3):
+        root = ET.parse(out / "graphs" / f"window_{index:03d}.graphml").getroot()
+        names = {key.get("id"): key.get("attr.name") for key in root.findall("g:key", ns)}
+        per_window[index] = {
+            node.get("id"): {names[d.get("key")]: d.text for d in node.findall("g:data", ns)}
+            for node in root.findall("g:graph/g:node", ns)
+        }
+    assert per_window[0]["s2"]["betweenness"] == per_window[3]["s1"]["betweenness"] == "1.0"
+    with (out / "metrics.csv").open(encoding="utf-8", newline="") as fh:
+        metrics = {row["source"]: row for row in csv.DictReader(fh)}
+    assert sorted(metrics) == ["s1", "s2", "s3", "s4"]
+    for source, row in metrics.items():
+        for prefix, name in (("in_centrality", "in_degree_centrality"),
+                             ("betweenness", "betweenness")):
+            series = [
+                float(per_window[i][source][name])
+                if i in per_window and source in per_window[i] else 0.0
+                for i in range(4)
+            ]
+            assert row[f"{prefix}_mean"] == repr(statistics.fmean(series))
+            assert row[f"{prefix}_var"] == repr(statistics.pvariance(series))
+
+
 def test_graph_rejects_mismatched_windowing(tmp_path):
     fx = _gen(tmp_path)
     cfg = str(fx / "fixture.cfg")
@@ -611,6 +749,7 @@ _BAD_MATCHED = {
     "missing-key": lambda record: json.dumps({k: v for k, v in record.items() if k != "title"}),
     "string-count": lambda record: json.dumps({**record, "fb_shares": "7"}),
     "far-future": lambda record: json.dumps({**record, "published_utc": 10**13}),
+    "huge-count": lambda record: json.dumps({**record, "fb_shares": MAX_COUNT + 1}),
 }
 
 
@@ -697,6 +836,19 @@ def _drop_run_record(tmp_path, fx, out):
     return []
 
 
+def _edit_summary(out, prefix, replacement):
+    """Replace the detect_summary.txt line that starts with `prefix`, or
+    drop it when `replacement` is None."""
+    summary = out / "detect_summary.txt"
+    lines = [
+        replacement if line.startswith(prefix) else line
+        for line in summary.read_text(encoding="utf-8").splitlines()
+    ]
+    summary.write_text("".join(f"{line}\n" for line in lines if line is not None),
+                       encoding="utf-8")
+    return []
+
+
 @pytest.mark.parametrize("stage", ["graph", "headlines"])
 @pytest.mark.parametrize(
     "change, message",
@@ -707,8 +859,13 @@ def _drop_run_record(tmp_path, fx, out):
         (lambda tmp_path, fx, out: (out / "matched_articles.jsonl").unlink() or [],
          "matched_articles.jsonl not found"),
         (_drop_run_record, "detect_summary.txt records no format"),
+        (lambda tmp_path, fx, out: _edit_summary(out, "windows=", None),
+         "detect_summary.txt records no windows"),
+        (lambda tmp_path, fx, out: _edit_summary(out, "windows=", "windows=four"),
+         "detect_summary.txt records no windows"),
     ],
-    ids=["edited-title", "threshold", "missing-hand-off", "no-run-record"],
+    ids=["edited-title", "threshold", "missing-hand-off", "no-run-record", "no-windows",
+         "bad-windows"],
 )
 def test_downstream_refuses_another_runs_outputs(
     upstream, tmp_path, caplog, stage, change, message
@@ -838,7 +995,7 @@ def _from_whole_corpus(cfg, out):
     collection = ingest_articles(cfg.articles, cfg.format)
     windows = partition_windows(collection, cfg.window_days)
     pairs = read_pairs_csv(out / "pairs.csv", {a.id: a for a in collection})
-    return pairs, [w.index for w in windows], file_sha256(out / "detect_summary.txt")
+    return pairs, len(windows), file_sha256(out / "detect_summary.txt")
 
 
 def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
 import itertools
 import random
+import statistics
 from dataclasses import replace
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsreuse.errors import DataError
 from newsreuse.network import (
@@ -326,7 +329,7 @@ def test_compute_node_metrics_across_windows():
     combined = merge_graphs([g0, g1])
     for graph in (combined, g0, g1):
         attach_metrics(graph)
-    compute_node_metrics(combined, [g0, g1])
+    compute_node_metrics(combined, [g0, g1], 2)
     b, c = combined.node_attrs("b"), combined.node_attrs("c")
     assert b["weighted_in"] == 3
     # b's in-degree centrality is 1.0 in both windows, c's is 0.0 in both.
@@ -334,6 +337,43 @@ def test_compute_node_metrics_across_windows():
     assert (c["in_centrality_mean"], c["in_centrality_var"]) == (0.0, 0.0)
     assert b["betweenness_mean"] == 0.0
     assert combined.node_attrs("a")["weighted_out"] == 2
+
+
+_edges = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"), st.integers(1, 3)).filter(
+        lambda e: e[0] != e[1]
+    ),
+    max_size=8,
+)
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.integers(0, n - 1), _edges, min_size=1)
+    )
+))
+@settings(max_examples=200, deadline=None)
+def test_compute_node_metrics_equals_series_in_window_order(case):
+    """Graphs for some of `window_count` windows give the mean and variance
+    of each node's series in window order, with zeros for the other windows."""
+    window_count, edges_by_window = case
+    graphs = [_graph(edges_by_window[i], window=i) for i in sorted(edges_by_window)]
+    combined = merge_graphs(graphs)
+    for graph in (combined, *graphs):
+        attach_metrics(graph)
+    compute_node_metrics(combined, graphs, window_count)
+    by_index = {g.window_index: g for g in graphs}
+    for node in combined.nodes():
+        attrs = combined.node_attrs(node)
+        for prefix, name in (("in_centrality", "in_degree_centrality"),
+                             ("betweenness", "betweenness")):
+            series = [
+                by_index[i].node_attrs(node)[name]
+                if i in by_index and by_index[i].has_node(node) else 0.0
+                for i in range(window_count)
+            ]
+            assert attrs[f"{prefix}_mean"] == statistics.fmean(series)
+            assert attrs[f"{prefix}_var"] == statistics.pvariance(series)
 
 
 def test_flag_single_day_origins():
