@@ -289,7 +289,8 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
     Ids are assigned deterministically (hash of source, url, and timestamp)
     when absent. A repeated id within one source rejects the second
     occurrence; the same id appearing under different sources is kept as two
-    distinct articles, the later one disambiguated with an `@source` suffix.
+    distinct articles, the later one disambiguated with an `@source` suffix,
+    or rejected when an earlier article already holds that suffixed id.
     Aborts when more than half the rows fail validation.
     """
     if format not in ("jsonl", "csv"):
@@ -316,6 +317,9 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
                 continue
             if article.id in seen_ids:
                 article = replace(article, id=f"{article.id}@{article.source}")
+                if article.id in seen_ids:
+                    rejects.append(Reject(row, f"id {article.id!r} already taken"))
+                    continue
             # pairs.csv holds each id, and graph and headlines read it back.
             if len(article.id) > csv.field_size_limit():
                 rejects.append(Reject(row, "id longer than the CSV field limit"))

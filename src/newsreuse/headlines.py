@@ -53,6 +53,10 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 _QUOTE_CHARS = frozenset("\"'‘’“”«»‹›„‚`")
+# The ASCII characters whose Unicode category is punctuation (P*).
+_ASCII_PUNCT = frozenset(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -185,7 +189,10 @@ def extract_features(
     n = len(tokens)
     if n == 0:
         return TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    punctuation = sum(1 for ch in title if unicodedata.category(ch).startswith("P"))
+    if title.isascii():
+        punctuation = sum(map(_ASCII_PUNCT.__contains__, title))
+    else:
+        punctuation = sum(1 for ch in title if unicodedata.category(ch).startswith("P"))
     quotes = sum(1 for ch in title if ch in _QUOTE_CHARS)
     bias = lexicons["bias"]
     positive = lexicons["positive"]

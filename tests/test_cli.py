@@ -407,6 +407,34 @@ def test_control_character_in_source_is_rejected_row(tmp_path):
     ]
 
 
+def test_renamed_id_already_taken_is_rejected_row(tmp_path):
+    """A second source's `x` is renamed `x@b`; when an earlier row already
+    holds `x@b`, the renamed row is a reject, so ids stay unique and graph
+    and headlines accept what detect wrote."""
+    first, second = "alpha beta gamma delta " * 10, "kappa lambda mu nu " * 10
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(
+        articles,
+        [
+            {"id": article_id, "source": source, "body": body, "title": f"Title {i}",
+             "published_utc": BASE_TS + 60 * i}
+            for i, (article_id, source, body) in enumerate(
+                [("x", "a", first), ("x@b", "c", second), ("x", "b", first),
+                 ("y", "d", second)]
+            )
+        ],
+    )
+    out = tmp_path / "out"
+    for command in ("detect", "graph", "headlines"):
+        assert _run(command, "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    with (out / "rejects.csv").open(encoding="utf-8") as fh:
+        rejects = list(csv.DictReader(fh))
+    assert [(r["row"], r["reason"]) for r in rejects] == [("3", "id 'x@b' already taken")]
+    with (out / "pairs.csv").open(encoding="utf-8") as fh:
+        pairs = [(r["earlier_id"], r["later_id"]) for r in csv.DictReader(fh)]
+    assert pairs == [("x@b", "y")]
+
+
 def test_count_past_a_doubles_exact_range_is_rejected_row(tmp_path):
     """A count a double cannot hold exactly is a reject; the largest one it
     can hold reaches engagement.csv unrounded."""

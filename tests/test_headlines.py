@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 from hypothesis import assume, given, settings
@@ -165,6 +166,15 @@ def test_extract_features_fractions_and_counts():
 def test_extract_features_empty_title():
     feats = extract_features("", LEXICONS, STOPWORDS)
     assert feats == TitleFeatures(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+
+
+def test_ascii_punctuation_count_equals_category_count():
+    # Each ASCII character once in an ASCII title and once in a non-ASCII one.
+    for ch in map(chr, range(128)):
+        for title in (f"x{ch}", f"x{ch}\u00e9"):
+            expected = sum(unicodedata.category(c).startswith("P") for c in title)
+            features = extract_features(title, LEXICONS, STOPWORDS)
+            assert features.punctuation_count == expected, repr(title)
 
 
 def test_extract_features_pure():

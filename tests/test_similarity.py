@@ -49,6 +49,26 @@ def test_tokenize_punctuation_and_repeats():
 
 
 @given(st.text(max_size=200))
+@example("snake_case __x__")
+@example("\u212a")  # KELVIN SIGN lowers to ASCII "k"
+@example("\u212aelvin_\u212a")
+@example("\u0130stanbul")  # lowers to "i" plus a combining dot
+@example("cafe\u0301 and caf\u00e9")
+@example("\u0661\u0662\u0663 \u096b5 \u00b2x")  # non-ASCII digits
+@example("a\x1cb\x1dc\x1ed\x1fe")  # str.split splits at these too
+@example("\u201cquoted\u201d it\u2019s")
+@settings(max_examples=500, deadline=None)
+def test_tokenize_equals_unicode_regex(text):
+    assert tokenize(text) == similarity._TOKEN_RE.findall(text.lower())
+
+
+def test_text_ascii_once_lowered_skips_the_regex(monkeypatch):
+    # U+212A KELVIN SIGN lowers to ASCII "k", so this takes the fast path.
+    monkeypatch.setattr(similarity, "_TOKEN_RE", None)
+    assert tokenize("\u212aelvin_Scale, 12") == ["kelvin", "scale", "12"]
+
+
+@given(st.text(max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_term_counts_sum_to_token_count(text):
     doc = TokenizedDoc.from_text(text)
