@@ -279,8 +279,9 @@ def cmd_detect(cfg: RunConfig) -> int:
         match_window, threshold=cfg.similarity_threshold, min_body_tokens=cfg.min_body_tokens
     )
     # A pool forks all of its workers at once, so more than one per window or
-    # per CPU only costs memory.
-    workers = min(cfg.jobs, len(windows), os.cpu_count() or 1)
+    # per CPU this process may run on only costs memory.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.jobs, len(windows), cpus or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(match, windows))

@@ -77,27 +77,26 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     """Cosine distance between original and copy titles for every pair.
 
     The TFIDF model is fitted once over the set of distinct non-empty titles
-    appearing in the pairs; per-window statistics are too sparse for short
-    texts. Identical titles are at distance 0 without a model, which also
-    covers corpora with one distinct title.
+    appearing in the pairs, and each pair's titles index its rows; an empty
+    title is in no row, so it cannot change another pair's distance.
+    Per-window statistics are too sparse for short texts. Identical titles
+    are at distance 0 without a model, which also covers corpora with one
+    distinct title.
     """
     titles = sorted(
         {p.earlier.title for p in pairs} | {p.later.title for p in pairs}
     )
-    row = {t: i for i, t in enumerate(titles)}
-    docs = [TokenizedDoc.from_text(t) for t in titles]
-    eligible = [
-        bool(docs[row[p.earlier.title]].tokens) and bool(docs[row[p.later.title]].tokens)
-        for p in pairs
-    ]
+    docs = {t: TokenizedDoc.from_text(t) for t in titles}
+    fitted = [t for t in titles if docs[t].tokens]
+    row = {t: i for i, t in enumerate(fitted)}
+    eligible = [p.earlier.title in row and p.later.title in row for p in pairs]
     scored = [
         k for k, p in enumerate(pairs) if eligible[k] and p.earlier.title != p.later.title
     ]
     distances = [0.0] * len(pairs)
     if scored:
-        model = fit_tfidf([d for d in docs if d.tokens], window_index=-1)
         sims = cosine(
-            vectorize(model, docs),
+            vectorize(fit_tfidf([docs[t] for t in fitted], window_index=-1)),
             [row[pairs[k].earlier.title] for k in scored],
             [row[pairs[k].later.title] for k in scored],
         )

@@ -1,9 +1,10 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. A window's TFIDF matrix is built in one
-array pass over all of its tokens: one L2-normalized row per document, in a
-single scipy.sparse CSR matrix. The join is exact. Either every pair is
+similarity exceeds a threshold. Fitting a window looks each of its tokens
+up once, to build its term-count matrix; `vectorize` weights that matrix by
+idf and L2-normalizes each row, one row per document in a single
+scipy.sparse CSR matrix. The join is exact. Either every pair is
 scored, as the lower triangle of that matrix times its transpose, or, when
 a few terms are in almost every document, pairs are first filtered with an
 l2-norm bound on those terms and the survivors re-scored; `_threshold_join`
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -74,58 +75,56 @@ class TokenizedDoc:
 
 @dataclass(frozen=True, eq=False)
 class TfidfModel:
-    """Vocabulary and idf weights for one fitted document set.
+    """Vocabulary, idf weights and term counts of one fitted document set.
 
     `vocabulary` maps each term to its rank in sorted order; `idf[i]` is the
-    smoothed idf of the term with id i.
+    smoothed idf of the term with id i; `counts` is the canonical CSR matrix
+    of term counts, one row per fitted document, in their order.
     """
 
     vocabulary: dict[str, int]
     idf: np.ndarray
+    counts: sparse.csr_matrix
 
 
 def fit_tfidf(docs: Sequence[TokenizedDoc], window_index: int) -> TfidfModel:
-    """Fit vocabulary and idf = log((1 + n) / (1 + df)) + 1 over the documents.
+    """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1.
 
-    The idf values come from a table indexed by document frequency, built
-    with `math.log` (n + 1 calls, not one per term), so they are the same
-    bits as the per-term formula.
+    Each token is looked up once, to build the term-count matrix; the
+    document frequencies are its column counts. A document with no tokens is
+    an empty row and still counts in n. The idf values come from a table
+    indexed by document frequency, built with `math.log` (n + 1 calls, not
+    one per term), so they are the same bits as the per-term formula.
     """
     if len(docs) < 2:
         raise DataError(f"window {window_index}: fewer than 2 eligible documents")
     n = len(docs)
-    doc_freq = Counter(chain.from_iterable(map(set, (d.tokens for d in docs))))
-    terms = sorted(doc_freq)
-    idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
-    dfs = np.fromiter(map(doc_freq.__getitem__, terms), np.intp, len(terms))
-    return TfidfModel(
-        vocabulary=dict(zip(terms, range(len(terms)))),
-        idf=idf_by_df[dfs],
-    )
-
-
-def vectorize(model: TfidfModel, docs: Sequence[TokenizedDoc]) -> sparse.csr_matrix:
-    """The TFIDF matrix of `docs`: one L2-normalized tf * idf row per document.
-
-    The matrix is canonical (sorted indices, no duplicates). Out-of-vocabulary
-    tokens are dropped, so a document with no known term is an empty row.
-    Each row's norm sums its squared weights in ascending term order, as a
-    per-document loop would, so a row does not depend on the other documents.
-    """
-    n, dim = len(docs), len(model.vocabulary)
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, (d.tokens for d in docs)), np.int64, n), out=bounds[1:])
+    # Terms are numbered by first appearance, then renumbered in sorted order.
+    first = defaultdict(count().__next__)
     tokens = chain.from_iterable(d.tokens for d in docs)
-    ids = np.fromiter(map(model.vocabulary.get, tokens, repeat(-1)), np.int32, bounds[-1])
-    known = ids >= 0
-    kept = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(known, out=kept[1:])
-    indices = ids[known]
+    ids = np.fromiter(map(first.__getitem__, tokens), np.int32, bounds[-1])
+    terms = sorted(first)
+    vocabulary = dict(zip(terms, range(len(terms))))
+    rank = np.fromiter(map(vocabulary.__getitem__, first), np.int32, len(terms))
     # Duplicate (row, term) entries of 1.0 sum to the term counts.
-    matrix = sparse.csr_matrix(
-        (np.ones(len(indices)), indices, kept[bounds]), shape=(n, dim)
-    )
-    matrix.sum_duplicates()
+    counts = sparse.csr_matrix((np.ones(len(ids)), rank[ids], bounds), shape=(n, len(terms)))
+    counts.sum_duplicates()
+    idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
+    df = np.bincount(counts.indices, minlength=len(terms))
+    return TfidfModel(vocabulary=vocabulary, idf=idf_by_df[df], counts=counts)
+
+
+def vectorize(model: TfidfModel) -> sparse.csr_matrix:
+    """The TFIDF matrix of the fitted documents: one L2-normalized tf * idf
+    row per document, canonical (sorted indices, no duplicates).
+
+    A document with no tokens is an empty row. Each row's norm sums its
+    squared weights in ascending term order, as a per-document loop would,
+    so a row does not depend on the other documents.
+    """
+    matrix = model.counts.copy()
     matrix.data *= model.idf[matrix.indices]
     norms = np.sqrt(_row_sums(matrix, np.square(matrix.data)))
     matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
@@ -358,9 +357,10 @@ def match_window(
     if len(eligible) < 2:
         return WindowMatchResult(len(docs), len(eligible), ())
     eligible_docs = [docs[i] for i in eligible]
-    model = fit_tfidf(eligible_docs, window.index)
+    # No reference to the model is kept, so its term counts are freed before the join.
+    matrix = vectorize(fit_tfidf(eligible_docs, window.index))
     pairs = []
-    for qpos, ppos, sim in _threshold_join(vectorize(model, eligible_docs), threshold):
+    for qpos, ppos, sim in _threshold_join(matrix, threshold):
         a, b = articles[eligible[qpos]], articles[eligible[ppos]]
         if a.source == b.source:
             continue

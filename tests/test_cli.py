@@ -1156,6 +1156,20 @@ class _RecordingPool:
         return map(fn, items)
 
 
+def _detect_with_recording_pool(tmp_path, monkeypatch, jobs, expected):
+    # Two windows: no more than two workers, however many --jobs asks for.
+    fx = _gen(tmp_path)
+    cfg = str(fx / "fixture.cfg")
+    assert _run("detect", "--config", cfg, "--out", str(tmp_path / "ref")) == EXIT_OK
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    out = tmp_path / "out"
+    assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", str(jobs)) == EXIT_OK
+    assert _RecordingPool.created == expected
+    for name in ("pairs.csv", "windows.csv", "detect_summary.txt"):
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "jobs, cpus, expected",
     [(100000, 8, [2]), (100000, 1, []), (100000, None, []), (2, 8, [2]), (1, 8, [])],
@@ -1163,18 +1177,23 @@ class _RecordingPool:
 def test_detect_workers_capped_by_windows_and_cpus(
     tmp_path, monkeypatch, jobs, cpus, expected
 ):
-    # Two windows: no more than two workers, however many --jobs asks for.
-    fx = _gen(tmp_path)
-    cfg = str(fx / "fixture.cfg")
-    assert _run("detect", "--config", cfg, "--out", str(tmp_path / "ref")) == EXIT_OK
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "created", [])
+    # `cpus` is how many CPUs the process may run on, not how many the
+    # machine has (64 here); None is a platform that knows neither.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64 if cpus else None)
+    if cpus is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _detect_with_recording_pool(tmp_path, monkeypatch, jobs, expected)
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, [2]), (1, [])])
+def test_detect_workers_capped_by_cpu_count_without_affinity(
+    tmp_path, monkeypatch, cpus, expected
+):
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    out = tmp_path / "out"
-    assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", str(jobs)) == EXIT_OK
-    assert _RecordingPool.created == expected
-    for name in ("pairs.csv", "windows.csv", "detect_summary.txt"):
-        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    _detect_with_recording_pool(tmp_path, monkeypatch, 100000, expected)
 
 
 def test_unwritable_output_is_data_error(tmp_path):

@@ -3,7 +3,7 @@ import random
 import unicodedata
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -24,8 +24,10 @@ from newsreuse.headlines import (
     write_shifts_csv,
     write_title_pairs_csv,
 )
+from newsreuse.similarity import tokenize
 
 from helpers import make_pair
+from oracles import dense_tfidf_matrix
 
 LEXICONS = {
     "bias": frozenset({"corruption", "propaganda", "best"}),
@@ -83,6 +85,37 @@ def test_distance_symmetric_and_bounded():
     backward = _title_pairs([("shared gamma delta", "alpha beta shared")])
     assert forward[0].distance == backward[0].distance
     assert 0.0 <= forward[0].distance <= 1.0
+
+
+_TITLES = st.lists(
+    st.sampled_from(["senate", "budget", "vote", "storm", "city", "!!"]), max_size=5
+).map(" ".join)
+
+
+@given(st.lists(st.tuples(_TITLES, _TITLES), min_size=1, max_size=12))
+@example(
+    # Empty titles on either side, a title repeated across pairs, identical
+    # earlier and later titles.
+    [("", "senate vote"), ("senate vote", "budget vote"), ("!!", ""),
+     ("storm city", "storm city"), ("budget vote", "senate vote"), ("city", "!!")]
+)
+@settings(max_examples=200, deadline=None)
+def test_title_distance_fits_distinct_nonempty_titles_only(titles):
+    tps = _title_pairs(titles)
+    fitted = sorted({t for pair in titles for t in pair if tokenize(t)})
+    matrix, _ = dense_tfidf_matrix([tokenize(t) for t in fitted])
+    row = {t: i for i, t in enumerate(fitted)}
+    for (original, copy), tp in zip(titles, tps):
+        assert tp.eligible == (original in row and copy in row)
+        if not tp.eligible:
+            assert tp.distance == 0.0
+            continue
+        want = min(1.0, max(0.0, 1.0 - float(matrix[row[original]] @ matrix[row[copy]])))
+        assert abs(tp.distance - want) <= 1e-12
+    # An empty title is in no fitted row, so pairs of new empty titles
+    # change no other pair's distance.
+    more = _title_pairs(titles + [("?? --", ""), ("!!", "?? --")])
+    assert [tp.distance for tp in more[: len(tps)]] == [tp.distance for tp in tps]
 
 
 def test_changed_fraction_crafted_fixture():

@@ -74,7 +74,7 @@ def test_term_counts_sum_to_token_count(text):
     doc = TokenizedDoc.from_text(text)
     # Fitted on two copies of the document, every term has df == n, so
     # every idf is 1 and the row is the term counts divided by their norm.
-    row = vectorize(fit_tfidf([doc, doc], 0), [doc])
+    row = vectorize(fit_tfidf([doc, doc], 0))[0]
     norm = math.sqrt(sum(c * c for c in Counter(doc.tokens).values()))
     assert row.data.sum() * norm == pytest.approx(len(doc.tokens))
     assert all(t == t.lower() for t in doc.tokens)
@@ -91,7 +91,7 @@ def test_idf_smoothing_identity():
     assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
         math.log(11 / 2) + 1.0, abs=1e-12
     )
-    assert vectorize(model, docs)[:, model.vocabulary["common"]].nnz == 10
+    assert vectorize(model)[:, model.vocabulary["common"]].nnz == 10
 
 
 def test_fit_requires_two_docs():
@@ -102,7 +102,7 @@ def test_fit_requires_two_docs():
 def test_vectorize_unit_norm_and_identity():
     docs = _docs("a b c a", "b c d", "a b c a")
     model = fit_tfidf(docs, 0)
-    vecs = vectorize(model, docs)
+    vecs = vectorize(model)
     for v in vecs:
         norm = math.sqrt(sum(w * w for w in v.data))
         assert abs(norm - 1.0) < 1e-9
@@ -111,19 +111,23 @@ def test_vectorize_unit_norm_and_identity():
     assert vecs[0].data.tolist() == vecs[2].data.tolist()
 
 
-def test_vectorize_oov_doc_is_empty():
-    docs = _docs("a b", "a c")
+def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
+    docs = _docs("a b", "!!", "a c")
     model = fit_tfidf(docs, 0)
-    vecs = vectorize(model, [TokenizedDoc.from_text("zz yy"), docs[0]])
-    assert not vecs[0].nnz
-    assert cosine(vecs, [0], [1])[0] == 0.0
+    vecs = vectorize(model)
+    assert vecs.shape == (3, 3)
+    assert not vecs[1].nnz
+    # n = 3 with the empty document: "b" is in 1 of 3, "a" in 2 of 3.
+    assert model.idf[model.vocabulary["b"]] == math.log(4 / 2) + 1.0
+    assert model.idf[model.vocabulary["a"]] == math.log(4 / 3) + 1.0
+    assert cosine(vecs, [1, 1, 1, 0, 2], [0, 1, 2, 1, 1]).tolist() == [0.0] * 5
 
 
 def test_toy_corpus_matches_dense_oracle():
     bodies = ["a b", "a c", "b c"]
     docs = _docs(*bodies)
     model = fit_tfidf(docs, 0)
-    vecs = vectorize(model, docs)
+    vecs = vectorize(model)
     matrix, _ = dense_tfidf_matrix([list(d.tokens) for d in docs])
     got = cosine(vecs, [0], [1])[0]
     want = float(matrix[0] @ matrix[1])
@@ -133,7 +137,7 @@ def test_toy_corpus_matches_dense_oracle():
 def test_cosine_self_similarity_and_symmetry():
     docs = _docs("w x y z w", "x y q")
     model = fit_tfidf(docs, 0)
-    vecs = vectorize(model, docs)
+    vecs = vectorize(model)
     assert abs(cosine(vecs, [0], [0])[0] - 1.0) < 1e-9
     assert cosine(vecs, [0], [1])[0] == cosine(vecs, [1], [0])[0]
 
@@ -143,24 +147,22 @@ def test_cosine_self_similarity_and_symmetry():
 _WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"]
 
 
-@given(
-    fit_docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=24), min_size=2, max_size=6),
-    docs=st.lists(
-        st.lists(st.sampled_from(_WORDS + ["oov", "xx"]), max_size=24), min_size=1, max_size=7
-    ),
-)
+@given(docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=24), min_size=2, max_size=7))
 @example(
-    # Empty rows first, in the middle and last; repeats; out-of-vocabulary terms.
-    fit_docs=[["ka", "lo", "ka"], ["lo", "mi"], []],
-    docs=[[], ["ka", "oov", "ka", "ka"], [], ["oov", "xx"], ["mi", "lo", "lo"], []],
+    # Empty rows first, in the middle and last (--min-body-tokens 0); repeats.
+    docs=[[], ["ka", "lo", "ka", "ka"], [], ["lo", "mi"], ["mi", "lo", "lo"], []],
 )
 @settings(max_examples=300, deadline=None)
-def test_vectorize_and_cosine_equal_per_document_reference(fit_docs, docs):
-    model = fit_tfidf([TokenizedDoc(tuple(d)) for d in fit_docs], 0)
-    matrix = vectorize(model, [TokenizedDoc(tuple(d)) for d in docs])
-    vocab, idf, want = reference_vectors(fit_docs, docs)
+def test_vectorize_and_cosine_equal_per_document_reference(docs):
+    model = fit_tfidf([TokenizedDoc(tuple(d)) for d in docs], 0)
+    matrix = vectorize(model)
+    vocab, idf, want = reference_vectors(docs, docs)
     assert model.vocabulary == vocab
     assert model.idf.tolist() == idf
+    assert [
+        dict(zip(model.counts.indices[lo:hi].tolist(), model.counts.data[lo:hi].tolist()))
+        for lo, hi in zip(model.counts.indptr[:-1], model.counts.indptr[1:])
+    ] == [{vocab[t]: c for t, c in Counter(d).items()} for d in docs]
     assert matrix.shape == (len(docs), len(vocab))
     assert matrix.has_canonical_format
     got = [
@@ -344,7 +346,7 @@ def test_tiled_join_equals_exhaustive_oracle(
             window, threshold=threshold, min_body_tokens=min_body_tokens
         )
         if len(docs) >= 2:
-            matrix = vectorize(fit_tfidf(docs, 0), docs)
+            matrix = vectorize(fit_tfidf(docs, 0))
             joined = similarity._threshold_join(matrix, threshold)
             assert sorted(joined) == product_pairs(matrix, threshold)
     got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
@@ -460,7 +462,7 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
 
 def _skewed_matrix(docs):
     tokenized = [TokenizedDoc(tuple(d)) for d in docs]
-    return vectorize(fit_tfidf(tokenized, 0), tokenized)
+    return vectorize(fit_tfidf(tokenized, 0))
 
 
 @st.composite
