@@ -29,6 +29,7 @@ from typing import Sequence
 
 from . import network as network_mod
 from .corpus import (
+    CORPUS_FORMATS,
     file_sha256,
     format_timestamp,
     ingest_articles,
@@ -67,7 +68,6 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
 
 
-_CORPUS_FORMATS = ("jsonl", "csv")
 # The articles of pairs.csv, with the fields graph and headlines read.
 MATCHED_ARTICLES = "matched_articles.jsonl"
 # The graph_summary.txt and headline_summary.txt key that records the
@@ -118,7 +118,7 @@ class RunConfig:
             raise UsageError("min_body_tokens must be >= 0")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
-        if self.format not in _CORPUS_FORMATS:
+        if self.format not in CORPUS_FORMATS:
             raise UsageError(f"unknown corpus format {self.format!r}")
         if need_articles and not self.articles:
             raise UsageError("an articles path is required (--articles or config file)")
@@ -205,7 +205,7 @@ def _common_options() -> _Parser:
         else:
             options = {"type": kind if kind in (int, float) else None}
         if name == "format":
-            options["choices"] = _CORPUS_FORMATS
+            options["choices"] = CORPUS_FORMATS
         common.add_argument(flag, dest=name, help=_FLAG_HELP.get(name), **options)
     common.add_argument("--verbose", action="store_true", default=None)
     return common
@@ -229,14 +229,8 @@ def _build_parser() -> _Parser:
                    help="assemble one summary document from prior outputs")
     gen = sub.add_parser("gen-fixture", help="generate a synthetic planted-copy corpus")
     gen.add_argument("--out", dest="out_dir", default="fixture")
-    gen.add_argument("--seed", type=int, default=FixtureSpec.seed)
-    gen.add_argument("--sources", type=int, default=FixtureSpec.sources)
-    gen.add_argument("--articles-per-source", dest="articles_per_source", type=int,
-                     default=FixtureSpec.articles_per_source)
-    gen.add_argument("--copies", type=int, default=FixtureSpec.copies)
-    gen.add_argument("--windows", type=int, default=FixtureSpec.windows)
-    gen.add_argument("--window-days", dest="window_days", type=int,
-                     default=FixtureSpec.window_days)
+    for f in fields(FixtureSpec):
+        gen.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     gen.add_argument("--verbose", action="store_true", default=None)
     return parser
 
@@ -482,7 +476,7 @@ def cmd_headlines(cfg: RunConfig) -> int:
     headlines_mod.write_title_pairs_csv(title_pairs, out / "title_pairs.csv", threshold)
 
     eligible = [tp for tp in title_pairs if tp.eligible]
-    changed = sum(1 for tp in eligible if tp.distance > threshold)
+    changed = sum(1 for tp in eligible if tp.changed(threshold))
     # changed_fraction raises when no pair is eligible.
     fraction = headlines_mod.changed_fraction(title_pairs, threshold) if eligible else None
 
@@ -615,23 +609,23 @@ def _report_markdown(out: Path, min_window_docs: int) -> list[str]:
 
     lines += ["## 1. Configuration", ""]
     config_rows = [
-        ("window_days", detect.get("window_days", "")),
-        ("similarity_threshold", detect.get("similarity_threshold", "")),
-        ("min_body_tokens", detect.get("min_body_tokens", "")),
-        ("title_change_threshold", headline.get("title_change_threshold", "")),
-        ("louvain_seed", graph_summary.get("louvain_seed", "")),
-        ("louvain_resolution", graph_summary.get("louvain_resolution", "")),
-        ("dedupe_origin", graph_summary.get("dedupe_origin", "")),
-        ("include_ambiguous", graph_summary.get("include_ambiguous", "")),
+        ("window_days", detect["window_days"]),
+        ("similarity_threshold", detect["similarity_threshold"]),
+        ("min_body_tokens", detect["min_body_tokens"]),
+        ("title_change_threshold", headline["title_change_threshold"]),
+        ("louvain_seed", graph_summary["louvain_seed"]),
+        ("louvain_resolution", graph_summary["louvain_resolution"]),
+        ("dedupe_origin", graph_summary["dedupe_origin"]),
+        ("include_ambiguous", graph_summary["include_ambiguous"]),
     ]
     lines += _md_table(["setting", "value"], config_rows)
     lines.append("")
 
     lines += ["## 2. Detection", ""]
     lines.append(
-        f"{detect.get('matched_pairs')} matched pairs across "
-        f"{detect.get('windows')} windows; {detect.get('sources_with_match')} of "
-        f"{detect.get('sources')} sources participate in at least one match."
+        f"{detect['matched_pairs']} matched pairs across "
+        f"{detect['windows']} windows; {detect['sources_with_match']} of "
+        f"{detect['sources']} sources participate in at least one match."
     )
     lines.append("")
     visible = [w for w in windows if int(w["docs"]) >= min_window_docs]
@@ -652,11 +646,11 @@ def _report_markdown(out: Path, min_window_docs: int) -> list[str]:
 
     lines += ["## 3. Network", ""]
     lines.append(
-        f"Combined graph: {graph_summary.get('combined_nodes')} sources, "
-        f"{graph_summary.get('combined_edges')} edges, total copied articles "
-        f"{graph_summary.get('combined_weight')}; "
-        f"{graph_summary.get('communities')} communities at modularity "
-        f"{float(graph_summary.get('modularity', '0') or 0):.4f}."
+        f"Combined graph: {graph_summary['combined_nodes']} sources, "
+        f"{graph_summary['combined_edges']} edges, total copied articles "
+        f"{graph_summary['combined_weight']}; "
+        f"{graph_summary['communities']} communities at modularity "
+        f"{float(graph_summary['modularity']):.4f}."
     )
     lines.append("")
 
@@ -692,12 +686,12 @@ def _report_markdown(out: Path, min_window_docs: int) -> list[str]:
     lines.append("")
 
     lines += ["## 4. Headlines", ""]
-    if headline.get("changed_fraction"):
+    if headline["changed_fraction"]:
         pct = float(headline["changed_fraction"]) * 100.0
         lines.append(
-            f"{pct:.2f}% of {headline.get('eligible_pairs')} eligible copied "
+            f"{pct:.2f}% of {headline['eligible_pairs']} eligible copied "
             f"articles changed the title (cosine distance > "
-            f"{headline.get('title_change_threshold')})."
+            f"{headline['title_change_threshold']})."
         )
     else:
         lines.append("No eligible title pairs.")
@@ -746,14 +740,7 @@ def _report_markdown(out: Path, min_window_docs: int) -> list[str]:
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
-    spec = FixtureSpec(
-        sources=args.sources,
-        articles_per_source=args.articles_per_source,
-        copies=args.copies,
-        window_days=args.window_days,
-        windows=args.windows,
-        seed=args.seed,
-    )
+    spec = FixtureSpec(**{f.name: getattr(args, f.name) for f in fields(FixtureSpec)})
     try:
         paths = generate_fixture(args.out_dir, spec)
     except ValueError as exc:

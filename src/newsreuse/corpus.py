@@ -38,6 +38,7 @@ from .errors import DataError
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
+CORPUS_FORMATS = ("jsonl", "csv")
 
 _WS_RE = re.compile(r"\s+")
 _INT_RE = re.compile(r"[+-]?\d+")
@@ -111,8 +112,6 @@ class Article:
     title: str
     body: str
     published_utc: int
-    author: str | None = None
-    url: str | None = None
     fb_shares: int | None = None
     fb_reactions: int | None = None
 
@@ -207,10 +206,10 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
     title = record.get("title")
     title = "" if title is None else str(title)
 
+    # `url` only derives a missing id; `author` is accepted and ignored.
     article_id = _optional_text(record.get("id"))
-    url = _optional_text(record.get("url"))
     if article_id is None:
-        article_id = _derived_id(source, url, published)
+        article_id = _derived_id(source, _optional_text(record.get("url")), published)
 
     return Article(
         id=article_id,
@@ -218,8 +217,6 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
         title=title,
         body=body,
         published_utc=published,
-        author=_optional_text(record.get("author")),
-        url=url,
         fb_shares=_optional_count(record.get("fb_shares"), "fb_shares"),
         fb_reactions=_optional_count(record.get("fb_reactions"), "fb_reactions"),
     )
@@ -293,7 +290,7 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
     or rejected when an earlier article already holds that suffixed id.
     Aborts when more than half the rows fail validation.
     """
-    if format not in ("jsonl", "csv"):
+    if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
     path = Path(path)
     try:

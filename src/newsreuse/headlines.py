@@ -114,7 +114,7 @@ def changed_fraction(
     eligible = [tp for tp in title_pairs if tp.eligible]
     if not eligible:
         raise DataError("no eligible title pairs")
-    return sum(1 for tp in eligible if tp.distance > threshold) / len(eligible)
+    return sum(1 for tp in eligible if tp.changed(threshold)) / len(eligible)
 
 
 def rank_changers(

@@ -349,9 +349,11 @@ def match_window(
 
     Bodies shorter than `min_body_tokens` tokens do not participate. A window
     with fewer than two eligible documents has no pairs.
-    Pairs are sorted by (similarity desc, earlier id, later id).
+    Pairs are sorted by (similarity desc, earlier id, later id), a total
+    order since ids are unique. Neither a pair nor its score depends on the
+    order of the window's articles, so neither does the result.
     """
-    articles = sorted(window.articles, key=lambda a: a.id)
+    articles = window.articles
     docs = [TokenizedDoc.from_text(a.body) for a in articles]
     eligible = [i for i, d in enumerate(docs) if len(d.tokens) >= min_body_tokens]
     if len(eligible) < 2:
@@ -402,7 +404,10 @@ def write_pairs_csv(pairs: Iterable[MatchedPair], path: str | Path) -> None:
 def read_pairs_csv(
     path: str | Path, articles_by_id: Mapping[str, Article]
 ) -> list[MatchedPair]:
-    """Rebuild matched pairs from CSV, resolving article refs by id."""
+    """Rebuild matched pairs from CSV, resolving article refs by id.
+
+    Each row is paired again by `pair_articles`; a row whose order or
+    direction differs from that pairing is a DataError."""
     pairs = []
     reader = read_csv(path)
     if reader.fieldnames != PAIRS_HEADER:
@@ -420,17 +425,17 @@ def read_pairs_csv(
             raise DataError(
                 f"{path} row {row}: sources disagree with the articles it names; re-run detect"
             )
-        if earlier.source == later.source:
-            raise DataError(f"{path} row {row}: both articles are from {earlier.source!r}")
-        direction = record["direction"]
-        if direction not in (FORWARD, AMBIGUOUS):
-            raise DataError(f"{path} row {row}: bad direction {direction!r}")
         try:
             similarity = float(record["similarity"])
             if not math.isfinite(similarity):
                 raise ValueError(f"similarity {similarity!r} is not finite")
-            window_index = int(record["window_index"])
+            pair = pair_articles(earlier, later, similarity, int(record["window_index"]))
         except ValueError as exc:
             raise DataError(f"{path} row {row}: {exc}") from None
-        pairs.append(MatchedPair(earlier, later, similarity, window_index, direction))
+        if pair.earlier is not earlier or pair.direction != record["direction"]:
+            raise DataError(
+                f"{path} row {row}: order or direction disagrees with the articles' "
+                f"timestamps; re-run detect"
+            )
+        pairs.append(pair)
     return pairs

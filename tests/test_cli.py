@@ -8,7 +8,7 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -36,6 +36,7 @@ from newsreuse.corpus import (
     read_matched_articles,
     write_lines,
 )
+from newsreuse.fixture import FixtureSpec, generate_fixture
 from newsreuse.similarity import read_pairs_csv
 
 from helpers import BASE_TS, write_jsonl
@@ -71,6 +72,20 @@ def test_gen_fixture_deterministic(tmp_path):
     assert (a / "articles.jsonl").read_bytes() == (b / "articles.jsonl").read_bytes()
     c = _gen(tmp_path / "c", seed=100)
     assert (a / "articles.jsonl").read_bytes() != (c / "articles.jsonl").read_bytes()
+    # Every FixtureSpec field is a flag, under the names the benchmark passes.
+    spec = FixtureSpec(
+        sources=7, articles_per_source=11, copies=6, window_days=5, windows=3, seed=101
+    )
+    assert all(getattr(spec, f.name) != f.default for f in fields(FixtureSpec))
+    d = tmp_path / "d" / "fx"
+    assert _run(
+        "gen-fixture", "--out", str(d), "--sources", "7", "--articles-per-source", "11",
+        "--copies", "6", "--window-days", "5", "--windows", "3", "--seed", "101",
+    ) == EXIT_OK
+    written = _tree(d)
+    shutil.rmtree(d)
+    generate_fixture(d, spec)
+    assert _tree(d) == written
 
 
 def test_detect_recovers_ground_truth(tmp_path):
@@ -739,6 +754,40 @@ def _self_pair(path):
     _edit_csv_rows(path, edit)
 
 
+def _swapped_pair(path):
+    """Swap the first pair's earlier and later columns, source and id."""
+
+    def edit(rows):
+        rows[1][1:3], rows[1][3:5] = rows[1][3:5], rows[1][1:3]
+
+    _edit_csv_rows(path, edit)
+
+
+def _relabelled_pair(path):
+    """Relabel the first pair, a forward one, ambiguous."""
+
+    def edit(rows):
+        column = rows[0].index("direction")
+        assert rows[1][column] == "forward"
+        rows[1][column] = "ambiguous"
+
+    _edit_csv_rows(path, edit)
+
+
+def _dropped_summary_key(name, key):
+    """A damage that drops `key=` from the summary file `name`, then records
+    the new sha256 of detect_summary.txt in the graph and headlines
+    summaries, so that report takes the files for one run."""
+
+    def damage(out):
+        _edit_summary(out, f"{key}=", None, name)
+        record = f"{cli.DETECT_SUMMARY_SHA256}={file_sha256(out / 'detect_summary.txt')}"
+        for summary in ("graph_summary.txt", "headline_summary.txt"):
+            _edit_summary(out, f"{cli.DETECT_SUMMARY_SHA256}=", record, summary)
+
+    return damage
+
+
 def _short_row(path):
     """Cut the first data row to two fields."""
 
@@ -821,6 +870,15 @@ def upstream(tmp_path_factory):
          "pairs.csv line 2: malformed CSV"),
         ("graph", _oversized_labels, "labels.csv line 2: malformed CSV"),
         *[
+            (stage, lambda out, edit=edit: edit(out / "pairs.csv"), "pairs.csv row 2")
+            for edit in (_swapped_pair, _relabelled_pair)
+            for stage in ("graph", "headlines")
+        ],
+        ("report", _dropped_summary_key("graph_summary.txt", "communities"),
+         "malformed upstream output"),
+        ("report", _dropped_summary_key("detect_summary.txt", "matched_pairs"),
+         "malformed upstream output"),
+        *[
             (stage, _matched_line_2(edit), "matched_articles.jsonl line 2")
             for stage in ("graph", "headlines")
             for edit in _BAD_MATCHED.values()
@@ -830,6 +888,9 @@ def upstream(tmp_path_factory):
          "stray-window", "self-pair", "sources-disagree",
          "metrics-weighted-in", "windows-header", "windows-short-row", "oversized-field",
          "graph-oversized-pairs", "headlines-oversized-pairs", "graph-oversized-labels",
+         "graph-swapped-pair", "headlines-swapped-pair",
+         "graph-relabelled-pair", "headlines-relabelled-pair",
+         "report-no-communities", "report-no-matched-pairs",
          *[f"{stage}-matched-{name}" for stage in ("graph", "headlines") for name in _BAD_MATCHED]],
 )
 def test_malformed_upstream_file_is_data_error(
@@ -864,10 +925,10 @@ def _drop_run_record(tmp_path, fx, out):
     return []
 
 
-def _edit_summary(out, prefix, replacement):
-    """Replace the detect_summary.txt line that starts with `prefix`, or
+def _edit_summary(out, prefix, replacement, name="detect_summary.txt"):
+    """Replace the line of summary file `name` that starts with `prefix`, or
     drop it when `replacement` is None."""
-    summary = out / "detect_summary.txt"
+    summary = out / name
     lines = [
         replacement if line.startswith(prefix) else line
         for line in summary.read_text(encoding="utf-8").splitlines()

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -386,6 +387,17 @@ def test_output_sorted_and_deterministic():
     assert first == second
     keys = [(-p.similarity, p.earlier.id, p.later.id) for p in first]
     assert keys == sorted(keys)
+    # Shuffling the window's articles changes no pair and no score bit, on
+    # either join path (the skewed window takes the norm-bound join).
+    for window, min_body_tokens in ((window, 5), (_skewed_window(random.Random(3)), 0)):
+        want = match_window(window, threshold=0.5, min_body_tokens=min_body_tokens).pairs
+        assert want
+        for _ in range(3):
+            articles = tuple(rng.sample(window.articles, len(window.articles)))
+            got = match_window(replace(window, articles=articles), threshold=0.5,
+                               min_body_tokens=min_body_tokens).pairs
+            assert got == want
+            assert [p.similarity.hex() for p in got] == [p.similarity.hex() for p in want]
 
 
 def test_matching_is_strictly_intra_window(tmp_path):
@@ -556,16 +568,18 @@ def _joins_taken(monkeypatch):
     return taken
 
 
-def test_gate_sends_skewed_window_to_norm_bound_join(monkeypatch):
-    docs, planted = _skewed_docs(
-        random.Random(3), 80, common=3, rare=120, only_frequent=2, copies=8
-    )
-    window = make_window(
+def _skewed_window(rng):
+    docs, _ = _skewed_docs(rng, 80, common=3, rare=120, only_frequent=2, copies=8)
+    return make_window(
         [
             make_article(f"d{i:03d}", f"s{i % 7}", body=" ".join(d), ts=BASE_TS + i)
             for i, d in enumerate(docs)
         ]
     )
+
+
+def test_gate_sends_skewed_window_to_norm_bound_join(monkeypatch):
+    window = _skewed_window(random.Random(3))
     taken = _joins_taken(monkeypatch)
     result = match_window(window, threshold=0.5, min_body_tokens=0)
     assert taken[0] == "_norm_bound_join"
