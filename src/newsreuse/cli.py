@@ -73,10 +73,6 @@ MATCHED_ARTICLES = "matched_articles.jsonl"
 # The graph_summary.txt and headline_summary.txt key that records the
 # detect_summary.txt the stage checked, so report can refuse a mix of runs.
 DETECT_SUMMARY_SHA256 = "detect_summary_sha256"
-# The keys that name an input file, which `validate` checks exists.
-_INPUT_KEYS = (
-    "articles", "labels", "bias_lexicon", "positive_lexicon", "negative_lexicon", "stopwords",
-)
 
 
 @dataclass
@@ -122,10 +118,10 @@ class RunConfig:
             raise UsageError(f"unknown corpus format {self.format!r}")
         if need_articles and not self.articles:
             raise UsageError("an articles path is required (--articles or config file)")
-        for name in _INPUT_KEYS:
-            value = getattr(self, name)
-            if value is not None and not Path(value).is_file():
-                raise UsageError(f"{name} file not found: {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is None and value is not None and not Path(value).is_file():
+                raise UsageError(f"{f.name} file not found: {value}")
 
 
 _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
@@ -267,7 +263,12 @@ def cmd_detect(cfg: RunConfig) -> int:
     record = _detect_record(cfg)
     collection = ingest_articles(cfg.articles, cfg.format)
     windows = partition_windows(collection, cfg.window_days)
-    log.info("ingested %d articles into %d windows", len(collection), len(windows))
+    # Only occupied windows are listed; the span's count includes empty ones.
+    window_count = windows[-1].index + 1
+    log.info(
+        "ingested %d articles into %d windows, %d occupied",
+        len(collection), window_count, len(windows),
+    )
 
     match = partial(
         match_window, threshold=cfg.similarity_threshold, min_body_tokens=cfg.min_body_tokens
@@ -307,6 +308,7 @@ def cmd_detect(cfg: RunConfig) -> int:
         out / "rejects.csv", ["row", "reason"], ((r.row, r.reason) for r in collection.rejects)
     )
 
+    sources = collection.sources()
     matched_sources = {p.earlier.source for p in pairs} | {p.later.source for p in pairs}
     forward = sum(1 for p in pairs if p.direction == FORWARD)
     _write_kv(
@@ -314,8 +316,8 @@ def cmd_detect(cfg: RunConfig) -> int:
         [
             ("articles", len(collection)),
             ("rejected_rows", len(collection.rejects)),
-            ("sources", len(collection.sources())),
-            ("windows", len(windows)),
+            ("sources", len(sources)),
+            ("windows", window_count),
             *record,
             ("matched_pairs", len(pairs)),
             ("forward_pairs", forward),
@@ -325,7 +327,7 @@ def cmd_detect(cfg: RunConfig) -> int:
     )
     log.info(
         "detect: %d matched pairs; %d of %d sources participate",
-        len(pairs), len(matched_sources), len(collection.sources()),
+        len(pairs), len(matched_sources), len(sources),
     )
     return EXIT_OK
 
@@ -542,9 +544,10 @@ def cmd_headlines(cfg: RunConfig) -> int:
 
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:
+    """A GitHub-flavoured Markdown table; a `|` inside a cell is written `\\|`."""
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
+        lines.append("| " + " | ".join(str(c).replace("|", "\\|") for c in row) + " |")
     return lines
 
 

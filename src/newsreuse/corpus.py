@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -341,42 +342,38 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
 def partition_windows(
     collection: ArticleCollection, window_days: int = 14
 ) -> list[TimeWindow]:
-    """Tile the corpus span into consecutive half-open windows.
+    """The windows of the corpus span that hold an article, in index order.
 
-    Windows are anchored at midnight UTC of the earliest article's day and
-    cover every article with no gap or overlap; an article falling exactly on
-    a boundary belongs to the later window. The last window must end by
-    9999-12-31, the last day `format_timestamp` can write.
+    Window i is the half-open interval [start0 + i * length, start0 + (i + 1)
+    * length), with start0 midnight UTC of the earliest article's day, so the
+    windows cover every article with no gap or overlap; an article falling
+    exactly on a boundary belongs to the later window. An empty window is not
+    returned, so the span holds `windows[-1].index + 1` windows. The span's
+    last window must end by 9999-12-31, the last day `format_timestamp` can
+    write.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
     if not collection.articles:
         raise DataError("cannot partition an empty collection")
-    times = [a.published_utc for a in collection.articles]
-    first, last = min(times), max(times)
+    articles = sorted(collection.articles, key=lambda a: (a.published_utc, a.id))
+    first, last = articles[0].published_utc, articles[-1].published_utc
     start0 = first - first % SECONDS_PER_DAY
     length = window_days * SECONDS_PER_DAY
-    count = (last - start0) // length + 1
-    if start0 + count * length > _MAX_TS:
+    if start0 + ((last - start0) // length + 1) * length > _MAX_TS:
         raise DataError(
             f"latest timestamp {format_timestamp(last)} ({last}) falls in a "
             f"window_days={window_days} window that ends after 9999-12-31"
         )
-    buckets: list[list[Article]] = [[] for _ in range(count)]
-    for article in collection.articles:
-        buckets[(article.published_utc - start0) // length].append(article)
-    windows = []
-    for index, bucket in enumerate(buckets):
-        bucket.sort(key=lambda a: (a.published_utc, a.id))
-        windows.append(
-            TimeWindow(
-                index=index,
-                start_utc=start0 + index * length,
-                end_utc=start0 + (index + 1) * length,
-                articles=tuple(bucket),
-            )
+    return [
+        TimeWindow(
+            index=index,
+            start_utc=start0 + index * length,
+            end_utc=start0 + (index + 1) * length,
+            articles=tuple(bucket),
         )
-    return windows
+        for index, bucket in groupby(articles, key=lambda a: (a.published_utc - start0) // length)
+    ]
 
 
 class Audience(Enum):

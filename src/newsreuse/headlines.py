@@ -13,7 +13,7 @@ import logging
 import re
 import statistics
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
@@ -26,22 +26,11 @@ from .similarity import MatchedPair, TokenizedDoc, cosine, fit_tfidf, tokenize, 
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CHANGE_THRESHOLD = 0.10
 # A feature shift needs more than SHIFT_MIN_SAMPLES titles in each group,
 # both groups normal at NORMALITY_ALPHA, and an ANOVA p below SHIFT_ALPHA.
 SHIFT_MIN_SAMPLES = 8
 NORMALITY_ALPHA = 0.05
 SHIFT_ALPHA = 0.05
-
-FEATURE_NAMES = (
-    "stopword_frac",
-    "punctuation_count",
-    "quote_count",
-    "readability",
-    "bias_frac",
-    "pos_opinion_frac",
-    "neg_opinion_frac",
-)
 
 # Minimal fallback so the feature extractor works without a stopword file.
 DEFAULT_STOPWORDS = frozenset(
@@ -69,7 +58,7 @@ class TitlePair:
     distance: float
     eligible: bool
 
-    def changed(self, threshold: float = DEFAULT_CHANGE_THRESHOLD) -> bool:
+    def changed(self, threshold: float) -> bool:
         return self.eligible and self.distance > threshold
 
 
@@ -108,9 +97,7 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     ]
 
 
-def changed_fraction(
-    title_pairs: Sequence[TitlePair], threshold: float = DEFAULT_CHANGE_THRESHOLD
-) -> float:
+def changed_fraction(title_pairs: Sequence[TitlePair], threshold: float) -> float:
     eligible = [tp for tp in title_pairs if tp.eligible]
     if not eligible:
         raise DataError("no eligible title pairs")
@@ -118,7 +105,7 @@ def changed_fraction(
 
 
 def rank_changers(
-    title_pairs: Sequence[TitlePair], threshold: float = DEFAULT_CHANGE_THRESHOLD
+    title_pairs: Sequence[TitlePair], threshold: float
 ) -> tuple[list[tuple[str, int]], list[tuple[str, float]]]:
     """Rank copying sources by (a) changed-title count, (b) mean distance
     over their changed titles. Ties break by source name."""
@@ -171,6 +158,10 @@ class TitleFeatures:
     pos_opinion_frac: float
     neg_opinion_frac: float
     token_count: int
+
+
+# The features compared per source; token_count only gates readability.
+FEATURE_NAMES = tuple(f.name for f in fields(TitleFeatures) if f.name != "token_count")
 
 
 def extract_features(
@@ -337,9 +328,7 @@ SHIFTS_HEADER = ["source", "feature", "direction", "F", "p", "n_own", "n_copied"
 
 
 def write_title_pairs_csv(
-    title_pairs: Sequence[TitlePair],
-    path: str | Path,
-    threshold: float = DEFAULT_CHANGE_THRESHOLD,
+    title_pairs: Sequence[TitlePair], path: str | Path, threshold: float
 ) -> None:
     write_csv(
         path,

@@ -34,16 +34,11 @@ class RepublishGraph:
         self.window_index = window_index
         self._nodes: dict[str, dict] = {}
         self._out: dict[str, dict[str, int]] = {}
-        self._in: dict[str, dict[str, int]] = {}
 
-    def add_node(self, source: str) -> dict:
-        attrs = self._nodes.get(source)
-        if attrs is None:
-            attrs = {}
-            self._nodes[source] = attrs
+    def add_node(self, source: str) -> None:
+        if source not in self._nodes:
+            self._nodes[source] = {}
             self._out[source] = {}
-            self._in[source] = {}
-        return attrs
 
     def add_edge(self, frm: str, to: str, weight: int = 1) -> None:
         if frm == to:
@@ -53,7 +48,6 @@ class RepublishGraph:
         self.add_node(frm)
         self.add_node(to)
         self._out[frm][to] = self._out[frm].get(to, 0) + weight
-        self._in[to][frm] = self._in[to].get(frm, 0) + weight
 
     def has_node(self, source: str) -> bool:
         return source in self._nodes
@@ -71,15 +65,6 @@ class RepublishGraph:
 
     def successors(self, source: str) -> list[str]:
         return sorted(self._out.get(source, {}))
-
-    def in_weight(self, source: str) -> int:
-        return sum(self._in.get(source, {}).values())
-
-    def out_weight(self, source: str) -> int:
-        return sum(self._out.get(source, {}).values())
-
-    def in_degree(self, source: str) -> int:
-        return len(self._in.get(source, {}))
 
     @property
     def num_nodes(self) -> int:
@@ -430,11 +415,16 @@ def attach_metrics(graph: RepublishGraph) -> None:
     on every node."""
     n = graph.num_nodes
     central = betweenness(graph)
+    weighted_in, in_degree = dict.fromkeys(graph._out, 0), dict.fromkeys(graph._out, 0)
+    for outs in graph._out.values():
+        for to, w in outs.items():
+            weighted_in[to] += w
+            in_degree[to] += 1
     for node in graph.nodes():
         attrs = graph.node_attrs(node)
-        attrs["weighted_in"] = graph.in_weight(node)
-        attrs["weighted_out"] = graph.out_weight(node)
-        attrs["in_degree_centrality"] = graph.in_degree(node) / (n - 1) if n > 1 else 0.0
+        attrs["weighted_in"] = weighted_in[node]
+        attrs["weighted_out"] = sum(graph._out[node].values())
+        attrs["in_degree_centrality"] = in_degree[node] / (n - 1) if n > 1 else 0.0
         attrs["betweenness"] = central[node]
 
 

@@ -325,11 +325,10 @@ class MatchedPair:
 def pair_articles(a: Article, b: Article, similarity: float, window_index: int) -> MatchedPair:
     if a.source == b.source:
         raise ValueError("matched pairs must span two sources")
-    if a.published_utc == b.published_utc:
-        first, second = sorted((a, b), key=lambda x: (x.source, x.id))
-        return MatchedPair(first, second, similarity, window_index, AMBIGUOUS)
-    first, second = sorted((a, b), key=lambda x: x.published_utc)
-    return MatchedPair(first, second, similarity, window_index, FORWARD)
+    if (b.published_utc, b.source, b.id) < (a.published_utc, a.source, a.id):
+        a, b = b, a
+    direction = AMBIGUOUS if a.published_utc == b.published_utc else FORWARD
+    return MatchedPair(a, b, similarity, window_index, direction)
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,7 @@ def test_criterion_7_headline_change_fraction():
                       earlier_title=orig, later_title=copy)
         )
     tps = title_distance(pairs)
-    fraction = changed_fraction(tps)
+    fraction = changed_fraction(tps, 0.10)
     assert fraction == 7 / 12
     thresholds = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     fractions = [changed_fraction(tps, t) for t in thresholds]

@@ -9,6 +9,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -118,9 +119,17 @@ def test_missing_articles_is_usage_error(tmp_path):
     assert _run("detect", "--out", str(tmp_path / "out")) == EXIT_USAGE
 
 
-def test_nonexistent_articles_is_usage_error(tmp_path):
-    code = _run("detect", "--articles", str(tmp_path / "nope.jsonl"))
-    assert code == EXIT_USAGE
+@pytest.mark.parametrize(
+    "key",
+    ["articles", "labels", "bias_lexicon", "positive_lexicon", "negative_lexicon", "stopwords"],
+)
+def test_nonexistent_articles_is_usage_error(tmp_path, capsys, key):
+    articles = tmp_path / "articles.jsonl"
+    articles.write_text("", encoding="utf-8")
+    paths = {"articles": str(articles), key: str(tmp_path / "nope.txt")}
+    argv = [f"--{name.replace('_', '-')}={path}" for name, path in paths.items()]
+    assert _run("detect", *argv, "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert f"{key} file not found" in capsys.readouterr().err
 
 
 def test_bad_threshold_is_usage_error(tmp_path):
@@ -1280,6 +1289,69 @@ def test_pipeline_with_no_matches(tmp_path):
         assert _run(command, "--articles", str(articles), "--out", str(out)) == EXIT_OK
     assert (out / "pairs.csv").read_text().strip().count("\n") == 0  # header only
     assert "No eligible title pairs." in (out / "report.md").read_text()
+
+
+def _report_table(report, header):
+    """The data rows of the report.md table whose header row is `header`."""
+    lines = report.splitlines()
+    return list(takewhile(bool, lines[lines.index(header) + 2 :]))
+
+
+def test_sparse_time_span_builds_only_occupied_windows(tmp_path, monkeypatch):
+    """Three articles 8,000 years apart span 209,491 fourteen-day windows;
+    only the two that hold articles are matched and listed."""
+    body = "alpha beta gamma delta " * 10
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(
+        articles,
+        [
+            {"id": "orig", "source": "wire", "title": "A story", "body": body,
+             "published_utc": 0},
+            {"id": "copy", "source": "blog", "title": "A story", "body": body,
+             "published_utc": 3600},
+            {"id": "late", "source": "wire", "title": "Much later",
+             "body": "epsilon zeta eta theta " * 10, "published_utc": 253399622400},
+        ],
+    )
+    calls = []
+    original = cli.match_window
+
+    def counting(window, **kwargs):
+        calls.append(window.index)
+        return original(window, **kwargs)
+
+    monkeypatch.setattr(cli, "match_window", counting)
+    out = tmp_path / "out"
+    for command in ("detect", "graph", "headlines", "report"):
+        assert _run(command, "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    assert calls == [0, 209490]
+    with (out / "windows.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["window_index"] for row in rows] == ["0", "209490"]
+    assert "windows=209491\n" in (out / "detect_summary.txt").read_text(encoding="utf-8")
+    report = (out / "report.md").read_text(encoding="utf-8")
+    table = _report_table(report, "| window | start | docs | eligible | matches |")
+    assert [row.split(" | ")[0] for row in table] == ["| 0", "| 209490"]
+
+
+def test_pipe_in_source_name_is_escaped_in_report(tmp_path):
+    body = "alpha beta gamma delta " * 10
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(
+        articles,
+        [
+            {"id": "orig", "source": "wire", "title": "T", "body": body,
+             "published_utc": BASE_TS},
+            {"id": "copy", "source": "left|pipe", "title": "T", "body": body,
+             "published_utc": BASE_TS + 3600},
+        ],
+    )
+    out = tmp_path / "out"
+    for command in ("detect", "graph", "headlines", "report"):
+        assert _run(command, "--articles", str(articles), "--out", str(out)) == EXIT_OK
+    report = (out / "report.md").read_text(encoding="utf-8")
+    table = _report_table(report, "| source | weighted out |")
+    assert table == ["| left\\|pipe | 1 |"]
 
 
 def test_report_min_window_docs_filter(tmp_path):

@@ -216,7 +216,8 @@ def test_partition_98_day_corpus_seven_windows(tmp_path):
         [BASE_TS + 600, BASE_TS + 50 * DAY, BASE_TS + 97 * DAY + 23 * 3600],
     )
     windows = partition_windows(collection, window_days=14)
-    assert len(windows) == 7
+    assert [w.index for w in windows] == [0, 3, 6]
+    assert windows[-1].index + 1 == 7
     assert windows[0].start_utc == BASE_TS
 
 

@@ -54,13 +54,13 @@ def test_identical_titles_distance_zero():
     [tp] = _title_pairs([("Senate passes budget bill", "Senate passes budget bill")])
     assert tp.eligible
     assert tp.distance == 0.0
-    assert not tp.changed()
+    assert not tp.changed(0.10)
 
 
 def test_disjoint_titles_distance_one():
     [tp] = _title_pairs([("alpha beta gamma", "delta epsilon zeta")])
     assert tp.distance == 1.0
-    assert tp.changed()
+    assert tp.changed(0.10)
 
 
 def test_known_rewritten_headline_detected_as_changed():
@@ -71,13 +71,13 @@ def test_known_rewritten_headline_detected_as_changed():
         )]
     )
     assert tp.distance > 0.10
-    assert tp.changed()
+    assert tp.changed(0.10)
 
 
 def test_empty_title_ineligible():
     [tp] = _title_pairs([("", "Some headline")])
     assert not tp.eligible
-    assert not tp.changed()
+    assert not tp.changed(0.10)
 
 
 def test_distance_symmetric_and_bounded():
@@ -122,18 +122,18 @@ def test_changed_fraction_crafted_fixture():
     same = ("steady headline text", "steady headline text")
     diff = ("alpha beta gamma", "delta epsilon zeta")
     tps = _title_pairs([diff] * 7 + [same] * 5)
-    assert changed_fraction(tps) == 7 / 12
+    assert changed_fraction(tps, 0.10) == 7 / 12
 
 
 def test_changed_fraction_all_identical():
     tps = _title_pairs([("same title", "same title")] * 3)
-    assert changed_fraction(tps) == 0.0
+    assert changed_fraction(tps, 0.10) == 0.0
 
 
 def test_changed_fraction_no_eligible_errors():
     tps = _title_pairs([("", "")])
     with pytest.raises(DataError):
-        changed_fraction(tps)
+        changed_fraction(tps, 0.10)
 
 
 def test_changed_fraction_monotone_in_threshold():
@@ -169,7 +169,7 @@ def test_rank_changers():
                            earlier_title="aaa bbb ccc ddd",
                            later_title="eee fff ggg hhh"))
     tps = title_distance(pairs)
-    most, magnitude = rank_changers(tps)
+    most, magnitude = rank_changers(tps, 0.10)
     assert most[0][0] == "busy"
     assert most[0][1] == 5
     assert dict(most)["quiet"] == 3
@@ -450,7 +450,7 @@ def test_title_features_extracts_each_distinct_title_once(monkeypatch):
 def test_csv_writers(tmp_path):
     tps = _shift_fixture()
     title_path = tmp_path / "title_pairs.csv"
-    write_title_pairs_csv(tps, title_path)
+    write_title_pairs_csv(tps, title_path, 0.10)
     header = title_path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "earlier_id,later_id,distance,changed"
     shifts = significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS))

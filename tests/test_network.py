@@ -178,10 +178,12 @@ def test_degree_metrics_match_adjacency_sums():
 
 def test_removing_edge_never_increases_in_degree():
     graph = _graph([("a", "b", 2), ("c", "b", 1), ("b", "a", 1)])
-    before = {v: graph.in_weight(v) for v in graph.nodes()}
+    attach_metrics(graph)
+    before = {v: graph.node_attrs(v)["weighted_in"] for v in graph.nodes()}
     smaller = _graph([("a", "b", 2), ("b", "a", 1)])
+    attach_metrics(smaller)
     for v in smaller.nodes():
-        assert smaller.in_weight(v) <= before[v]
+        assert smaller.node_attrs(v)["weighted_in"] <= before[v]
 
 
 def test_betweenness_path():
