@@ -22,7 +22,9 @@ from scipy.special import fdtrc
 from . import swilk
 from .corpus import write_csv
 from .errors import DataError
-from .similarity import MatchedPair, TokenizedDoc, cosine, fit_tfidf, tokenize, vectorize
+from .similarity import (
+    MatchedPair, TokenizedDoc, cosine, fit_tfidf, token_ids, tokenize, vectorize
+)
 
 log = logging.getLogger(__name__)
 
@@ -75,9 +77,8 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     titles = sorted(
         {p.earlier.title for p in pairs} | {p.later.title for p in pairs}
     )
-    docs = {t: TokenizedDoc.from_text(t) for t in titles}
-    fitted = [t for t in titles if docs[t].tokens]
-    row = {t: i for i, t in enumerate(fitted)}
+    docs = token_ids((TokenizedDoc.from_text(t).tokens for t in titles), 1)
+    row = {titles[k]: i for i, k in enumerate(docs.rows)}
     eligible = [p.earlier.title in row and p.later.title in row for p in pairs]
     scored = [
         k for k, p in enumerate(pairs) if eligible[k] and p.earlier.title != p.later.title
@@ -85,7 +86,7 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     distances = [0.0] * len(pairs)
     if scored:
         sims = cosine(
-            vectorize(fit_tfidf([docs[t] for t in fitted], window_index=-1)),
+            vectorize(fit_tfidf(docs, window_index=-1)),
             [row[pairs[k].earlier.title] for k in scored],
             [row[pairs[k].later.title] for k in scored],
         )

@@ -9,6 +9,7 @@ sources copied from it.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import statistics
 from collections import Counter, defaultdict, deque
@@ -355,19 +356,31 @@ def compute_node_metrics(
     each combined node's in-degree centrality and betweenness, as
     `in_centrality_*` and `betweenness_*`. `attach_metrics` must have run on
     every window graph; a window without the node or without a graph counts
-    as zero, padded after the graphs' values. The order does not change the
-    bits: `fmean` divides a correctly rounded `fsum`, and `pvariance` sums
-    exactly (3,000 random series each on CPython 3.10-3.13 agreed)."""
-    padding = [0.0] * (window_count - len(window_graphs))
+    as zero."""
     for node in combined.nodes():
         attrs = combined.node_attrs(node)
         for prefix, name in (("in_centrality", "in_degree_centrality"),
                              ("betweenness", "betweenness")):
-            series = [
-                g.node_attrs(node)[name] if g.has_node(node) else 0.0 for g in window_graphs
-            ] + padding
-            attrs[f"{prefix}_mean"] = statistics.fmean(series)
-            attrs[f"{prefix}_var"] = statistics.pvariance(series)
+            series = [g.node_attrs(node)[name] for g in window_graphs if g.has_node(node)]
+            attrs[f"{prefix}_mean"], attrs[f"{prefix}_var"] = _padded_moments(
+                series, window_count
+            )
+
+
+def _padded_moments(values: list[float], n: int) -> tuple[float, float]:
+    """`statistics.fmean` and `statistics.pvariance` of `values` padded with
+    zeros to n entries, with the same bits, in time linear in `values`.
+
+    fmean divides the correctly rounded sum by n. pvariance rounds the exact
+    (sum(x^2) - sum(x)^2 / n) / n once; here the sums are exact integers over
+    one power-of-two denominator, and int / int rounds correctly.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max((d for _, d in ratios), default=1)
+    ints = [p * (scale // d) for p, d in ratios]
+    sx = sum(ints)
+    sxx = sum(v * v for v in ints)
+    return math.fsum(values) / n, (n * sxx - sx * sx) / (n * n * scale * scale)
 
 
 # The node attributes that metrics.csv and engagement.csv hold, after `source`.

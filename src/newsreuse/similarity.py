@@ -1,28 +1,31 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. Fitting a window looks each of its tokens
-up once, to build its term-count matrix; `vectorize` weights that matrix by
-idf and L2-normalizes each row, one row per document in a single
-scipy.sparse CSR matrix. The join is exact. Either every pair is
-scored, as the lower triangle of that matrix times its transpose, or, when
-a few terms are in almost every document, pairs are first filtered with an
-l2-norm bound on those terms and the survivors re-scored; `_threshold_join`
-says when and why no pair is lost. Both walk their product through one tile
-loop, `_tiles`, and every norm and score is one row sum in ascending term
-order, `_row_sums`, so both give the bits of the full product. Output
-ordering and scores are deterministic.
+similarity exceeds a threshold. A window's bodies are tokenized one at a
+time, and each token of a body long enough to match is looked up once, into
+one array of term ids for the window; no body's tokens are kept after its
+lookup. Fitting builds the window's term-count matrix from that array;
+`vectorize` weights it by idf and L2-normalizes each row, one row per
+document in a single scipy.sparse CSR matrix. The join is exact. Either
+every pair is scored, as the lower triangle of that matrix times its
+transpose, or, when a few terms are in almost every document, pairs are
+first filtered with an l2-norm bound on those terms and the survivors
+re-scored; `_threshold_join` says when and why no pair is lost. Both walk
+their product through one tile loop, `_tiles`, and every norm and score is
+one row sum in ascending term order, `_row_sums`, so both give the bits of
+the full product. Output ordering and scores are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -87,27 +90,53 @@ class TfidfModel:
     counts: sparse.csr_matrix
 
 
-def fit_tfidf(docs: Sequence[TokenizedDoc], window_index: int) -> TfidfModel:
+class TokenIds(NamedTuple):
+    """The documents `token_ids` kept, as `fit_tfidf` takes them: `rows` are
+    their positions in the input, `lengths` their token counts, and `ids`
+    their tokens' term ids in order, numbered by first appearance in `first`."""
+
+    rows: list[int]
+    lengths: list[int]
+    ids: array
+    first: dict[str, int]
+
+
+def token_ids(docs: Iterable[Sequence[str]], min_tokens: int) -> TokenIds:
+    """Look up each token of the documents of at least `min_tokens` tokens.
+
+    One pass that keeps no document's tokens, so fed by a generator it holds
+    one document's tokens at a time. A shorter document never enters the
+    vocabulary.
+    """
+    kept = TokenIds([], [], array("i"), defaultdict(count().__next__))
+    lookup = kept.first.__getitem__
+    for row, tokens in enumerate(docs):
+        if len(tokens) >= min_tokens:
+            kept.rows.append(row)
+            kept.lengths.append(len(tokens))
+            kept.ids.extend(map(lookup, tokens))
+    return kept
+
+
+def fit_tfidf(docs: TokenIds, window_index: int) -> TfidfModel:
     """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1.
 
-    Each token is looked up once, to build the term-count matrix; the
-    document frequencies are its column counts. A document with no tokens is
-    an empty row and still counts in n. The idf values come from a table
+    The term-count matrix is built from the token ids; the document
+    frequencies are its column counts. A document with no tokens is an
+    empty row and still counts in n. The idf values come from a table
     indexed by document frequency, built with `math.log` (n + 1 calls, not
     one per term), so they are the same bits as the per-term formula.
     """
-    if len(docs) < 2:
+    n = len(docs.lengths)
+    if n < 2:
         raise DataError(f"window {window_index}: fewer than 2 eligible documents")
-    n = len(docs)
     bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, (d.tokens for d in docs)), np.int64, n), out=bounds[1:])
+    np.cumsum(docs.lengths, out=bounds[1:])
+    ids = np.frombuffer(docs.ids, dtype=np.intc)
     # Terms are numbered by first appearance, then renumbered in sorted order.
-    first = defaultdict(count().__next__)
-    tokens = chain.from_iterable(d.tokens for d in docs)
-    ids = np.fromiter(map(first.__getitem__, tokens), np.int32, bounds[-1])
-    terms = sorted(first)
+    terms = sorted(docs.first)
     vocabulary = dict(zip(terms, range(len(terms))))
-    rank = np.fromiter(map(vocabulary.__getitem__, first), np.int32, len(terms))
+    rank = np.fromiter(map(vocabulary.__getitem__, docs.first), np.int32, len(terms))
     # Duplicate (row, term) entries of 1.0 sum to the term counts.
     counts = sparse.csr_matrix((np.ones(len(ids)), rank[ids], bounds), shape=(n, len(terms)))
     counts.sum_duplicates()
@@ -353,13 +382,13 @@ def match_window(
     order of the window's articles, so neither does the result.
     """
     articles = window.articles
-    docs = [TokenizedDoc.from_text(a.body) for a in articles]
-    eligible = [i for i, d in enumerate(docs) if len(d.tokens) >= min_body_tokens]
+    docs = token_ids((TokenizedDoc.from_text(a.body).tokens for a in articles), min_body_tokens)
+    eligible = docs.rows
     if len(eligible) < 2:
-        return WindowMatchResult(len(docs), len(eligible), ())
-    eligible_docs = [docs[i] for i in eligible]
-    # No reference to the model is kept, so its term counts are freed before the join.
-    matrix = vectorize(fit_tfidf(eligible_docs, window.index))
+        return WindowMatchResult(len(articles), len(eligible), ())
+    # Neither the token ids nor the model is kept, so both are freed before the join.
+    matrix = vectorize(fit_tfidf(docs, window.index))
+    del docs
     pairs = []
     for qpos, ppos, sim in _threshold_join(matrix, threshold):
         a, b = articles[eligible[qpos]], articles[eligible[ppos]]
@@ -367,7 +396,7 @@ def match_window(
             continue
         pairs.append(pair_articles(a, b, sim, window.index))
     pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
-    return WindowMatchResult(len(docs), len(eligible), tuple(pairs))
+    return WindowMatchResult(len(articles), len(eligible), tuple(pairs))
 
 
 PAIRS_HEADER = [

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from newsreuse import network
 from newsreuse.errors import DataError
 from newsreuse.network import (
     COMBINED,
@@ -340,6 +341,22 @@ def test_compute_node_metrics_across_windows():
     assert b["betweenness_mean"] == 0.0
     assert combined.node_attrs("a")["weighted_out"] == 2
 
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=40),
+    st.integers(0, 400),
+)
+@example([0.1, 0.2, 0.7], 209488)  # the 3-article span of 209,491 windows
+@example([5e-324, 1e12, 1 / 3], 0)
+@settings(max_examples=500, deadline=None)
+def test_padded_moments_equal_statistics_on_padded_series(values, zeros):
+    assume(values or zeros)
+    padded = values + [0.0] * zeros
+    assert network._padded_moments(values, len(padded)) == (
+        statistics.fmean(padded),
+        statistics.pvariance(padded),
+    )
 
 _edges = st.lists(
     st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"), st.integers(1, 3)).filter(

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from newsreuse.similarity import (
     fit_tfidf,
     match_window,
     read_pairs_csv,
+    token_ids,
     tokenize,
     vectorize,
     write_pairs_csv,
@@ -75,19 +77,19 @@ def test_term_counts_sum_to_token_count(text):
     doc = TokenizedDoc.from_text(text)
     # Fitted on two copies of the document, every term has df == n, so
     # every idf is 1 and the row is the term counts divided by their norm.
-    row = vectorize(fit_tfidf([doc, doc], 0))[0]
+    row = vectorize(fit_tfidf(token_ids([doc.tokens, doc.tokens], 0), 0))[0]
     norm = math.sqrt(sum(c * c for c in Counter(doc.tokens).values()))
     assert row.data.sum() * norm == pytest.approx(len(doc.tokens))
     assert all(t == t.lower() for t in doc.tokens)
 
 
 def _docs(*bodies):
-    return [TokenizedDoc.from_text(b) for b in bodies]
+    return [TokenizedDoc.from_text(b).tokens for b in bodies]
 
 
 def test_idf_smoothing_identity():
     docs = _docs(*["common xyz%d" % i for i in range(10)])
-    model = fit_tfidf(docs, 0)
+    model = fit_tfidf(token_ids(docs, 0), 0)
     assert model.idf[model.vocabulary["common"]] == 1.0
     assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
         math.log(11 / 2) + 1.0, abs=1e-12
@@ -97,12 +99,12 @@ def test_idf_smoothing_identity():
 
 def test_fit_requires_two_docs():
     with pytest.raises(DataError):
-        fit_tfidf(_docs("only one"), 0)
+        fit_tfidf(token_ids(_docs("only one"), 0), 0)
 
 
 def test_vectorize_unit_norm_and_identity():
     docs = _docs("a b c a", "b c d", "a b c a")
-    model = fit_tfidf(docs, 0)
+    model = fit_tfidf(token_ids(docs, 0), 0)
     vecs = vectorize(model)
     for v in vecs:
         norm = math.sqrt(sum(w * w for w in v.data))
@@ -114,7 +116,7 @@ def test_vectorize_unit_norm_and_identity():
 
 def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
     docs = _docs("a b", "!!", "a c")
-    model = fit_tfidf(docs, 0)
+    model = fit_tfidf(token_ids(docs, 0), 0)
     vecs = vectorize(model)
     assert vecs.shape == (3, 3)
     assert not vecs[1].nnz
@@ -127,9 +129,9 @@ def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
 def test_toy_corpus_matches_dense_oracle():
     bodies = ["a b", "a c", "b c"]
     docs = _docs(*bodies)
-    model = fit_tfidf(docs, 0)
+    model = fit_tfidf(token_ids(docs, 0), 0)
     vecs = vectorize(model)
-    matrix, _ = dense_tfidf_matrix([list(d.tokens) for d in docs])
+    matrix, _ = dense_tfidf_matrix([list(d) for d in docs])
     got = cosine(vecs, [0], [1])[0]
     want = float(matrix[0] @ matrix[1])
     assert abs(got - want) <= 1e-12
@@ -137,7 +139,7 @@ def test_toy_corpus_matches_dense_oracle():
 
 def test_cosine_self_similarity_and_symmetry():
     docs = _docs("w x y z w", "x y q")
-    model = fit_tfidf(docs, 0)
+    model = fit_tfidf(token_ids(docs, 0), 0)
     vecs = vectorize(model)
     assert abs(cosine(vecs, [0], [0])[0] - 1.0) < 1e-9
     assert cosine(vecs, [0], [1])[0] == cosine(vecs, [1], [0])[0]
@@ -155,7 +157,7 @@ _WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"
 )
 @settings(max_examples=300, deadline=None)
 def test_vectorize_and_cosine_equal_per_document_reference(docs):
-    model = fit_tfidf([TokenizedDoc(tuple(d)) for d in docs], 0)
+    model = fit_tfidf(token_ids(docs, 0), 0)
     matrix = vectorize(model)
     vocab, idf, want = reference_vectors(docs, docs)
     assert model.vocabulary == vocab
@@ -181,8 +183,70 @@ def test_idf_equals_math_log_at_every_document_frequency():
     # np.log differs from math.log in the last ulp for some of these n.
     for n in range(2, 64):
         fit_docs = [[f"t{k}" for k in range(d, n)] for d in range(n)]
-        model = fit_tfidf([TokenizedDoc(tuple(d)) for d in fit_docs], 0)
+        model = fit_tfidf(token_ids(fit_docs, 0), 0)
         assert model.idf.tolist() == reference_vectors(fit_docs, [])[1]
+
+
+# Two of these words are not ASCII, so bodies take both tokenize paths.
+_BODY_WORDS = ["ka", "lo", "Mi", "ta", "zu", "caf\u00e9", "na\u00efve"]
+
+
+@given(
+    bodies=st.lists(
+        st.lists(st.sampled_from(_BODY_WORDS), max_size=6).map(", ".join),
+        min_size=2,
+        max_size=10,
+    ),
+    min_tokens=st.sampled_from([0, 1, 3]),
+)
+@example(
+    # Short bodies between long ones; "zu" is only in short ones.
+    bodies=[
+        "ka lo mi", "zu caf\u00e9", "lo mi ta", "na\u00efve", "caf\u00e9, na\u00efve, ka", "zu"
+    ],
+    min_tokens=3,
+)
+@example(bodies=["", "ka lo", "", "na\u00efve lo", ""], min_tokens=0)
+@settings(max_examples=300, deadline=None)
+def test_streamed_fit_equals_per_document_reference(bodies, min_tokens):
+    docs = token_ids((TokenizedDoc.from_text(b).tokens for b in bodies), min_tokens)
+    rows = [k for k, b in enumerate(bodies) if len(tokenize(b)) >= min_tokens]
+    assert docs.rows == rows
+    assume(len(rows) >= 2)
+    eligible = [tokenize(bodies[k]) for k in rows]
+    model = fit_tfidf(docs, 0)
+    matrix = vectorize(model)
+    vocab, idf, want = reference_vectors(eligible, eligible)
+    assert model.vocabulary == vocab
+    assert model.idf.tolist() == idf
+    assert matrix.shape == (len(eligible), len(vocab))
+    assert [
+        (matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())
+        for lo, hi in zip(matrix.indptr[:-1], matrix.indptr[1:])
+    ] == want
+
+
+def test_match_window_keeps_at_most_one_body_tokenized(monkeypatch):
+    rng = random.Random(5)
+    vocab = pseudo_vocab(rng, 40)
+    bodies = [random_body(rng, vocab) for _ in range(11)]
+    window = make_window(
+        make_article(f"d{i:02d}", "ab"[i % 2], body=body, ts=BASE_TS + i)
+        for i, body in enumerate(bodies + bodies[:1])
+    )
+    tokenized = TokenizedDoc.from_text
+    refs, alive = [], []
+
+    def from_text(text):
+        alive.append(sum(ref() is not None for ref in refs))
+        doc = tokenized(text)
+        refs.append(weakref.ref(doc))
+        return doc
+
+    monkeypatch.setattr(TokenizedDoc, "from_text", staticmethod(from_text))
+    assert len(match_window(window).pairs) == 1
+    assert len(alive) == 12
+    assert max(alive) <= 1
 
 
 def _window_articles(bodies_by_source, start=BASE_TS):
@@ -339,15 +403,15 @@ def test_tiled_join_equals_exhaustive_oracle(
     # Tiles of side 1, 2 and 3 split every window into several tiles; the
     # default budget puts each of these windows in a single tile.
     articles = sorted(window.articles, key=lambda a: a.id)
-    docs = [TokenizedDoc.from_text(a.body) for a in articles]
-    docs = [d for d in docs if len(d.tokens) >= min_body_tokens]
+    docs = [TokenizedDoc.from_text(a.body).tokens for a in articles]
+    docs = [d for d in docs if len(d) >= min_body_tokens]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
         result = match_window(
             window, threshold=threshold, min_body_tokens=min_body_tokens
         )
         if len(docs) >= 2:
-            matrix = vectorize(fit_tfidf(docs, 0))
+            matrix = vectorize(fit_tfidf(token_ids(docs, 0), 0))
             joined = similarity._threshold_join(matrix, threshold)
             assert sorted(joined) == product_pairs(matrix, threshold)
     got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
@@ -473,8 +537,7 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
 
 
 def _skewed_matrix(docs):
-    tokenized = [TokenizedDoc(tuple(d)) for d in docs]
-    return vectorize(fit_tfidf(tokenized, 0))
+    return vectorize(fit_tfidf(token_ids(docs, 0), 0))
 
 
 @st.composite
