@@ -17,8 +17,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
-from scipy.special import fdtrc
-
 from . import swilk
 from .corpus import write_csv
 from .errors import DataError
@@ -230,8 +228,11 @@ def anova_f(
     Degrees of freedom are (1, n_a + n_b - 2); p comes from the F
     distribution's survival function (`fdtrc`, which scipy.stats.f.sf
     calls). Raises when both groups are constant (zero within-group
-    variance).
+    variance). `scipy.special` is imported on the first call, so a run
+    without an ANOVA never loads it.
     """
+    from scipy.special import fdtrc
+
     na, nb = len(group_a), len(group_b)
     if na < 2 or nb < 2:
         raise ValueError("each group needs at least 2 samples")

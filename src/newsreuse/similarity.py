@@ -9,11 +9,14 @@ lookup. Fitting builds the window's term-count matrix from that array;
 document in a single scipy.sparse CSR matrix. The join is exact. Either
 every pair is scored, as the lower triangle of that matrix times its
 transpose, or, when a few terms are in almost every document, pairs are
-first filtered with an l2-norm bound on those terms and the survivors
-re-scored; `_threshold_join` says when and why no pair is lost. Both walk
-their product through one tile loop, `_tiles`, and every norm and score is
-one row sum in ascending term order, `_row_sums`, so both give the bits of
-the full product. Output ordering and scores are deterministic.
+first filtered with an l2-norm bound on the frequent terms and the
+survivors re-scored. How many documents make a term frequent is chosen per
+window by an estimate of the filter's cost; any choice gives the same
+pairs. `_threshold_join` says when the bound is used and `_norm_bound_join`
+why no pair is lost. Both walk their product through one tile loop,
+`_tiles`, and every score is one row sum in ascending term order,
+`_row_sums`, so both give the bits of the full product. Output ordering and
+scores are deterministic.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def token_ids(docs: Iterable[Sequence[str]], min_tokens: int) -> TokenIds:
 def fit_tfidf(docs: TokenIds, window_index: int) -> TfidfModel:
     """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1.
 
-    The term-count matrix is built from the token ids; the document
+    The term-count matrix is built from the token ids, which are ranked in
+    place, so `docs.ids` is not reusable afterwards; the document
     frequencies are its column counts. A document with no tokens is an
     empty row and still counts in n. The idf values come from a table
     indexed by document frequency, built with `math.log` (n + 1 calls, not
@@ -132,14 +136,19 @@ def fit_tfidf(docs: TokenIds, window_index: int) -> TfidfModel:
         raise DataError(f"window {window_index}: fewer than 2 eligible documents")
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(docs.lengths, out=bounds[1:])
-    ids = np.frombuffer(docs.ids, dtype=np.intc)
-    # Terms are numbered by first appearance, then renumbered in sorted order.
+    # Terms are numbered by first appearance, then renumbered in sorted order,
+    # in place: `docs.ids` become the column of each token.
     terms = sorted(docs.first)
     vocabulary = dict(zip(terms, range(len(terms))))
-    rank = np.fromiter(map(vocabulary.__getitem__, docs.first), np.int32, len(terms))
-    # Duplicate (row, term) entries of 1.0 sum to the term counts.
-    counts = sparse.csr_matrix((np.ones(len(ids)), rank[ids], bounds), shape=(n, len(terms)))
+    rank = np.fromiter(map(vocabulary.__getitem__, docs.first), np.intc, len(terms))
+    ids = np.frombuffer(docs.ids, dtype=np.intc)
+    np.take(rank, ids, out=ids, mode="clip")
+    # Duplicate (row, term) entries of 1 sum to the term counts, which are
+    # exact in float64.
+    ones = np.ones(len(ids), dtype=np.intc)
+    counts = sparse.csr_matrix((ones, ids, bounds), shape=(n, len(terms)))
     counts.sum_duplicates()
+    counts.data = counts.data.astype(np.float64)
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
     df = np.bincount(counts.indices, minlength=len(terms))
     return TfidfModel(vocabulary=vocabulary, idf=idf_by_df[df], counts=counts)
@@ -190,36 +199,79 @@ def _threshold_join(
     > threshold, in no particular order.
 
     A score sums the products of the two rows' shared terms in ascending
-    term order, so it does not depend on the tiling, on argument order or on
-    which of the two paths below found the pair: both give the bits of the
-    plain product.
+    term order, so it does not depend on the tiling, on argument order, on
+    the cut or on which of the two paths below found the pair: both give
+    the bits of the plain product.
 
-    The frequent columns are those that at least 1/16 of the rows hold. When
-    they carry at least half of sum(df^2), the multiply-adds of the plain
-    product X X^T, most of that product is spent on them, and the window
-    goes to `_norm_bound_join`, which skips them. Otherwise the window goes
-    to `_product_join`, which scores every pair.
+    When the columns that at least 1/16 of the rows hold carry at least half
+    of sum(df^2), the multiply-adds of the plain product X X^T, most of that
+    product is spent on a few terms, and the window goes to
+    `_norm_bound_join`, which skips the frequent columns of the cut that
+    `_frequent_cut` chooses. Otherwise the window goes to `_product_join`,
+    which scores every pair.
     """
-    frequent = _frequent_columns(matrix)
-    if frequent is None:
+    cut = _frequent_cut(matrix, threshold)
+    if cut is None:
         return _product_join(matrix, threshold)
-    return _norm_bound_join(matrix, threshold, frequent)
+    return _norm_bound_join(matrix, threshold, *cut)
 
 
-def _frequent_columns(matrix: sparse.csr_matrix) -> np.ndarray | None:
-    """Mask of the columns with df >= n / 16, or None when their share of
-    sum(df^2) is under half or every column is frequent (the gate of
-    `_threshold_join`).
+def _frequent_cut(
+    matrix: sparse.csr_matrix, threshold: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """At the cheapest cut, which stored entries of `matrix` are in frequent
+    columns and each row's l2 norm over them; None when the columns with
+    df >= n / 16 carry under half of sum(df^2) or every column is frequent
+    (the gate of `_threshold_join`).
 
     With every column frequent, as in any window of 16 or fewer documents,
     no rare part is left and every row would pass the bound on its own.
+
+    The cuts are df >= n / 16, n / 32, n / 64, ..., each while some column
+    stays rare. Each is costed as the multiply-adds of `_norm_bound_join`'s
+    two products: sum(df^2) over the rare columns, for the filter, plus
+    sum(df^2) within the heavy rows, those with f * max(f) > threshold for
+    f their frequent-part norm, which are joined among themselves. A lower
+    cut shrinks the first and, as more rows turn heavy, grows the second;
+    the cheapest cut wins, the highest on a tie. The frequent-part norms of
+    every cut come from one pass over the entries. Any cut gives the same
+    pairs, so the estimate only decides the speed.
     """
+    n = matrix.shape[0]
     df = np.bincount(matrix.indices, minlength=matrix.shape[1]).astype(np.int64)
-    frequent = df * _FREQUENT_DF_DIVISOR >= matrix.shape[0]
+    frequent = df * _FREQUENT_DF_DIVISOR >= n
     square = df * df
     if frequent.all() or 2 * int(square[frequent].sum()) < int(square.sum()):
         return None
-    return frequent
+    # level[c] counts the cuts at which column c is rare, so column c is
+    # frequent at cut k, df >= n / (16 * 2^k), when level[c] <= k.
+    level = np.zeros(len(df), dtype=np.intc)
+    divisor = _FREQUENT_DF_DIVISOR
+    while divisor < n:
+        level += df * divisor < n
+        divisor *= 2
+    cuts = int(level.max())
+    rare_cost = square.sum() - np.cumsum(np.bincount(level, weights=square))
+    # Each row's squared weights summed per column level, then over levels <= k.
+    entry_level = np.take(level, matrix.indices, mode="clip")
+    by_level = sparse.csr_matrix(
+        (np.square(matrix.data), entry_level, matrix.indptr), shape=(n, cuts + 1)
+    ).toarray()
+    norms = np.sqrt(np.cumsum(by_level, axis=1))
+    best, best_cost = 0, math.inf
+    for cut in range(cuts):
+        heavy = norms[:, cut] * norms[:, cut].max() > threshold
+        # A lower cut keeps every heavy row heavy, so their join only grows:
+        # stop once it alone costs the best. Each column holds at least
+        # df - (n - heavy rows) of them, a bound that needs no pass over them.
+        if np.square(np.maximum(df - (n - np.count_nonzero(heavy)), 0)).sum() >= best_cost:
+            break
+        heavy_cost = int(np.square(np.bincount(matrix[heavy].indices)).sum())
+        if heavy_cost >= best_cost:
+            break
+        if rare_cost[cut] + heavy_cost < best_cost:
+            best, best_cost = cut, rare_cost[cut] + heavy_cost
+    return entry_level <= best, norms[:, best]
 
 
 def _product_join(
@@ -234,12 +286,14 @@ def _product_join(
 
 
 def _norm_bound_join(
-    matrix: sparse.csr_matrix, threshold: float, frequent: np.ndarray
+    matrix: sparse.csr_matrix, threshold: float, in_frequent: np.ndarray, norms: np.ndarray
 ) -> list[tuple[int, int, float]]:
     """`_threshold_join` by filtering with an l2-norm bound, then re-scoring.
 
-    Split each row x into its frequent part x_F (the `frequent` columns) and
-    its rare part x_R, and let R be the matrix of rare parts. By
+    Split each row x into its frequent part x_F (its stored entries where
+    `in_frequent` holds, all in a set of frequent columns) and its rare part
+    x_R, and let R be the matrix of rare parts; `norms` holds each |x_F|, as
+    a computed sum of squares in any order, then sqrt. By
     Cauchy-Schwarz, x.y <= x_R.y_R + |x_F| |y_F|: this is the l2-norm bound
     of L2AP (Anastasiu and Karypis, ICDE 2014), used as the filter of a
     filter-then-verify join (Bayardo, Ma and Srikant, WWW 2007).
@@ -255,24 +309,22 @@ def _norm_bound_join(
       `_TILE_ENTRIES ** 0.5` pairs at a time, as many rows as a tile's two
       operands, however many candidates pass the filter.
 
-    Margin. Every weight is >= 0, so each computed sum is within a relative
-    gamma_m = m u / (1 - m u) of its exact value, with u = 2^-53 and m the
-    terms summed, at most k, the most terms in a row. A computed score s > t
-    has an exact dot product d > t (1 - gamma_k). The filter's value carries
-    at most gamma_k from R_ij, gamma_{k+1} from each f (sum of squares, then
-    sqrt), and one rounding each for f_i f_j and for the sum, so it is at
-    least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}, as t < 1. The margin
-    gamma_{3k+8} also covers the roundings of t - margin and of the per-tile
-    cut. So no pair with s > t fails the filter, and the result equals
-    `_product_join`'s. Rows need not have unit norm for this.
+    Margin. Every weight is >= 0, so each computed sum, in any order, is
+    within a relative gamma_m = m u / (1 - m u) of its exact value, with
+    u = 2^-53 and m the terms summed, at most k, the most terms in a row.
+    A computed score s > t has an exact dot product d > t (1 - gamma_k). The
+    filter's value carries at most gamma_k from R_ij, gamma_{k+1} from each
+    f (sum of squares, then sqrt), and one rounding each for f_i f_j and for
+    the sum, so it is at least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}, as
+    t < 1. The margin gamma_{3k+8} also covers the roundings of t - margin
+    and of the per-tile cut. So no pair with s > t fails the filter, and the
+    result equals `_product_join`'s. Rows need not have unit norm for this.
     """
     side = max(1, math.isqrt(_TILE_ENTRIES))
     terms = 3 * int(np.diff(matrix.indptr).max(initial=0)) + 8
     unit_roundoff = np.finfo(np.float64).eps / 2
     floor = threshold - terms * unit_roundoff / (1 - terms * unit_roundoff)
 
-    in_frequent = frequent[matrix.indices]
-    norms = np.sqrt(_row_sums(matrix, np.where(in_frequent, np.square(matrix.data), 0.0)))
     # Every weight is > 0, so only the frequent entries become zeros.
     rare = matrix.copy()
     rare.data[in_frequent] = 0.0

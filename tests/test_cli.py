@@ -1,6 +1,8 @@
 import csv
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
 import statistics
 import subprocess
@@ -30,6 +32,7 @@ from newsreuse.cli import (
 
 from newsreuse.corpus import (
     MAX_COUNT,
+    TimeWindow,
     file_sha256,
     ingest_articles,
     load_lexicon,
@@ -1209,12 +1212,14 @@ def test_side_file_encoding(
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    initializer and maps in-process."""
 
     created: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.created.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -1233,6 +1238,7 @@ def _detect_with_recording_pool(tmp_path, monkeypatch, jobs, expected):
     assert _run("detect", "--config", cfg, "--out", str(tmp_path / "ref")) == EXIT_OK
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "_worker_job", None)
     out = tmp_path / "out"
     assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", str(jobs)) == EXIT_OK
     assert _RecordingPool.created == expected
@@ -1264,6 +1270,30 @@ def test_detect_workers_capped_by_cpu_count_without_affinity(
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     _detect_with_recording_pool(tmp_path, monkeypatch, 100000, expected)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit their windows only under the fork start method",
+)
+def test_detect_workers_inherit_windows_without_pickling_them(tmp_path, monkeypatch):
+    fx = _gen(tmp_path)
+    cfg = str(fx / "fixture.cfg")
+    assert _run("detect", "--config", cfg, "--out", str(tmp_path / "jobs1")) == EXIT_OK
+
+    def refuse(self):
+        raise pickle.PicklingError("a window was pickled")
+
+    monkeypatch.setattr(TimeWindow, "__reduce__", refuse)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(TimeWindow(0, 0, 1, ()))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "jobs2"
+    assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", "2") == EXIT_OK
+    ref = tmp_path / "jobs1"
+    assert len((ref / "windows.csv").read_text(encoding="utf-8").splitlines()) == 3
+    for path in sorted(ref.iterdir()):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_unwritable_output_is_data_error(tmp_path):

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -338,6 +342,19 @@ def test_anova_identical_groups():
 def test_anova_degenerate_zero_variance():
     with pytest.raises(ValueError, match="zero within-group variance"):
         anova_f([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+
+
+def test_scipy_special_loads_with_the_first_anova_only():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, newsreuse.headlines as h; "
+         "print('scipy.special' in sys.modules); "
+         "h.anova_f([1.0, 2.0], [3.0, 5.0]); "
+         "print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_anova_two_group_example():

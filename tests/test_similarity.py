@@ -554,6 +554,50 @@ def _skewed_windows(draw):
     )
 
 
+def _near_planted_threshold(matrix, planted, fixed, pick, ulps):
+    """`fixed`, or when it is None a threshold within a few ulps of a
+    planted near-copy's score, far inside the margin."""
+    if fixed is not None:
+        return fixed
+    earlier, later = planted[pick % len(planted)]
+    threshold = cosine(matrix, [earlier], [later])[0]
+    for _ in range(abs(ulps)):
+        threshold = np.nextafter(threshold, 2.0 if ulps > 0 else 0.0)
+    assume(0.0 < threshold < 1.0)
+    return threshold
+
+
+def _candidate_cuts(matrix):
+    """Each cut the chooser weighs, df >= n / 16, n / 32, n / 64, ... while
+    some column stays rare: which stored entries are in its frequent
+    columns, and each row's norm over them, summed row by row."""
+    n = matrix.shape[0]
+    df = np.bincount(matrix.indices, minlength=matrix.shape[1])
+    cuts, divisor = [], 16
+    while not (frequent := df * divisor >= n).all():
+        norms = [
+            math.sqrt(sum(w * w for c, w in zip(row.indices, row.data) if frequent[c]))
+            for row in matrix
+        ]
+        cuts.append((frequent[matrix.indices], np.array(norms)))
+        divisor *= 2
+    return cuts
+
+
+def _chosen_cut(cuts, matrix, threshold):
+    """The position in `cuts` of the chooser's cut, whose norms must be
+    those of the row-by-row sums up to rounding."""
+    in_frequent, norms = similarity._frequent_cut(matrix, threshold)
+    (at,) = [k for k, (entries, _) in enumerate(cuts) if np.array_equal(entries, in_frequent)]
+    np.testing.assert_allclose(norms, cuts[at][1], rtol=1e-12, atol=0)
+    return at
+
+
+def _heavy_rows(norms, threshold):
+    """How many rows pass the bound on their frequent-part norm alone."""
+    return int(np.count_nonzero(norms * norms.max() > threshold))
+
+
 @given(
     window=_skewed_windows(),
     fixed=st.sampled_from([None, None, 0.3, 0.6, 0.9]),
@@ -567,24 +611,34 @@ def test_norm_bound_join_equals_product_join_on_skewed_windows(
 ):
     docs, planted = window
     matrix = _skewed_matrix(docs)
-    assert similarity._frequent_columns(matrix) is not None
-    if fixed is None:
-        # A threshold within a few ulps of a planted near-copy's score, far
-        # inside the margin.
-        earlier, later = planted[pick % len(planted)]
-        threshold = cosine(matrix, [earlier], [later])[0]
-        for _ in range(abs(ulps)):
-            threshold = np.nextafter(threshold, 2.0 if ulps > 0 else 0.0)
-        assume(0.0 < threshold < 1.0)
-    else:
-        threshold = fixed
+    threshold = _near_planted_threshold(matrix, planted, fixed, pick, ulps)
+    cuts = _candidate_cuts(matrix)
+    _chosen_cut(cuts, matrix, threshold)
+    want = product_pairs(matrix, threshold)
     # Tiles of side 8 and 32 split the window and batch the re-scoring.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
-        got = similarity._threshold_join(matrix, threshold)
-        want = similarity._product_join(matrix, threshold)
-    assert sorted(got) == sorted(want)
-    assert sorted(got) == product_pairs(matrix, threshold)
+        assert sorted(similarity._threshold_join(matrix, threshold)) == want
+        assert sorted(similarity._product_join(matrix, threshold)) == want
+        # Every cut the chooser weighs gives the same pairs.
+        for in_frequent, norms in cuts:
+            got = similarity._norm_bound_join(matrix, threshold, in_frequent, norms)
+            assert sorted(got) == want
+
+
+def test_cut_chooser_lowers_the_cut_short_of_most_rows_heavy():
+    # Three terms in every document and rare terms of df about 3: the rare
+    # part shrinks as the cut falls, until the rows' frequent parts carry
+    # most of their weight and most rows pass the bound on their own.
+    docs, _ = _skewed_docs(random.Random(0), 400, common=3, rare=800, only_frequent=2, copies=20)
+    matrix = _skewed_matrix(docs)
+    n = matrix.shape[0]
+    cuts = _candidate_cuts(matrix)
+    at = _chosen_cut(cuts, matrix, 0.9)
+    assert at > 0  # below n / 16
+    assert _heavy_rows(cuts[at][1], 0.9) <= n // 2
+    assert max(_heavy_rows(norms, 0.9) for _, norms in cuts) > n // 2
+    assert sorted(similarity._threshold_join(matrix, 0.9)) == product_pairs(matrix, 0.9)
 
 
 def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
@@ -595,7 +649,7 @@ def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
         random.Random(5), 100, common=4, rare=150, only_frequent=4, copies=30
     )
     matrix = _skewed_matrix(docs)
-    assert similarity._frequent_columns(matrix) is not None
+    assert similarity._frequent_cut(matrix, 0.9) is not None
     checked = 0
     for earlier, later in planted:
         score = cosine(matrix, [earlier], [later])[0]
@@ -614,7 +668,7 @@ def test_norm_bound_join_pairs_documents_of_frequent_terms_only():
     # frequent-part norm alone can pass finds them.
     docs = [["c0", "c1", "c1"]] * 3 + [["c0", "c1", f"r{k}"] for k in range(60)]
     matrix = _skewed_matrix(docs)
-    assert similarity._frequent_columns(matrix) is not None
+    assert similarity._frequent_cut(matrix, 0.9) is not None
     got = similarity._threshold_join(matrix, 0.9)
     assert sorted(got) == sorted(similarity._product_join(matrix, 0.9))
     assert {(i, j) for i, j, _ in got} >= {(0, 1), (0, 2), (1, 2)}
