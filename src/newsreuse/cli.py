@@ -30,6 +30,8 @@ from typing import Callable, Sequence
 from . import network as network_mod
 from .corpus import (
     CORPUS_FORMATS,
+    FORWARD,
+    MatchedPair,
     TimeWindow,
     file_sha256,
     format_timestamp,
@@ -39,23 +41,21 @@ from .corpus import (
     partition_windows,
     read_csv,
     read_matched_articles,
+    read_pairs_csv,
     read_text,
     staged_outputs,
     write_csv,
     write_lines,
     write_matched_articles,
+    write_pairs_csv,
 )
 from .errors import DataError
 from .fixture import FixtureSpec, generate_fixture
 from .similarity import (
     DEFAULT_MIN_BODY_TOKENS,
     DEFAULT_THRESHOLD,
-    FORWARD,
-    MatchedPair,
     WindowMatchResult,
     match_window,
-    read_pairs_csv,
-    write_pairs_csv,
 )
 
 log = logging.getLogger("newsreuse")
@@ -193,7 +193,7 @@ _FLAG_HELP = {
 
 
 def _common_options() -> _Parser:
-    """`--config`, one flag per RunConfig field in field order, `--verbose`."""
+    """`--config` and one flag per RunConfig field, in field order."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     for name, kind in _KEY_TYPES.items():
@@ -205,7 +205,6 @@ def _common_options() -> _Parser:
         if name == "format":
             options["choices"] = CORPUS_FORMATS
         common.add_argument(flag, dest=name, help=_FLAG_HELP.get(name), **options)
-    common.add_argument("--verbose", action="store_true", default=None)
     return common
 
 
@@ -229,7 +228,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", dest="out_dir", default="fixture")
     for f in fields(FixtureSpec):
         gen.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
-    gen.add_argument("--verbose", action="store_true", default=None)
     return parser
 
 
@@ -320,7 +318,7 @@ def cmd_detect(cfg: RunConfig) -> int:
                 window.index,
                 format_timestamp(window.start_utc),
                 format_timestamp(window.end_utc),
-                result.doc_count,
+                len(window.articles),
                 result.eligible_count,
                 len(result.pairs),
             ]
@@ -478,17 +476,17 @@ def cmd_headlines(cfg: RunConfig) -> int:
     from . import headlines as headlines_mod
 
     cfg.validate(need_articles=True)
+    names = ("bias", "positive", "negative")
+    missing = [f"{name}_lexicon" for name in names if not getattr(cfg, f"{name}_lexicon")]
+    if 0 < len(missing) < len(names):
+        raise UsageError(f"set all three lexicons or none; missing {', '.join(missing)}")
     out = Path(cfg.out_dir)
     pairs, _, summary_sha256 = _load_pairs(cfg, out)
     # Every input is read before the first write, so a bad one leaves the
     # previous run's outputs whole.
     lexicons = None
-    if cfg.bias_lexicon and cfg.positive_lexicon and cfg.negative_lexicon:
-        lexicons = {
-            "bias": load_lexicon(cfg.bias_lexicon, "bias"),
-            "positive": load_lexicon(cfg.positive_lexicon, "positive"),
-            "negative": load_lexicon(cfg.negative_lexicon, "negative"),
-        }
+    if not missing:
+        lexicons = {name: load_lexicon(getattr(cfg, f"{name}_lexicon"), name) for name in names}
         stopwords = (
             load_lexicon(cfg.stopwords, "stopwords")
             if cfg.stopwords
@@ -783,7 +781,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         logging.basicConfig(
             stream=sys.stderr,
-            level=logging.DEBUG if args.verbose else logging.INFO,
+            level=logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
         with staged_outputs():

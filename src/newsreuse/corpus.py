@@ -14,7 +14,9 @@ byte-order mark, turn an unreadable file, an undecodable byte or a CSV the
 parser cannot read into a `DataError` naming the file and line, and write
 UTF-8 with `\\n` line ends. An output is written under a temporary name and
 moved into place once whole; inside `staged_outputs` the move waits until
-the block succeeds.
+the block succeeds. Detect's hand-off to the later stages, `pairs.csv` and
+`matched_articles.jsonl`, is written and read here, and `pair_articles`, the
+one rule that orders a pair and sets its direction, is here too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -655,3 +658,103 @@ def read_matched_articles(path: str | Path) -> dict[str, Article]:
             raise DataError(f"{path} line {lineno}: bad value of {bad}; re-run detect")
         articles[values["id"]] = Article(body="", **values)
     return articles
+
+
+FORWARD = "forward"
+AMBIGUOUS = "ambiguous"
+
+
+@dataclass(frozen=True)
+class MatchedPair:
+    """A detected near-verbatim pair, ordered by publication time.
+
+    Direction is `ambiguous` when both articles carry the same timestamp;
+    such pairs order earlier/later by (source, id) so construction stays
+    deterministic.
+    """
+
+    earlier: Article
+    later: Article
+    similarity: float
+    window_index: int
+    direction: str = FORWARD
+
+
+def pair_articles(a: Article, b: Article, similarity: float, window_index: int) -> MatchedPair:
+    if a.source == b.source:
+        raise ValueError("matched pairs must span two sources")
+    if (b.published_utc, b.source, b.id) < (a.published_utc, a.source, a.id):
+        a, b = b, a
+    direction = AMBIGUOUS if a.published_utc == b.published_utc else FORWARD
+    return MatchedPair(a, b, similarity, window_index, direction)
+
+
+PAIRS_HEADER = [
+    "window_index",
+    "earlier_source",
+    "earlier_id",
+    "later_source",
+    "later_id",
+    "similarity",
+    "direction",
+]
+
+
+def write_pairs_csv(pairs: Iterable[MatchedPair], path: str | Path) -> None:
+    write_csv(
+        path,
+        PAIRS_HEADER,
+        (
+            [
+                p.window_index,
+                p.earlier.source,
+                p.earlier.id,
+                p.later.source,
+                p.later.id,
+                repr(p.similarity),
+                p.direction,
+            ]
+            for p in pairs
+        ),
+    )
+
+
+def read_pairs_csv(
+    path: str | Path, articles_by_id: Mapping[str, Article]
+) -> list[MatchedPair]:
+    """Rebuild matched pairs from CSV, resolving article refs by id.
+
+    Each row is paired again by `pair_articles`; a row whose order or
+    direction differs from that pairing, or whose field count differs from
+    the header's, is a DataError."""
+    pairs = []
+    reader = read_csv(path)
+    if reader.fieldnames != PAIRS_HEADER:
+        raise DataError(f"{path} does not look like a matched-pairs CSV")
+    for record in reader:
+        row = reader.line_num
+        # DictReader keys a long row's extra fields None, and sets a short row's missing ones None.
+        if None in record or None in record.values():
+            raise DataError(f"{path} row {row}: field count is not the header's; re-run detect")
+        earlier = articles_by_id.get(record["earlier_id"])
+        later = articles_by_id.get(record["later_id"])
+        if earlier is None or later is None:
+            raise DataError(f"{path} row {row}: article id not in corpus")
+        if (earlier.source, later.source) != (record["earlier_source"], record["later_source"]):
+            raise DataError(
+                f"{path} row {row}: sources disagree with the articles it names; re-run detect"
+            )
+        try:
+            similarity = float(record["similarity"])
+            if not math.isfinite(similarity):
+                raise ValueError(f"similarity {similarity!r} is not finite")
+            pair = pair_articles(earlier, later, similarity, int(record["window_index"]))
+        except ValueError as exc:
+            raise DataError(f"{path} row {row}: {exc}") from None
+        if pair.earlier is not earlier or pair.direction != record["direction"]:
+            raise DataError(
+                f"{path} row {row}: order or direction disagrees with the articles' "
+                f"timestamps; re-run detect"
+            )
+        pairs.append(pair)
+    return pairs

@@ -18,11 +18,9 @@ from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
 from . import swilk
-from .corpus import write_csv
+from .corpus import MatchedPair, write_csv
 from .errors import DataError
-from .similarity import (
-    MatchedPair, TokenizedDoc, cosine, fit_tfidf, token_ids, tokenize, vectorize
-)
+from .similarity import TokenizedDoc, cosine, fit_tfidf, token_ids, tokenize, vectorize
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +82,7 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     distances = [0.0] * len(pairs)
     if scored:
         sims = cosine(
-            vectorize(fit_tfidf(docs, window_index=-1)),
+            vectorize(fit_tfidf(docs)),
             [row[pairs[k].earlier.title] for k in scored],
             [row[pairs[k].later.title] for k in scored],
         )

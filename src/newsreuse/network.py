@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .corpus import SourceLabels, write_csv, write_lines
+from .corpus import FORWARD, MatchedPair, SourceLabels, write_csv, write_lines
 from .errors import DataError
-from .similarity import FORWARD, MatchedPair
 
 log = logging.getLogger(__name__)
 

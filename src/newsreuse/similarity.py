@@ -27,14 +27,12 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Article, TimeWindow, read_csv, write_csv
-from .errors import DataError
+from .corpus import MatchedPair, TimeWindow, pair_articles
 
 DEFAULT_THRESHOLD = 0.90
 DEFAULT_MIN_BODY_TOKENS = 20
@@ -44,9 +42,6 @@ _TILE_ENTRIES = 1 << 16
 # A column is frequent when at least 1/_FREQUENT_DF_DIVISOR of a window's
 # documents hold it.
 _FREQUENT_DF_DIVISOR = 16
-
-FORWARD = "forward"
-AMBIGUOUS = "ambiguous"
 
 # Word characters minus underscore: punctuation splits tokens, numerals stay.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -121,7 +116,7 @@ def token_ids(docs: Iterable[Sequence[str]], min_tokens: int) -> TokenIds:
     return kept
 
 
-def fit_tfidf(docs: TokenIds, window_index: int) -> TfidfModel:
+def fit_tfidf(docs: TokenIds) -> TfidfModel:
     """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1.
 
     The term-count matrix is built from the token ids, which are ranked in
@@ -132,8 +127,6 @@ def fit_tfidf(docs: TokenIds, window_index: int) -> TfidfModel:
     one per term), so they are the same bits as the per-term formula.
     """
     n = len(docs.lengths)
-    if n < 2:
-        raise DataError(f"window {window_index}: fewer than 2 eligible documents")
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(docs.lengths, out=bounds[1:])
     # Terms are numbered by first appearance, then renumbered in sorted order,
@@ -388,33 +381,7 @@ def _tiles(
 
 
 @dataclass(frozen=True)
-class MatchedPair:
-    """A detected near-verbatim pair, ordered by publication time.
-
-    Direction is `ambiguous` when both articles carry the same timestamp;
-    such pairs order earlier/later by (source, id) so construction stays
-    deterministic.
-    """
-
-    earlier: Article
-    later: Article
-    similarity: float
-    window_index: int
-    direction: str = FORWARD
-
-
-def pair_articles(a: Article, b: Article, similarity: float, window_index: int) -> MatchedPair:
-    if a.source == b.source:
-        raise ValueError("matched pairs must span two sources")
-    if (b.published_utc, b.source, b.id) < (a.published_utc, a.source, a.id):
-        a, b = b, a
-    direction = AMBIGUOUS if a.published_utc == b.published_utc else FORWARD
-    return MatchedPair(a, b, similarity, window_index, direction)
-
-
-@dataclass(frozen=True)
 class WindowMatchResult:
-    doc_count: int
     eligible_count: int
     pairs: tuple[MatchedPair, ...]
 
@@ -437,9 +404,9 @@ def match_window(
     docs = token_ids((TokenizedDoc.from_text(a.body).tokens for a in articles), min_body_tokens)
     eligible = docs.rows
     if len(eligible) < 2:
-        return WindowMatchResult(len(articles), len(eligible), ())
+        return WindowMatchResult(len(eligible), ())
     # Neither the token ids nor the model is kept, so both are freed before the join.
-    matrix = vectorize(fit_tfidf(docs, window.index))
+    matrix = vectorize(fit_tfidf(docs))
     del docs
     pairs = []
     for qpos, ppos, sim in _threshold_join(matrix, threshold):
@@ -448,74 +415,4 @@ def match_window(
             continue
         pairs.append(pair_articles(a, b, sim, window.index))
     pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
-    return WindowMatchResult(len(articles), len(eligible), tuple(pairs))
-
-
-PAIRS_HEADER = [
-    "window_index",
-    "earlier_source",
-    "earlier_id",
-    "later_source",
-    "later_id",
-    "similarity",
-    "direction",
-]
-
-
-def write_pairs_csv(pairs: Iterable[MatchedPair], path: str | Path) -> None:
-    write_csv(
-        path,
-        PAIRS_HEADER,
-        (
-            [
-                p.window_index,
-                p.earlier.source,
-                p.earlier.id,
-                p.later.source,
-                p.later.id,
-                repr(p.similarity),
-                p.direction,
-            ]
-            for p in pairs
-        ),
-    )
-
-
-def read_pairs_csv(
-    path: str | Path, articles_by_id: Mapping[str, Article]
-) -> list[MatchedPair]:
-    """Rebuild matched pairs from CSV, resolving article refs by id.
-
-    Each row is paired again by `pair_articles`; a row whose order or
-    direction differs from that pairing is a DataError."""
-    pairs = []
-    reader = read_csv(path)
-    if reader.fieldnames != PAIRS_HEADER:
-        raise DataError(f"{path} does not look like a matched-pairs CSV")
-    for record in reader:
-        row = reader.line_num
-        earlier = articles_by_id.get(record["earlier_id"])
-        later = articles_by_id.get(record["later_id"])
-        if earlier is None or later is None:
-            raise DataError(f"{path} row {row}: article id not in corpus")
-        if (
-            earlier.source != record["earlier_source"]
-            or later.source != record["later_source"]
-        ):
-            raise DataError(
-                f"{path} row {row}: sources disagree with the articles it names; re-run detect"
-            )
-        try:
-            similarity = float(record["similarity"])
-            if not math.isfinite(similarity):
-                raise ValueError(f"similarity {similarity!r} is not finite")
-            pair = pair_articles(earlier, later, similarity, int(record["window_index"]))
-        except ValueError as exc:
-            raise DataError(f"{path} row {row}: {exc}") from None
-        if pair.earlier is not earlier or pair.direction != record["direction"]:
-            raise DataError(
-                f"{path} row {row}: order or direction disagrees with the articles' "
-                f"timestamps; re-run detect"
-            )
-        pairs.append(pair)
-    return pairs
+    return WindowMatchResult(len(eligible), tuple(pairs))

@@ -3,8 +3,7 @@
 import json
 import random
 
-from newsreuse.corpus import Article, TimeWindow
-from newsreuse.similarity import pair_articles
+from newsreuse.corpus import Article, TimeWindow, pair_articles
 
 DAY = 86400
 BASE_TS = 1491523200  # 2017-04-07T00:00:00Z

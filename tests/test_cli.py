@@ -38,10 +38,10 @@ from newsreuse.corpus import (
     load_lexicon,
     partition_windows,
     read_matched_articles,
+    read_pairs_csv,
     write_lines,
 )
 from newsreuse.fixture import FixtureSpec, generate_fixture
-from newsreuse.similarity import read_pairs_csv
 
 from helpers import BASE_TS, write_jsonl
 
@@ -195,6 +195,17 @@ def test_import_does_not_load_scipy_stats():
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_handoff_and_network_import_no_numpy_or_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, newsreuse.corpus, newsreuse.network; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -800,6 +811,24 @@ def _dropped_summary_key(name, key):
     return damage
 
 
+def _truncated_pair(path):
+    """Cut the first pair's row after later_id, so both ids stay."""
+
+    def edit(rows):
+        del rows[1][5:]
+
+    _edit_csv_rows(path, edit)
+
+
+def _long_pair(path):
+    """Add a field to the end of the first pair's row."""
+
+    def edit(rows):
+        rows[1].append("forward")
+
+    _edit_csv_rows(path, edit)
+
+
 def _short_row(path):
     """Cut the first data row to two fields."""
 
@@ -886,6 +915,12 @@ def upstream(tmp_path_factory):
             for edit in (_swapped_pair, _relabelled_pair)
             for stage in ("graph", "headlines")
         ],
+        *[
+            (stage, lambda out, edit=edit: edit(out / "pairs.csv"),
+             "pairs.csv row 2: field count is not the header's")
+            for edit in (_truncated_pair, _long_pair)
+            for stage in ("graph", "headlines")
+        ],
         ("report", _dropped_summary_key("graph_summary.txt", "communities"),
          "malformed upstream output"),
         ("report", _dropped_summary_key("detect_summary.txt", "matched_pairs"),
@@ -902,6 +937,8 @@ def upstream(tmp_path_factory):
          "graph-oversized-pairs", "headlines-oversized-pairs", "graph-oversized-labels",
          "graph-swapped-pair", "headlines-swapped-pair",
          "graph-relabelled-pair", "headlines-relabelled-pair",
+         "graph-truncated-pair", "headlines-truncated-pair",
+         "graph-long-pair", "headlines-long-pair",
          "report-no-communities", "report-no-matched-pairs",
          *[f"{stage}-matched-{name}" for stage in ("graph", "headlines") for name in _BAD_MATCHED]],
 )
@@ -1153,6 +1190,25 @@ def test_bad_lexicon_leaves_headline_outputs_whole(upstream, tmp_path, caplog):
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+@pytest.mark.parametrize(
+    "kept", [["bias_lexicon"], ["bias_lexicon", "negative_lexicon"]], ids=["one", "two"]
+)
+def test_partial_lexicon_config_is_usage_error(upstream, tmp_path, capsys, kept):
+    config, clean = upstream
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    missing = [key for key in ("bias_lexicon", "positive_lexicon", "negative_lexicon")
+               if key not in kept]
+    lines = config.read_text(encoding="utf-8").splitlines(keepends=True)
+    partial = tmp_path / "partial.cfg"
+    partial.write_text(
+        "".join(line for line in lines if line.split("=", 1)[0] not in missing), encoding="utf-8"
+    )
+    assert _run("headlines", "--config", str(partial), "--out", str(out)) == EXIT_USAGE
+    assert f"missing {', '.join(missing)}" in capsys.readouterr().err
+    assert _tree(out) == _tree(clean)
+
+
 def _prefix_bom(path):
     """Prefix a byte-order mark, first dropping a leading comment line so
     that a term, header or key follows the mark."""
@@ -1382,6 +1438,28 @@ def test_pipe_in_source_name_is_escaped_in_report(tmp_path):
     report = (out / "report.md").read_text(encoding="utf-8")
     table = _report_table(report, "| source | weighted out |")
     assert table == ["| left\\|pipe | 1 |"]
+
+
+def test_windows_csv_docs_counts_each_windows_articles(upstream, tmp_path):
+    config, out = upstream
+    values = load_config_file(config)
+    windows = partition_windows(ingest_articles(values["articles"]), values["window_days"])
+    with (out / "windows.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["window_index"]), int(r["docs"])) for r in rows] == [
+        (w.index, len(w.articles)) for w in windows
+    ]
+    # A body too short to match still counts as a document of its window.
+    articles = tmp_path / "articles.jsonl"
+    write_jsonl(
+        articles,
+        [{"id": source, "source": source, "body": "too short to count",
+          "published_utc": BASE_TS} for source in ("ap", "echo")],
+    )
+    assert _run("detect", "--articles", str(articles), "--out", str(tmp_path / "o")) == EXIT_OK
+    with (tmp_path / "o" / "windows.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["docs"], r["eligible_docs"]) for r in rows] == [("2", "0")]
 
 
 def test_report_min_window_docs_filter(tmp_path):

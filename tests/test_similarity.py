@@ -10,19 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newsreuse import similarity
+from newsreuse.corpus import AMBIGUOUS, FORWARD, read_pairs_csv, write_pairs_csv
 from newsreuse.errors import DataError
 from newsreuse.similarity import (
-    AMBIGUOUS,
-    FORWARD,
     TokenizedDoc,
     cosine,
     fit_tfidf,
     match_window,
-    read_pairs_csv,
     token_ids,
     tokenize,
     vectorize,
-    write_pairs_csv,
 )
 
 from helpers import BASE_TS, make_article, make_window, pseudo_vocab, random_body
@@ -77,7 +74,7 @@ def test_term_counts_sum_to_token_count(text):
     doc = TokenizedDoc.from_text(text)
     # Fitted on two copies of the document, every term has df == n, so
     # every idf is 1 and the row is the term counts divided by their norm.
-    row = vectorize(fit_tfidf(token_ids([doc.tokens, doc.tokens], 0), 0))[0]
+    row = vectorize(fit_tfidf(token_ids([doc.tokens, doc.tokens], 0)))[0]
     norm = math.sqrt(sum(c * c for c in Counter(doc.tokens).values()))
     assert row.data.sum() * norm == pytest.approx(len(doc.tokens))
     assert all(t == t.lower() for t in doc.tokens)
@@ -89,7 +86,7 @@ def _docs(*bodies):
 
 def test_idf_smoothing_identity():
     docs = _docs(*["common xyz%d" % i for i in range(10)])
-    model = fit_tfidf(token_ids(docs, 0), 0)
+    model = fit_tfidf(token_ids(docs, 0))
     assert model.idf[model.vocabulary["common"]] == 1.0
     assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
         math.log(11 / 2) + 1.0, abs=1e-12
@@ -97,14 +94,9 @@ def test_idf_smoothing_identity():
     assert vectorize(model)[:, model.vocabulary["common"]].nnz == 10
 
 
-def test_fit_requires_two_docs():
-    with pytest.raises(DataError):
-        fit_tfidf(token_ids(_docs("only one"), 0), 0)
-
-
 def test_vectorize_unit_norm_and_identity():
     docs = _docs("a b c a", "b c d", "a b c a")
-    model = fit_tfidf(token_ids(docs, 0), 0)
+    model = fit_tfidf(token_ids(docs, 0))
     vecs = vectorize(model)
     for v in vecs:
         norm = math.sqrt(sum(w * w for w in v.data))
@@ -116,7 +108,7 @@ def test_vectorize_unit_norm_and_identity():
 
 def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
     docs = _docs("a b", "!!", "a c")
-    model = fit_tfidf(token_ids(docs, 0), 0)
+    model = fit_tfidf(token_ids(docs, 0))
     vecs = vectorize(model)
     assert vecs.shape == (3, 3)
     assert not vecs[1].nnz
@@ -129,7 +121,7 @@ def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
 def test_toy_corpus_matches_dense_oracle():
     bodies = ["a b", "a c", "b c"]
     docs = _docs(*bodies)
-    model = fit_tfidf(token_ids(docs, 0), 0)
+    model = fit_tfidf(token_ids(docs, 0))
     vecs = vectorize(model)
     matrix, _ = dense_tfidf_matrix([list(d) for d in docs])
     got = cosine(vecs, [0], [1])[0]
@@ -139,7 +131,7 @@ def test_toy_corpus_matches_dense_oracle():
 
 def test_cosine_self_similarity_and_symmetry():
     docs = _docs("w x y z w", "x y q")
-    model = fit_tfidf(token_ids(docs, 0), 0)
+    model = fit_tfidf(token_ids(docs, 0))
     vecs = vectorize(model)
     assert abs(cosine(vecs, [0], [0])[0] - 1.0) < 1e-9
     assert cosine(vecs, [0], [1])[0] == cosine(vecs, [1], [0])[0]
@@ -157,7 +149,7 @@ _WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"
 )
 @settings(max_examples=300, deadline=None)
 def test_vectorize_and_cosine_equal_per_document_reference(docs):
-    model = fit_tfidf(token_ids(docs, 0), 0)
+    model = fit_tfidf(token_ids(docs, 0))
     matrix = vectorize(model)
     vocab, idf, want = reference_vectors(docs, docs)
     assert model.vocabulary == vocab
@@ -183,7 +175,7 @@ def test_idf_equals_math_log_at_every_document_frequency():
     # np.log differs from math.log in the last ulp for some of these n.
     for n in range(2, 64):
         fit_docs = [[f"t{k}" for k in range(d, n)] for d in range(n)]
-        model = fit_tfidf(token_ids(fit_docs, 0), 0)
+        model = fit_tfidf(token_ids(fit_docs, 0))
         assert model.idf.tolist() == reference_vectors(fit_docs, [])[1]
 
 
@@ -214,7 +206,7 @@ def test_streamed_fit_equals_per_document_reference(bodies, min_tokens):
     assert docs.rows == rows
     assume(len(rows) >= 2)
     eligible = [tokenize(bodies[k]) for k in rows]
-    model = fit_tfidf(docs, 0)
+    model = fit_tfidf(docs)
     matrix = vectorize(model)
     vocab, idf, want = reference_vectors(eligible, eligible)
     assert model.vocabulary == vocab
@@ -285,7 +277,6 @@ def test_short_bodies_ineligible():
     short = "too short to count"
     window = make_window(_window_articles({"ap": [short], "echo": [short]}))
     result = match_window(window)
-    assert result.doc_count == 2
     assert result.eligible_count == 0
     assert result.pairs == ()
 
@@ -411,7 +402,7 @@ def test_tiled_join_equals_exhaustive_oracle(
             window, threshold=threshold, min_body_tokens=min_body_tokens
         )
         if len(docs) >= 2:
-            matrix = vectorize(fit_tfidf(token_ids(docs, 0), 0))
+            matrix = vectorize(fit_tfidf(token_ids(docs, 0)))
             joined = similarity._threshold_join(matrix, threshold)
             assert sorted(joined) == product_pairs(matrix, threshold)
     got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
@@ -537,7 +528,7 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
 
 
 def _skewed_matrix(docs):
-    return vectorize(fit_tfidf(token_ids(docs, 0), 0))
+    return vectorize(fit_tfidf(token_ids(docs, 0)))
 
 
 @st.composite
