@@ -262,7 +262,7 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str
 def _iter_csv(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
     # utf-8-sig: a byte-order mark would otherwise prefix the first header.
     with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = _dict_reader(path, fh)
+        reader = _dict_reader(_CsvRows(path, fh))
         fields = reader.fieldnames
         if fields is None:
             raise DataError(f"unparseable header in {path}: file is empty")
@@ -500,16 +500,21 @@ class _CsvRows:
             ) from None
 
 
-def _dict_reader(path: str | Path, lines: Iterable[str]) -> csv.DictReader:
+def _dict_reader(rows: _CsvRows) -> csv.DictReader:
     reader = csv.DictReader(())
-    reader.reader = _CsvRows(path, lines)
+    reader.reader = rows
     return reader
 
 
+def read_csv_rows(path: str | Path) -> _CsvRows:
+    """The rows of `read_text(path)`, split as a file opened with newline=""
+    is, so quoted newlines and `line_num` are a file's."""
+    return _CsvRows(path, io.StringIO(read_text(path), newline=""))
+
+
 def read_csv(path: str | Path) -> csv.DictReader:
-    """A DictReader over `read_text(path)`, split as a file opened with
-    newline="" is, so quoted newlines and `line_num` are a file's."""
-    return _dict_reader(path, io.StringIO(read_text(path), newline=""))
+    """A DictReader over `read_csv_rows(path)`."""
+    return _dict_reader(read_csv_rows(path))
 
 
 def file_sha256(path: str | Path) -> str:
@@ -640,8 +645,10 @@ def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> Non
 
 def read_matched_articles(path: str | Path) -> dict[str, Article]:
     """The articles `write_matched_articles` wrote, by id, with empty
-    bodies. A line that is not such a record is a DataError naming it."""
-    articles = {}
+    bodies. A line that is not such a record, or a second record of one id,
+    is a DataError naming it."""
+    articles: dict[str, Article] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
@@ -656,7 +663,14 @@ def read_matched_articles(path: str | Path) -> dict[str, Article]:
         bad = [key for key, value in values.items() if not _matched_value_ok(key, value)]
         if bad:
             raise DataError(f"{path} line {lineno}: bad value of {bad}; re-run detect")
-        articles[values["id"]] = Article(body="", **values)
+        article_id = values["id"]
+        if article_id in articles:
+            raise DataError(
+                f"{path} lines {line_of[article_id]} and {lineno}: two records of id "
+                f"{article_id!r}; re-run detect"
+            )
+        line_of[article_id] = lineno
+        articles[article_id] = Article(body="", **values)
     return articles
 
 
@@ -725,36 +739,45 @@ def read_pairs_csv(
     """Rebuild matched pairs from CSV, resolving article refs by id.
 
     Each row is paired again by `pair_articles`; a row whose order or
-    direction differs from that pairing, or whose field count differs from
-    the header's, is a DataError."""
+    direction differs from that pairing, whose field count differs from the
+    header's, or that repeats an earlier row's two ids, is a DataError."""
     pairs = []
-    reader = read_csv(path)
-    if reader.fieldnames != PAIRS_HEADER:
+    row_of: dict[tuple[str, str], int] = {}
+    rows = read_csv_rows(path)
+    if next(rows, None) != PAIRS_HEADER:
         raise DataError(f"{path} does not look like a matched-pairs CSV")
-    for record in reader:
-        row = reader.line_num
-        # DictReader keys a long row's extra fields None, and sets a short row's missing ones None.
-        if None in record or None in record.values():
+    for fields in rows:
+        if not fields:  # a blank line, which read_csv skips too
+            continue
+        row = rows.line_num
+        if len(fields) != len(PAIRS_HEADER):
             raise DataError(f"{path} row {row}: field count is not the header's; re-run detect")
-        earlier = articles_by_id.get(record["earlier_id"])
-        later = articles_by_id.get(record["later_id"])
+        window_index, earlier_source, earlier_id, later_source, later_id, score, direction = fields
+        earlier = articles_by_id.get(earlier_id)
+        later = articles_by_id.get(later_id)
         if earlier is None or later is None:
             raise DataError(f"{path} row {row}: article id not in corpus")
-        if (earlier.source, later.source) != (record["earlier_source"], record["later_source"]):
+        if (earlier.source, later.source) != (earlier_source, later_source):
             raise DataError(
                 f"{path} row {row}: sources disagree with the articles it names; re-run detect"
             )
         try:
-            similarity = float(record["similarity"])
+            similarity = float(score)
             if not math.isfinite(similarity):
                 raise ValueError(f"similarity {similarity!r} is not finite")
-            pair = pair_articles(earlier, later, similarity, int(record["window_index"]))
+            pair = pair_articles(earlier, later, similarity, int(window_index))
         except ValueError as exc:
             raise DataError(f"{path} row {row}: {exc}") from None
-        if pair.earlier is not earlier or pair.direction != record["direction"]:
+        if pair.earlier is not earlier or pair.direction != direction:
             raise DataError(
                 f"{path} row {row}: order or direction disagrees with the articles' "
                 f"timestamps; re-run detect"
             )
+        ids = (earlier.id, later.id)
+        if ids in row_of:
+            raise DataError(
+                f"{path} row {row}: repeats the pair of row {row_of[ids]}; re-run detect"
+            )
+        row_of[ids] = row
         pairs.append(pair)
     return pairs

@@ -12,14 +12,21 @@ import logging
 import math
 import random
 import statistics
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .corpus import FORWARD, MatchedPair, SourceLabels, write_csv, write_lines
+from .corpus import (
+    FORWARD,
+    SECONDS_PER_DAY,
+    MatchedPair,
+    SourceLabels,
+    write_csv,
+    write_lines,
+)
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -165,47 +172,49 @@ def merge_graphs(graphs: Iterable[RepublishGraph]) -> RepublishGraph:
     return combined
 
 
-def _bfs_shortest_paths(succ, s):
-    dist = {s: 0}
-    sigma = {s: 1.0}
-    preds: dict[str, list[str]] = defaultdict(list)
-    order = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        dv = dist[v]
-        sv = sigma[v]
-        for w in succ[v]:
-            if w not in dist:
-                dist[w] = dv + 1
-                sigma[w] = 0.0
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
-                preds[w].append(v)
-    return order, sigma, preds
-
-
 def betweenness(graph: RepublishGraph) -> dict[str, float]:
     """Directed betweenness via Brandes's dependency accumulation.
 
     Unnormalized. Edge weights are copy counts, not distances, so the graph
-    is treated as unweighted.
+    is treated as unweighted. Nodes are numbered by their place in
+    `graph.nodes()`, and each search visits, counts and sums in the order a
+    search over the names would, so every value keeps its bits.
     """
     nodes = graph.nodes()
-    cb = dict.fromkeys(nodes, 0.0)
-    succ = {v: graph.successors(v) for v in nodes}
-    for s in nodes:
-        order, sigma, preds = _bfs_shortest_paths(succ, s)
-        delta = dict.fromkeys(order, 0.0)
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
+    number = {v: i for i, v in enumerate(nodes)}
+    succ = [[number[w] for w in graph.successors(v)] for v in nodes]
+    n = len(nodes)
+    cb = [0.0] * n
+    for s in range(n):
+        if not succ[s]:  # s reaches no node, so it adds to no node's value
+            continue
+        dist = [n] * n  # n: farther than any node s reaches
+        sigma = [0.0] * n
+        preds: list = [None] * n
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = [s]
+        for v in order:  # the BFS queue: nodes are appended while it is read
+            step = dist[v] + 1
+            sv = sigma[v]
+            for w in succ[v]:
+                if dist[w] >= step:
+                    if dist[w] == step:
+                        sigma[w] += sv
+                        preds[w].append(v)
+                    else:  # first reached: its sigma is 0.0 + sv
+                        dist[w] = step
+                        sigma[w] = sv
+                        preds[w] = [v]
+                        order.append(w)
+        delta = [0.0] * n
+        for w in order[:0:-1]:  # every reached node but s, the farthest first
+            dw = delta[w]  # final: each node with w among its preds came earlier
+            coeff = (1.0 + dw) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
-            if w != s:
-                cb[w] += delta[w]
-    return cb
+            cb[w] += dw
+    return dict(zip(nodes, cb))
 
 
 def _undirected_projection(graph: RepublishGraph) -> dict[str, dict[str, float]]:
@@ -222,7 +231,12 @@ def modularity(
     resolution: float = 1.0,
 ) -> float:
     """Newman modularity of a partition on the undirected projection."""
-    adj = _undirected_projection(graph)
+    return _modularity(_undirected_projection(graph), communities, resolution)
+
+
+def _modularity(
+    adj: Mapping[str, Mapping[str, float]], communities: Mapping[str, int], resolution: float
+) -> float:
     missing = [v for v in adj if v not in communities]
     if missing:
         raise DataError(f"partition is missing nodes: {missing[:5]}")
@@ -329,7 +343,8 @@ def louvain(
     sort, so results do not depend on input node order. Community ids are
     relabeled 0..k-1 by each community's smallest member name.
     """
-    adj: Mapping = _undirected_projection(graph)
+    projection = _undirected_projection(graph)
+    adj: Mapping = projection
     node_list = sorted(adj)
     rng = random.Random(seed)
     membership: dict[str, object] = {v: v for v in node_list}
@@ -345,7 +360,7 @@ def louvain(
         groups[membership[v]].append(v)
     ordered = sorted(groups.values(), key=lambda members: min(members))
     communities = {v: i for i, members in enumerate(ordered) for v in members}
-    return Partition(communities, modularity(graph, communities, resolution))
+    return Partition(communities, _modularity(projection, communities, resolution))
 
 
 def compute_node_metrics(
@@ -452,8 +467,8 @@ def attach_engagement(graph: RepublishGraph, matches: Sequence[MatchedPair]) -> 
             per_source[article.source][article.id] = article
     for node in graph.nodes():
         articles = per_source.get(node, {}).values()
-        shares = sorted(a.fb_shares for a in articles if a.fb_shares is not None)
-        reactions = sorted(a.fb_reactions for a in articles if a.fb_reactions is not None)
+        shares = [a.fb_shares for a in articles if a.fb_shares is not None]
+        reactions = [a.fb_reactions for a in articles if a.fb_reactions is not None]
         attrs = graph.node_attrs(node)
         attrs["median_fb_shares"] = float(statistics.median(shares)) if shares else None
         attrs["median_fb_reactions"] = (
@@ -477,11 +492,16 @@ def flag_single_day_origins(matches: Sequence[MatchedPair]) -> list[tuple[str, s
     share, inbound pair count) tuples.
     """
     days: dict[str, Counter] = defaultdict(Counter)
+    labels: dict[int, str] = {}  # a UTC day's label, by days since the epoch
     for p in matches:
         if p.direction != FORWARD:
             continue
-        day = datetime.fromtimestamp(p.earlier.published_utc, tz=timezone.utc)
-        days[p.earlier.source][day.strftime("%Y-%m-%d")] += 1
+        number = p.earlier.published_utc // SECONDS_PER_DAY
+        label = labels.get(number)
+        if label is None:
+            day = datetime.fromtimestamp(number * SECONDS_PER_DAY, tz=timezone.utc)
+            label = labels[number] = day.strftime("%Y-%m-%d")
+        days[p.earlier.source][label] += 1
     flags = []
     for source in sorted(days):
         counts = days[source]
@@ -503,24 +523,21 @@ def _graphml_type(values: list) -> str:
     return "string"
 
 
-def _graphml_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return escape(str(value))
-
-
 def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
     """Write GraphML with key declarations for every attribute in use.
 
     Output is byte-deterministic: nodes, edges, and keys are sorted and
-    null attributes are omitted.
+    null attributes are omitted. A float is written as its repr; any other
+    value is escaped, and each node name is quoted once per graph.
     """
+    nodes = graph.nodes()
+    node_attrs = [graph.node_attrs(node) for node in nodes]
     attr_values: dict[str, list] = defaultdict(list)
-    for node in graph.nodes():
-        for name, value in graph.node_attrs(node).items():
+    for attrs in node_attrs:
+        for name, value in attrs.items():
             if value is not None:
                 attr_values[name].append(value)
-    node_keys = {name: f"n_{name}" for name in sorted(attr_values)}
+    names = sorted(attr_values)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"'
@@ -528,10 +545,10 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
         ' xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns'
         ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">',
     ]
-    for name in sorted(attr_values):
+    for name in names:
         kind = _graphml_type(attr_values[name])
         lines.append(
-            f'  <key id="{node_keys[name]}" for="node" attr.name="{escape(name)}"'
+            f'  <key id="n_{name}" for="node" attr.name="{escape(name)}"'
             f' attr.type="{kind}"/>'
         )
     lines.append('  <key id="e_weight" for="edge" attr.name="weight" attr.type="long"/>')
@@ -541,27 +558,30 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
         else f"window_{graph.window_index}"
     )
     lines.append(f'  <graph id={quoteattr(str(graph_id))} edgedefault="directed">')
-    for node in graph.nodes():
-        attrs = graph.node_attrs(node)
-        data = [
-            f'      <data key="{node_keys[name]}">{_graphml_value(attrs[name])}</data>'
-            for name in sorted(attrs)
-            if attrs[name] is not None
-        ]
+    quoted = {node: quoteattr(node) for node in nodes}
+    tags = [(name, f'      <data key="n_{name}">') for name in names]
+    for node, attrs in zip(nodes, node_attrs):
+        data = []
+        for name, tag in tags:
+            value = attrs.get(name)
+            if value is None:
+                continue
+            text = repr(value) if isinstance(value, float) else escape(str(value))
+            data.append(f"{tag}{text}</data>")
         if data:
-            lines.append(f"    <node id={quoteattr(node)}>")
-            lines.extend(data)
+            lines.append(f"    <node id={quoted[node]}>")
+            lines += data
             lines.append("    </node>")
         else:
-            lines.append(f"    <node id={quoteattr(node)}/>")
-    for frm, to, w in graph.edges():
-        lines.append(
-            f"    <edge source={quoteattr(frm)} target={quoteattr(to)}>"
-            f'<data key="e_weight">{w}</data></edge>'
-        )
+            lines.append(f"    <node id={quoted[node]}/>")
+    lines += [
+        f"    <edge source={quoted[frm]} target={quoted[to]}>"
+        f'<data key="e_weight">{w}</data></edge>'
+        for frm, to, w in graph.edges()
+    ]
     lines.append("  </graph>")
     lines.append("</graphml>")
-    write_lines(path, lines)
+    write_lines(path, ["\n".join(lines)])  # the whole text, written at once
 
 
 _PALETTE = [
@@ -579,26 +599,24 @@ def _dot_quote(text: str) -> str:
 def export_dot(graph: RepublishGraph, path: str | Path) -> None:
     """Write a Graphviz digraph, penwidth scaled by edge weight and node
     fill color bucketed by community."""
-    values = sorted(
-        {
-            graph.node_attrs(v)["community"]
-            for v in graph.nodes()
-            if graph.node_attrs(v).get("community") is not None
-        },
-        key=str,
-    )
+    nodes = graph.nodes()
+    communities = [graph.node_attrs(v).get("community") for v in nodes]
+    values = sorted({value for value in communities if value is not None}, key=str)
     color_of = {value: _PALETTE[i % len(_PALETTE)] for i, value in enumerate(values)}
-    max_weight = max((w for _, _, w in graph.edges()), default=1)
+    edges = graph.edges()
+    max_weight = max((w for _, _, w in edges), default=1)
+    quoted = {node: _dot_quote(node) for node in nodes}
     lines = ["digraph republishing {", "  node [shape=ellipse, style=filled];"]
-    for node in graph.nodes():
-        value = graph.node_attrs(node).get("community")
-        color = color_of.get(value, "#ffffff")
-        lines.append(f'  {_dot_quote(node)} [fillcolor="{color}"];')
-    for frm, to, w in graph.edges():
-        penwidth = max(0.5, 6.0 * w / max_weight)
-        lines.append(
-            f"  {_dot_quote(frm)} -> {_dot_quote(to)} "
-            f'[weight={w}, penwidth={penwidth:.3f}, label="{w}"];'
-        )
+    lines += [
+        f'  {quoted[node]} [fillcolor="{color_of.get(value, "#ffffff")}"];'
+        for node, value in zip(nodes, communities)
+    ]
+    style: dict[int, str] = {}  # an edge's bracketed attributes, by weight
+    for frm, to, w in edges:
+        attrs = style.get(w)
+        if attrs is None:
+            penwidth = max(0.5, 6.0 * w / max_weight)
+            attrs = style[w] = f'[weight={w}, penwidth={penwidth:.3f}, label="{w}"];'
+        lines.append(f"  {quoted[frm]} -> {quoted[to]} {attrs}")
     lines.append("}")
-    write_lines(path, lines)
+    write_lines(path, ["\n".join(lines)])  # the whole text, written at once

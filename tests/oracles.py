@@ -7,10 +7,15 @@ bound, one Python vector per document and a merge-loop dot product
 instead of a TFIDF matrix built in one array pass, explicit shortest-path
 enumeration instead of Brandes accumulation, the raw pairwise modularity sum
 instead of the per-community aggregation.
+
+The dict-based Brandes and the line-at-a-time GraphML and DOT writers are
+earlier versions of the library's own, kept as they were so that the
+faster versions can be required to give the same bits and bytes.
 """
 
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -162,3 +167,154 @@ def direct_modularity(edges, communities, resolution=1.0):
                 continue
             q += weight.get((u, v), 0.0) - resolution * k[u] * k[v] / m2
     return q / m2
+
+
+def _bfs_shortest_paths(succ, s):
+    dist = {s: 0}
+    sigma = {s: 1.0}
+    preds = defaultdict(list)
+    order = []
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        dv = dist[v]
+        sv = sigma[v]
+        for w in succ[v]:
+            if w not in dist:
+                dist[w] = dv + 1
+                sigma[w] = 0.0
+                queue.append(w)
+            if dist[w] == dv + 1:
+                sigma[w] += sv
+                preds[w].append(v)
+    return order, sigma, preds
+
+
+def dict_betweenness(graph):
+    """Brandes's dependency accumulation over node names, with a dict for
+    each of dist, sigma, preds and delta: the library's earlier version."""
+    nodes = graph.nodes()
+    cb = dict.fromkeys(nodes, 0.0)
+    succ = {v: graph.successors(v) for v in nodes}
+    for s in nodes:
+        order, sigma, preds = _bfs_shortest_paths(succ, s)
+        delta = dict.fromkeys(order, 0.0)
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                cb[w] += delta[w]
+    return cb
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _graphml_type(values):
+    if any(isinstance(v, float) for v in values):
+        return "double"
+    if all(isinstance(v, int) for v in values):
+        return "long"
+    return "string"
+
+
+def _graphml_value(value):
+    if isinstance(value, float):
+        return repr(value)
+    return escape(str(value))
+
+
+def line_graphml(graph, path):
+    """GraphML built a line at a time, each name and value escaped where it
+    is written: the library's earlier `export_graphml`."""
+    attr_values = defaultdict(list)
+    for node in graph.nodes():
+        for name, value in graph.node_attrs(node).items():
+            if value is not None:
+                attr_values[name].append(value)
+    node_keys = {name: f"n_{name}" for name in sorted(attr_values)}
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"'
+        ' xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+        ' xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns'
+        ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">',
+    ]
+    for name in sorted(attr_values):
+        kind = _graphml_type(attr_values[name])
+        lines.append(
+            f'  <key id="{node_keys[name]}" for="node" attr.name="{escape(name)}"'
+            f' attr.type="{kind}"/>'
+        )
+    lines.append('  <key id="e_weight" for="edge" attr.name="weight" attr.type="long"/>')
+    graph_id = (
+        graph.window_index
+        if isinstance(graph.window_index, str)
+        else f"window_{graph.window_index}"
+    )
+    lines.append(f'  <graph id={quoteattr(str(graph_id))} edgedefault="directed">')
+    for node in graph.nodes():
+        attrs = graph.node_attrs(node)
+        data = [
+            f'      <data key="{node_keys[name]}">{_graphml_value(attrs[name])}</data>'
+            for name in sorted(attrs)
+            if attrs[name] is not None
+        ]
+        if data:
+            lines.append(f"    <node id={quoteattr(node)}>")
+            lines.extend(data)
+            lines.append("    </node>")
+        else:
+            lines.append(f"    <node id={quoteattr(node)}/>")
+    for frm, to, w in graph.edges():
+        lines.append(
+            f"    <edge source={quoteattr(frm)} target={quoteattr(to)}>"
+            f'<data key="e_weight">{w}</data></edge>'
+        )
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    _write_lines(path, lines)
+
+
+_PALETTE = [
+    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
+    "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
+    "#aec7e8", "#ffbb78", "#98df8a", "#ff9896", "#c5b0d5",
+    "#c49c94", "#f7b6d2", "#c7c7c7", "#dbdb8d", "#9edae5",
+]
+
+
+def _dot_quote(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def line_dot(graph, path):
+    """A Graphviz digraph built a line at a time, each name quoted where it
+    is written: the library's earlier `export_dot`."""
+    values = sorted(
+        {
+            graph.node_attrs(v)["community"]
+            for v in graph.nodes()
+            if graph.node_attrs(v).get("community") is not None
+        },
+        key=str,
+    )
+    color_of = {value: _PALETTE[i % len(_PALETTE)] for i, value in enumerate(values)}
+    max_weight = max((w for _, _, w in graph.edges()), default=1)
+    lines = ["digraph republishing {", "  node [shape=ellipse, style=filled];"]
+    for node in graph.nodes():
+        value = graph.node_attrs(node).get("community")
+        color = color_of.get(value, "#ffffff")
+        lines.append(f'  {_dot_quote(node)} [fillcolor="{color}"];')
+    for frm, to, w in graph.edges():
+        penwidth = max(0.5, 6.0 * w / max_weight)
+        lines.append(
+            f"  {_dot_quote(frm)} -> {_dot_quote(to)} "
+            f'[weight={w}, penwidth={penwidth:.3f}, label="{w}"];'
+        )
+    lines.append("}")
+    _write_lines(path, lines)

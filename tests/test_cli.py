@@ -829,6 +829,15 @@ def _long_pair(path):
     _edit_csv_rows(path, edit)
 
 
+def _repeated_pair(path):
+    """Append a copy of the last pair's row."""
+
+    def edit(rows):
+        rows.append(list(rows[-1]))
+
+    _edit_csv_rows(path, edit)
+
+
 def _short_row(path):
     """Cut the first data row to two fields."""
 
@@ -860,6 +869,16 @@ def _matched_line_2(edit):
         path.write_text("\n".join(lines), encoding="utf-8")
 
     return damage
+
+
+def _repeated_matched_id(out):
+    """Append a copy of line 1 of matched_articles.jsonl with another title."""
+    path = out / "matched_articles.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["title"] += " again"
+    lines.append(json.dumps(record))
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
 _BAD_MATCHED = {
@@ -930,6 +949,14 @@ def upstream(tmp_path_factory):
             for stage in ("graph", "headlines")
             for edit in _BAD_MATCHED.values()
         ],
+        *[
+            (stage, _repeated_matched_id, "matched_articles.jsonl lines 1 and ")
+            for stage in ("graph", "headlines")
+        ],
+        *[
+            (stage, lambda out: _repeated_pair(out / "pairs.csv"), "repeats the pair of row ")
+            for stage in ("graph", "headlines")
+        ],
     ],
     ids=["graph-similarity", "headlines-similarity", "nan-similarity", "window-index",
          "stray-window", "self-pair", "sources-disagree",
@@ -940,7 +967,9 @@ def upstream(tmp_path_factory):
          "graph-truncated-pair", "headlines-truncated-pair",
          "graph-long-pair", "headlines-long-pair",
          "report-no-communities", "report-no-matched-pairs",
-         *[f"{stage}-matched-{name}" for stage in ("graph", "headlines") for name in _BAD_MATCHED]],
+         *[f"{stage}-matched-{name}" for stage in ("graph", "headlines") for name in _BAD_MATCHED],
+         "graph-repeated-id", "headlines-repeated-id",
+         "graph-repeated-pair", "headlines-repeated-pair"],
 )
 def test_malformed_upstream_file_is_data_error(
     upstream, tmp_path, caplog, stage, damage, message

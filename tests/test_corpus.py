@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,11 +14,13 @@ from newsreuse.corpus import (
     load_lexicon,
     parse_timestamp,
     partition_windows,
+    read_matched_articles,
+    write_matched_articles,
 )
 from newsreuse.errors import DataError
 from newsreuse.network import RepublishGraph, attach_labels
 
-from helpers import BASE_TS, DAY, write_jsonl
+from helpers import BASE_TS, DAY, make_article, write_jsonl
 
 
 def test_ingest_clean_jsonl(tmp_path):
@@ -336,3 +339,62 @@ def test_load_lexicon_empty_errors(tmp_path):
     path.write_text("# only a comment\n", encoding="utf-8")
     with pytest.raises(DataError, match="empty"):
         load_lexicon(path, "bias")
+
+
+def _matched(count=6):
+    return [
+        make_article(f"id{i}", f"s{i % 3}", title=f"t {i}", ts=BASE_TS + i,
+                     fb_shares=i if i % 2 else None)
+        for i in range(count)
+    ]
+
+
+def _matched_lines(tmp_path, articles):
+    path = tmp_path / "matched_articles.jsonl"
+    write_matched_articles(path, articles)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def _write(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+_BAD_LINE = {
+    "not-json": lambda line: line[:-1],
+    "missing-key": lambda line: json.dumps(
+        {k: v for k, v in json.loads(line).items() if k != "source"}),
+    "wrong-type": lambda line: json.dumps({**json.loads(line), "published_utc": "soon"}),
+}
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["packed", "blank-lines"])
+@pytest.mark.parametrize("index", [0, 3, 5])
+@pytest.mark.parametrize("damage", list(_BAD_LINE))
+def test_bad_matched_line_is_named(tmp_path, damage, index, blank):
+    """A bad line N is reported as line N, blank lines counted."""
+    path, lines = _matched_lines(tmp_path, _matched())
+    bad = lines[index] = _BAD_LINE[damage](lines[index])
+    if blank:
+        lines = ["", *lines[:2], "", *lines[2:]]
+    _write(path, lines)
+    message = "bad value" if damage == "wrong-type" else "not a matched-article record"
+    with pytest.raises(DataError, match=f"line {lines.index(bad) + 1}: {message}"):
+        read_matched_articles(path)
+
+
+def test_first_bad_line_is_named(tmp_path):
+    """A bad value on line 2 is named before a line 5 that is not JSON."""
+    path, lines = _matched_lines(tmp_path, _matched())
+    lines[1] = _BAD_LINE["wrong-type"](lines[1])
+    lines[4] = _BAD_LINE["not-json"](lines[4])
+    _write(path, lines)
+    with pytest.raises(DataError, match="line 2: bad value"):
+        read_matched_articles(path)
+
+
+def test_repeated_matched_id_names_both_lines(tmp_path):
+    path, lines = _matched_lines(tmp_path, _matched())
+    lines.insert(4, json.dumps({**json.loads(lines[1]), "title": "another"}))
+    _write(path, lines)
+    with pytest.raises(DataError, match="lines 2 and 5: two records of id 'id1'"):
+        read_matched_articles(path)

@@ -2,6 +2,7 @@ import itertools
 import random
 import statistics
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import networkx as nx
 import pytest
@@ -27,7 +28,13 @@ from newsreuse.network import (
 )
 
 from helpers import BASE_TS, make_pair
-from oracles import direct_modularity, enumeration_betweenness
+from oracles import (
+    dict_betweenness,
+    direct_modularity,
+    enumeration_betweenness,
+    line_dot,
+    line_graphml,
+)
 
 
 def _graph(edges, window=0):
@@ -217,6 +224,64 @@ def test_betweenness_matches_enumeration_oracle():
         want = enumeration_betweenness(nodes, edges)
         for v in nodes:
             assert abs(got[v] - want[v]) < 1e-9, f"trial {trial} node {v}"
+
+
+@st.composite
+def _digraphs(draw):
+    """Digraphs with isolated nodes and up to three parts with no edge
+    between them. Within a part, random edges, and optionally layers of
+    equal width with every node of one layer pointing at every node of the
+    next, which give many shortest paths of one length."""
+    n = draw(st.integers(1, 14))
+    parts = draw(st.integers(1, 3))
+    names = draw(st.permutations([f"v{i:02d}" for i in range(n)]))
+    graph = RepublishGraph(0)
+    for name in names:
+        graph.add_node(name)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n * n)):
+        if a != b and a % parts == b % parts:
+            graph.add_edge(names[a], names[b])
+    width = draw(st.integers(0, 4))
+    for part in range(parts) if width else ():
+        members = names[part::parts]
+        layers = [members[i:i + width] for i in range(0, len(members), width)]
+        for upper, lower in zip(layers, layers[1:]):
+            for a in upper:
+                for b in lower:
+                    graph.add_edge(a, b)
+    return graph
+
+
+def _layered(widths):
+    graph = RepublishGraph(0)
+    layers = [[f"l{depth}-{i}" for i in range(w)] for depth, w in enumerate(widths)]
+    for upper, lower in zip(layers, layers[1:]):
+        for a in upper:
+            for b in lower:
+                graph.add_edge(a, b)
+    graph.add_node("isolated")
+    return graph
+
+
+def _numbered(edges):
+    graph = RepublishGraph(0)
+    for a, b in edges:
+        graph.add_edge(f"v{a}", f"v{b}")
+    return graph
+
+
+@given(_digraphs())
+@example(_numbered([(0, 1), (0, 3), (0, 5), (0, 6), (1, 0), (1, 2), (2, 0), (2, 3), (2, 4),
+                    (3, 2), (3, 5), (4, 0), (4, 2), (4, 3), (4, 5), (5, 0), (5, 4), (6, 0)]))
+@example(_layered([1, 3, 3, 3, 1]))
+@example(_layered([2, 3, 5, 7, 3]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_betweenness_equals_the_dict_version_bit_for_bit(graph):
+    """Integer ids change no sum's order: every value is `==` the dict-based
+    Brandes's, in the same key order."""
+    got, want = betweenness(graph), dict_betweenness(graph)
+    assert list(got.items()) == list(want.items())
 
 
 def _two_cliques(bridge=True):
@@ -458,6 +523,51 @@ def test_export_deterministic_bytes(tmp_path):
     export_dot(graph, d1)
     export_dot(graph, d2)
     assert d1.read_bytes() == d2.read_bytes()
+
+
+_AWKWARD_NAMES = [
+    "a & b <c>", 'say "hi"', "it's", "both \" and '", "line\nbreak", "cr\r and\ttab",
+    "café 東京 — ß", "back\\slash", "&amp; already", "plain",
+]
+
+
+def _awkward_graph(window_index):
+    graph = RepublishGraph(window_index)
+    for i, frm in enumerate(_AWKWARD_NAMES):
+        for step, to in enumerate(_AWKWARD_NAMES[i + 1:i + 4], start=1):
+            graph.add_edge(frm, to, step * (i + 1))
+        if i:
+            graph.add_edge(frm, _AWKWARD_NAMES[0])
+    attach_metrics(graph)
+    partition = louvain(graph, seed=2)
+    for node in graph.nodes():
+        attrs = graph.node_attrs(node)
+        attrs["community"] = partition.communities[node] if "a" in node else None
+        attrs["audience"] = f"<{node}> & \"{node}\" 'x'\r\n\t"
+        attrs["leaning"] = "left"
+        attrs["median_fb_shares"] = None if "e" in node else 2.5
+    graph.node_attrs("plain")["mixed"] = 3
+    graph.node_attrs("it's")["mixed"] = 0.1
+    graph.node_attrs("cr\r and\ttab")["mixed"] = "cr\r & <b>"
+    graph.add_node("lonely 'node' <x>")
+    return graph
+
+
+@pytest.mark.parametrize("window_index", [7, COMBINED])
+def test_writers_equal_the_line_at_a_time_versions(tmp_path, window_index):
+    """Names and string values holding & < > " ' CR LF tab, both quote kinds
+    in one name, and non-ASCII text: each file is byte-equal to the one the
+    earlier writers built a line at a time."""
+    graph = _awkward_graph(window_index)
+    for export, oracle, suffix in ((export_graphml, line_graphml, "graphml"),
+                                   (export_dot, line_dot, "dot")):
+        got, want = tmp_path / f"got.{suffix}", tmp_path / f"want.{suffix}"
+        export(graph, got)
+        oracle(graph, want)
+        assert got.read_bytes() == want.read_bytes(), suffix
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    root = ElementTree.parse(tmp_path / "got.graphml").getroot()
+    assert [node.get("id") for node in root.iter(f"{ns}node")] == graph.nodes()
 
 
 def test_export_dot_contents(tmp_path):
