@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import multiprocessing
 import os
 import sys
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -51,12 +53,7 @@ from .corpus import (
 )
 from .errors import DataError
 from .fixture import FixtureSpec, generate_fixture
-from .similarity import (
-    DEFAULT_MIN_BODY_TOKENS,
-    DEFAULT_THRESHOLD,
-    WindowMatchResult,
-    match_window,
-)
+from .similarity import WindowMatchResult, match_window
 
 log = logging.getLogger("newsreuse")
 
@@ -91,9 +88,9 @@ class RunConfig:
     stopwords: str | None = None
     out_dir: str = "out"
     window_days: int = 14
-    similarity_threshold: float = DEFAULT_THRESHOLD
+    similarity_threshold: float = 0.90
     title_change_threshold: float = 0.10
-    min_body_tokens: int = DEFAULT_MIN_BODY_TOKENS
+    min_body_tokens: int = 20
     louvain_seed: int = 0
     louvain_resolution: float = 1.0
     dedupe_origin: bool = False
@@ -257,9 +254,9 @@ def _detect_record(cfg: RunConfig) -> list[tuple[str, object]]:
     ]
 
 
-# A detect worker's matcher and windows, set once as the worker starts. Under
-# the fork start method the worker inherits them from detect's process, so no
-# window is pickled (under another they are pickled once per worker); each
+# A detect worker's matcher and windows, set once as the worker starts. The
+# pool forks its workers, so each inherits them from detect's process, with
+# the descriptor of the windows' body spool, and no window is pickled; each
 # task is a window's position.
 _worker_job: tuple[Callable[[TimeWindow], WindowMatchResult], Sequence[TimeWindow]] | None = None
 
@@ -281,28 +278,38 @@ def cmd_detect(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     record = _detect_record(cfg)
     collection = ingest_articles(cfg.articles, cfg.format)
-    windows = partition_windows(collection, cfg.window_days)
-    # Only occupied windows are listed; the span's count includes empty ones.
-    window_count = windows[-1].index + 1
-    log.info(
-        "ingested %d articles into %d windows, %d occupied",
-        len(collection), window_count, len(windows),
-    )
+    with closing(collection.spool):
+        windows = partition_windows(collection, cfg.window_days)
+        # Only occupied windows are listed; the span's count includes empty ones.
+        window_count = windows[-1].index + 1
+        log.info(
+            "ingested %d articles into %d windows, %d occupied",
+            len(collection), window_count, len(windows),
+        )
 
-    match = partial(
-        match_window, threshold=cfg.similarity_threshold, min_body_tokens=cfg.min_body_tokens
-    )
-    # A pool forks all of its workers at once, so more than one per window or
-    # per CPU this process may run on only costs memory.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.jobs, len(windows), cpus or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_keep_job, initargs=(match, windows)
-        ) as pool:
-            results = list(pool.map(_match_kept, range(len(windows))))
-    else:
-        results = [match(w) for w in windows]
+        match = partial(
+            match_window, threshold=cfg.similarity_threshold, min_body_tokens=cfg.min_body_tokens
+        )
+        # A pool forks all of its workers at once, so more than one per window
+        # or per CPU this process may run on only costs memory. The fork start
+        # method is named, not left to the default (forkserver on POSIX from
+        # Python 3.14), which would pickle every window into each worker and
+        # cannot pass the spool; where there is no fork, one process matches.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        can_fork = "fork" in multiprocessing.get_all_start_methods()
+        if cfg.jobs > 1 and not can_fork:
+            log.warning("no fork start method on this platform; matching in one process")
+        workers = min(cfg.jobs, len(windows), cpus or 1) if can_fork else 1
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_keep_job,
+                initargs=(match, windows),
+            ) as pool:
+                results = list(pool.map(_match_kept, range(len(windows))))
+        else:
+            results = [match(w) for w in windows]
 
     pairs = [p for r in results for p in r.pairs]
     write_pairs_csv(pairs, out / "pairs.csv")

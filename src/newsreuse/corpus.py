@@ -4,7 +4,11 @@ Articles arrive as JSONL or CSV, one record per article. Rows that fail
 validation are collected into a rejects report instead of aborting the run,
 unless more than half the rows are bad, which signals a schema mismatch
 rather than dirty data. Collections are immutable after construction and
-safe to share across threads or worker processes.
+safe to share with worker processes forked from the one that ingested them.
+No article holds its body: ingest writes each accepted body to its
+collection's `BodySpool`, an unnamed temporary file, and the matcher reads
+the bodies back one at a time, so memory does not grow with the corpus's
+bytes.
 
 Every other file the pipeline reads or writes goes through four functions
 here: `read_text` and `read_csv` for side files (labels, lexicons, stopwords,
@@ -29,8 +33,10 @@ import logging
 import math
 import os
 import re
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+import tempfile
+import weakref
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import groupby
@@ -109,15 +115,80 @@ def format_timestamp(ts: int) -> str:
 
 @dataclass(frozen=True)
 class Article:
-    """One news item. `published_utc` is epoch seconds."""
+    """One news item. `published_utc` is epoch seconds. `body_span` is the
+    (offset, length) of its body in its collection's `BodySpool`; an article
+    read back from detect's hand-off has none. Where the body lies is not
+    part of the article, so equality ignores it."""
 
     id: str
     source: str
     title: str
-    body: str
     published_utc: int
     fb_shares: int | None = None
     fb_reactions: int | None = None
+    body_span: tuple[int, int] | None = field(default=None, compare=False)
+
+
+class BodySpool:
+    """Article bodies, as UTF-8, one after another in an unnamed temporary
+    file under `tempfile.gettempdir()`, which the OS removes when the file is
+    closed or the process ends.
+
+    `append` returns a body's (offset, length), and after `flush`, `read`
+    reads it back with `os.pread`. That moves no file position, so processes
+    forked after the flush read through the descriptor they inherit. The
+    file is closed by `close`, or when the spool is garbage. An OSError while
+    making or writing the file, such as a full disk, is a DataError naming
+    the directory.
+    """
+
+    def __init__(self) -> None:
+        try:
+            # A 64 KiB buffer halves the write time of the default's.
+            self._file = tempfile.TemporaryFile(buffering=1 << 16)
+        except OSError as exc:
+            raise _spool_error(exc) from exc
+        self._fd = self._file.fileno()
+        self._size = 0
+        self._finalizer = weakref.finalize(self, _discard, self._file)
+
+    def append(self, body: str) -> tuple[int, int]:
+        # surrogatepass: any str round-trips, as a body held in memory did.
+        data = body.encode("utf-8", "surrogatepass")
+        try:
+            self._file.write(data)
+        except OSError as exc:
+            raise _spool_error(exc) from exc
+        span = (self._size, len(data))
+        self._size += len(data)
+        return span
+
+    def flush(self) -> None:
+        try:
+            self._file.flush()
+        except OSError as exc:
+            raise _spool_error(exc) from exc
+
+    def read(self, span: tuple[int, int]) -> str:
+        offset, length = span
+        return os.pread(self._fd, length, offset).decode("utf-8", "surrogatepass")
+
+    def close(self) -> None:
+        self._finalizer()
+
+
+def _discard(file: Any) -> None:
+    # After a failed write the buffer still holds bytes that closing tries
+    # to write again; the spool is scratch, so that second failure is moot.
+    with suppress(OSError):
+        file.close()
+
+
+def _spool_error(exc: OSError) -> DataError:
+    return DataError(
+        f"cannot spool article bodies in {tempfile.gettempdir()}: {exc}; "
+        f"free space there or point TMPDIR elsewhere"
+    )
 
 
 @dataclass(frozen=True)
@@ -131,6 +202,7 @@ class Reject:
 @dataclass(frozen=True)
 class ArticleCollection:
     articles: tuple[Article, ...]
+    spool: BodySpool = field(compare=False, repr=False)
     rejects: tuple[Reject, ...] = ()
 
     def __len__(self) -> int:
@@ -145,12 +217,14 @@ class ArticleCollection:
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Half-open interval [start_utc, end_utc) holding its articles."""
+    """Half-open interval [start_utc, end_utc) holding its articles, whose
+    bodies are in `spool`."""
 
     index: int
     start_utc: int
     end_utc: int
     articles: tuple[Article, ...]
+    spool: BodySpool = field(compare=False, repr=False)
 
 
 def _derived_id(source: str, url: str | None, published_utc: int) -> str:
@@ -187,7 +261,11 @@ def _optional_text(value: Any) -> str | None:
     return text or None
 
 
-def _article_from_record(record: Mapping[str, Any]) -> Article:
+def _article_fields(
+    record: Mapping[str, Any]
+) -> tuple[str, str, str, str, int, int | None, int | None]:
+    """A record's validated id, source, title, body, published_utc,
+    fb_shares and fb_reactions."""
     source_raw = record.get("source")
     source = canonical_source(str(source_raw)) if source_raw is not None else ""
     if not source:
@@ -215,14 +293,14 @@ def _article_from_record(record: Mapping[str, Any]) -> Article:
     if article_id is None:
         article_id = _derived_id(source, _optional_text(record.get("url")), published)
 
-    return Article(
-        id=article_id,
-        source=source,
-        title=title,
-        body=body,
-        published_utc=published,
-        fb_shares=_optional_count(record.get("fb_shares"), "fb_shares"),
-        fb_reactions=_optional_count(record.get("fb_reactions"), "fb_reactions"),
+    return (
+        article_id,
+        source,
+        title,
+        body,
+        published,
+        _optional_count(record.get("fb_shares"), "fb_shares"),
+        _optional_count(record.get("fb_reactions"), "fb_reactions"),
     )
 
 
@@ -293,10 +371,36 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
     distinct articles, the later one disambiguated with an `@source` suffix,
     or rejected when an earlier article already holds that suffixed id.
     Aborts when more than half the rows fail validation.
+
+    Each accepted body goes to the collection's spool, which the caller
+    closes; on an error it is closed here.
     """
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
     path = Path(path)
+    spool = BodySpool()
+    try:
+        accepted, rejects = _accept_rows(path, format, spool)
+        spool.flush()
+        total = len(accepted) + len(rejects)
+        if total and 2 * len(rejects) > total:
+            raise DataError(
+                f"{len(rejects)} of {total} rows rejected; input does not match the "
+                f"expected article schema"
+            )
+    except BaseException:
+        spool.close()
+        raise
+    if rejects:
+        log.warning("ingest: %d of %d rows rejected", len(rejects), total)
+    return ArticleCollection(tuple(accepted), spool, tuple(rejects))
+
+
+def _accept_rows(
+    path: Path, format: str, spool: BodySpool
+) -> tuple[list[Article], list[Reject]]:
+    """`ingest_articles`' one pass over the rows: the accepted articles, each
+    body appended to `spool`, and the rejects."""
     try:
         rows = _iter_jsonl(path) if format == "jsonl" else _iter_csv(path)
         accepted: list[Article] = []
@@ -308,38 +412,33 @@ def ingest_articles(path: str | Path, format: str = "jsonl") -> ArticleCollectio
                 rejects.append(Reject(row, error))
                 continue
             try:
-                article = _article_from_record(record)
+                article_id, source, title, body, published, shares, reactions = (
+                    _article_fields(record)
+                )
             except ValueError as exc:
                 rejects.append(Reject(row, str(exc)))
                 continue
-            key = (article.source, article.id)
+            key = (source, article_id)
             if key in seen_keys:
-                rejects.append(Reject(row, f"duplicate id {article.id!r} within source"))
+                rejects.append(Reject(row, f"duplicate id {article_id!r} within source"))
                 continue
-            if article.id in seen_ids:
-                article = replace(article, id=f"{article.id}@{article.source}")
-                if article.id in seen_ids:
-                    rejects.append(Reject(row, f"id {article.id!r} already taken"))
+            if article_id in seen_ids:
+                article_id = f"{article_id}@{source}"
+                if article_id in seen_ids:
+                    rejects.append(Reject(row, f"id {article_id!r} already taken"))
                     continue
             # pairs.csv holds each id, and graph and headlines read it back.
-            if len(article.id) > csv.field_size_limit():
+            if len(article_id) > csv.field_size_limit():
                 rejects.append(Reject(row, "id longer than the CSV field limit"))
                 continue
             seen_keys.add(key)
-            seen_ids.add(article.id)
-            accepted.append(article)
+            seen_ids.add(article_id)
+            span = spool.append(body)
+            # Positional: a frozen dataclass is built faster so.
+            accepted.append(Article(article_id, source, title, published, shares, reactions, span))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-    total = len(accepted) + len(rejects)
-    if total and 2 * len(rejects) > total:
-        raise DataError(
-            f"{len(rejects)} of {total} rows rejected; input does not match the "
-            f"expected article schema"
-        )
-    if rejects:
-        log.warning("ingest: %d of %d rows rejected", len(rejects), total)
-    return ArticleCollection(tuple(accepted), tuple(rejects))
+    return accepted, rejects
 
 
 def partition_windows(
@@ -374,6 +473,7 @@ def partition_windows(
             start_utc=start0 + index * length,
             end_utc=start0 + (index + 1) * length,
             articles=tuple(bucket),
+            spool=collection.spool,
         )
         for index, bucket in groupby(articles, key=lambda a: (a.published_utc - start0) // length)
     ]
@@ -644,8 +744,8 @@ def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> Non
 
 
 def read_matched_articles(path: str | Path) -> dict[str, Article]:
-    """The articles `write_matched_articles` wrote, by id, with empty
-    bodies. A line that is not such a record, or a second record of one id,
+    """The articles `write_matched_articles` wrote, by id, with no body
+    span. A line that is not such a record, or a second record of one id,
     is a DataError naming it."""
     articles: dict[str, Article] = {}
     line_of: dict[str, int] = {}
@@ -670,7 +770,7 @@ def read_matched_articles(path: str | Path) -> dict[str, Article]:
                 f"{article_id!r}; re-run detect"
             )
         line_of[article_id] = lineno
-        articles[article_id] = Article(body="", **values)
+        articles[article_id] = Article(**values)
     return articles
 
 

@@ -1,12 +1,13 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. A window's bodies are tokenized one at a
-time, and each token of a body long enough to match is looked up once, into
-one array of term ids for the window; no body's tokens are kept after its
-lookup. Fitting builds the window's term-count matrix from that array;
-`vectorize` weights it by idf and L2-normalizes each row, one row per
-document in a single scipy.sparse CSR matrix. The join is exact. Either
+similarity exceeds a threshold. A window's bodies are read back from the
+corpus's body spool and tokenized one at a time, and each token of a body
+long enough to match is looked up once, into one array of term ids for the
+window; no body's text or tokens are kept after its lookup. Fitting builds
+the window's term-count matrix from that array; `vectorize` weights it by
+idf and L2-normalizes each row, one row per document in a single
+scipy.sparse CSR matrix. The join is exact. Either
 every pair is scored, as the lower triangle of that matrix times its
 transpose, or, when a few terms are in almost every document, pairs are
 first filtered with an l2-norm bound on the frequent terms and the
@@ -33,9 +34,6 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import MatchedPair, TimeWindow, pair_articles
-
-DEFAULT_THRESHOLD = 0.90
-DEFAULT_MIN_BODY_TOKENS = 20
 
 # Product entries per tile of the exact join; bounds its working memory.
 _TILE_ENTRIES = 1 << 16
@@ -387,21 +385,23 @@ class WindowMatchResult:
 
 
 def match_window(
-    window: TimeWindow,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_body_tokens: int = DEFAULT_MIN_BODY_TOKENS,
+    window: TimeWindow, *, threshold: float, min_body_tokens: int
 ) -> WindowMatchResult:
     """Fit a TFIDF model on one window and extract all cross-source matches.
 
-    Bodies shorter than `min_body_tokens` tokens do not participate. A window
-    with fewer than two eligible documents has no pairs.
+    Each body is read from the window's spool as it is tokenized, so one
+    body's text is held at a time. Bodies shorter than `min_body_tokens`
+    tokens do not participate. A window with fewer than two eligible
+    documents has no pairs.
     Pairs are sorted by (similarity desc, earlier id, later id), a total
     order since ids are unique. Neither a pair nor its score depends on the
     order of the window's articles, so neither does the result.
     """
     articles = window.articles
-    docs = token_ids((TokenizedDoc.from_text(a.body).tokens for a in articles), min_body_tokens)
+    read = window.spool.read
+    docs = token_ids(
+        (TokenizedDoc.from_text(read(a.body_span)).tokens for a in articles), min_body_tokens
+    )
     eligible = docs.rows
     if len(eligible) < 2:
         return WindowMatchResult(len(eligible), ())

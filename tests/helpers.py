@@ -2,11 +2,25 @@
 
 import json
 import random
+from dataclasses import dataclass, replace
 
-from newsreuse.corpus import Article, TimeWindow, pair_articles
+from newsreuse.cli import RunConfig
+from newsreuse.corpus import Article, BodySpool, TimeWindow, pair_articles
 
 DAY = 86400
 BASE_TS = 1491523200  # 2017-04-07T00:00:00Z
+# match_window's keywords at a run's default settings.
+DEFAULT_MATCH = {
+    "threshold": RunConfig.similarity_threshold,
+    "min_body_tokens": RunConfig.min_body_tokens,
+}
+
+
+@dataclass(frozen=True)
+class TextArticle(Article):
+    """An article that carries its body's text, for `make_window` to spool."""
+
+    body: str = ""
 
 
 def make_article(
@@ -16,18 +30,24 @@ def make_article(
     title: str = "",
     ts: int = BASE_TS,
     **kwargs,
-) -> Article:
-    return Article(
+) -> TextArticle:
+    return TextArticle(
         id=id, source=source, title=title, body=body, published_utc=ts, **kwargs
     )
 
 
 def make_window(articles, index=0, start=BASE_TS, days=14) -> TimeWindow:
+    """A window of `TextArticle`s, whose bodies are written to a new spool as
+    ingest writes a corpus's, so the matcher reads them back as in detect."""
+    spool = BodySpool()
+    spooled = tuple(replace(a, body_span=spool.append(a.body)) for a in articles)
+    spool.flush()
     return TimeWindow(
         index=index,
         start_utc=start,
         end_utc=start + days * DAY,
-        articles=tuple(articles),
+        articles=spooled,
+        spool=spool,
     )
 
 

@@ -113,7 +113,7 @@ def test_criterion_2_similarity_exactness():
     checked_pairs = 0
     for index, size in enumerate(sizes):
         window = _random_window(rng, vocab, size, index)
-        result = match_window(window, threshold=0.90)
+        result = match_window(window, threshold=0.90, min_body_tokens=20)
         articles = sorted(window.articles, key=lambda a: a.id)
         docs = [list(TokenizedDoc.from_text(a.body).tokens) for a in articles]
         keep = [i for i, d in enumerate(docs) if len(d) >= 20]

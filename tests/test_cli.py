@@ -10,7 +10,7 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import takewhile
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from newsreuse.cli import (
 
 from newsreuse.corpus import (
     MAX_COUNT,
+    BodySpool,
     TimeWindow,
     file_sha256,
     ingest_articles,
@@ -1191,9 +1192,7 @@ def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):
     assert _run("detect", "--out", str(out), *args) == EXIT_OK
     shutil.copytree(out, reference)
     handoff = read_matched_articles(out / "matched_articles.jsonl")
-    assert handoff == {
-        a.id: replace(a, body="") for a in ingest_articles(corpus).articles
-    }
+    assert handoff == {a.id: a for a in ingest_articles(corpus).articles}
     for command in ("graph", "headlines"):
         assert _run(command, "--out", str(out), *args) == EXIT_OK
     monkeypatch.setattr(cli, "_load_pairs", _from_whole_corpus)
@@ -1297,13 +1296,15 @@ def test_side_file_encoding(
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the
-    initializer and maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the start
+    method of its context, runs the initializer and maps in-process."""
 
     created: list[int] = []
+    start_methods: list[str] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, initializer, initargs, mp_context=None):
         self.created.append(max_workers)
+        self.start_methods.append((mp_context or multiprocessing).get_start_method())
         initializer(*initargs)
 
     def __enter__(self):
@@ -1323,6 +1324,7 @@ def _detect_with_recording_pool(tmp_path, monkeypatch, jobs, expected):
     assert _run("detect", "--config", cfg, "--out", str(tmp_path / "ref")) == EXIT_OK
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(_RecordingPool, "start_methods", [])
     monkeypatch.setattr(cli, "_worker_job", None)
     out = tmp_path / "out"
     assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", str(jobs)) == EXIT_OK
@@ -1358,8 +1360,35 @@ def test_detect_workers_capped_by_cpu_count_without_affinity(
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers inherit their windows only under the fork start method",
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="detect forks its workers only where the platform can fork",
+)
+def test_detect_pool_forks_whatever_the_default_start_method(tmp_path, monkeypatch):
+    """Forked workers inherit the windows and the body spool's descriptor.
+    The default here is set to forkserver, the POSIX default from Python
+    3.14, which could pass neither."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        _detect_with_recording_pool(tmp_path, monkeypatch, 2, [2])
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert _RecordingPool.start_methods == ["fork"]
+
+
+def test_detect_without_fork_matches_in_one_process(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(
+        cli.multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+    )
+    _detect_with_recording_pool(tmp_path, monkeypatch, 2, [])
+    assert caplog.text.count("no fork start method") == 1
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="detect forks its workers only where the platform can fork",
 )
 def test_detect_workers_inherit_windows_without_pickling_them(tmp_path, monkeypatch):
     fx = _gen(tmp_path)
@@ -1371,7 +1400,7 @@ def test_detect_workers_inherit_windows_without_pickling_them(tmp_path, monkeypa
 
     monkeypatch.setattr(TimeWindow, "__reduce__", refuse)
     with pytest.raises(pickle.PicklingError):
-        pickle.dumps(TimeWindow(0, 0, 1, ()))
+        pickle.dumps(TimeWindow(0, 0, 1, (), BodySpool()))
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = tmp_path / "jobs2"
     assert _run("detect", "--config", cfg, "--out", str(out), "--jobs", "2") == EXIT_OK

@@ -22,7 +22,14 @@ from newsreuse.similarity import (
     vectorize,
 )
 
-from helpers import BASE_TS, make_article, make_window, pseudo_vocab, random_body
+from helpers import (
+    BASE_TS,
+    DEFAULT_MATCH,
+    make_article,
+    make_window,
+    pseudo_vocab,
+    random_body,
+)
 from oracles import (
     dense_tfidf_matrix,
     exhaustive_pairs,
@@ -236,7 +243,7 @@ def test_match_window_keeps_at_most_one_body_tokenized(monkeypatch):
         return doc
 
     monkeypatch.setattr(TokenizedDoc, "from_text", staticmethod(from_text))
-    assert len(match_window(window).pairs) == 1
+    assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
     assert len(alive) == 12
     assert max(alive) <= 1
 
@@ -261,7 +268,7 @@ def test_verbatim_copy_detected_at_one():
     window = make_window(
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A]})
     )
-    pairs = list(match_window(window).pairs)
+    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
     assert len(pairs) == 1
     assert pairs[0].similarity == pytest.approx(1.0, abs=1e-9)
     assert {pairs[0].earlier.source, pairs[0].later.source} == {"ap", "echo"}
@@ -270,20 +277,20 @@ def test_verbatim_copy_detected_at_one():
 
 def test_same_source_duplicates_excluded():
     window = make_window(_window_articles({"ap": [LONG_A, LONG_A], "x": [LONG_B]}))
-    assert list(match_window(window).pairs) == []
+    assert list(match_window(window, **DEFAULT_MATCH).pairs) == []
 
 
 def test_short_bodies_ineligible():
     short = "too short to count"
     window = make_window(_window_articles({"ap": [short], "echo": [short]}))
-    result = match_window(window)
+    result = match_window(window, **DEFAULT_MATCH)
     assert result.eligible_count == 0
     assert result.pairs == ()
 
 
 def test_window_with_single_eligible_doc_skipped():
     window = make_window(_window_articles({"ap": [LONG_A], "echo": ["tiny"]}))
-    result = match_window(window)
+    result = match_window(window, **DEFAULT_MATCH)
     assert result.eligible_count == 1
     assert result.pairs == ()
 
@@ -292,7 +299,7 @@ def test_timestamp_tie_marks_ambiguous():
     a = make_article("idb", "zsource", body=LONG_A, ts=BASE_TS + 100)
     b = make_article("ida", "asource", body=LONG_A, ts=BASE_TS + 100)
     window = make_window([a, b])
-    pairs = list(match_window(window).pairs)
+    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
     assert len(pairs) == 1
     assert pairs[0].direction == AMBIGUOUS
     assert pairs[0].earlier.source == "asource"
@@ -326,7 +333,7 @@ def test_planted_copies_recovered_exactly():
     rng = random.Random(11)
     vocab = pseudo_vocab(rng, 900)
     window, planted = _planted_window(rng, 200, 10, vocab)
-    pairs = list(match_window(window, threshold=0.90).pairs)
+    pairs = list(match_window(window, threshold=0.90, min_body_tokens=20).pairs)
     got = {frozenset((p.earlier.id, p.later.id)) for p in pairs}
     assert got == planted
     for p in pairs:
@@ -471,14 +478,14 @@ def test_matching_is_strictly_intra_window(tmp_path):
     )
     windows = partition_windows(ingest_articles(path), window_days=14)
     assert len(windows) == 2
-    assert all(list(match_window(w).pairs) == [] for w in windows)
+    assert all(list(match_window(w, **DEFAULT_MATCH).pairs) == [] for w in windows)
 
 
 def test_pairs_csv_round_trip(tmp_path):
     window = make_window(
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A, LONG_B]})
     )
-    pairs = list(match_window(window).pairs)
+    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
     assert pairs
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
@@ -489,7 +496,7 @@ def test_pairs_csv_round_trip(tmp_path):
 
 def test_pairs_csv_unknown_id_errors(tmp_path):
     window = make_window(_window_articles({"ap": [LONG_A], "echo": [LONG_A]}))
-    pairs = list(match_window(window).pairs)
+    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
     with pytest.raises(DataError, match="not in corpus"):
@@ -703,7 +710,7 @@ def test_gate_sends_fixture_window_to_product_join(tmp_path, monkeypatch):
     )
     (window,) = partition_windows(ingest_articles(paths["articles"]), window_days=14)
     taken = _joins_taken(monkeypatch)
-    result = match_window(window)
+    result = match_window(window, **DEFAULT_MATCH)
     assert taken == ["_product_join"]
     assert len(result.pairs) >= 10
 
@@ -715,5 +722,5 @@ def test_gate_sends_window_without_rare_columns_to_product_join(monkeypatch):
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A, "alpha zeta " * 10]})
     )
     taken = _joins_taken(monkeypatch)
-    assert len(match_window(window).pairs) == 1
+    assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
     assert taken == ["_product_join"]
