@@ -294,12 +294,9 @@ def cmd_detect(cfg: RunConfig) -> int:
         # or per CPU this process may run on only costs memory. The fork start
         # method is named, not left to the default (forkserver on POSIX from
         # Python 3.14), which would pickle every window into each worker and
-        # cannot pass the spool; where there is no fork, one process matches.
+        # cannot pass the spool.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if cfg.jobs > 1 and not can_fork:
-            log.warning("no fork start method on this platform; matching in one process")
-        workers = min(cfg.jobs, len(windows), cpus or 1) if can_fork else 1
+        workers = min(cfg.jobs, len(windows), cpus or 1)
         if workers > 1:
             with ProcessPoolExecutor(
                 max_workers=workers,

@@ -20,7 +20,7 @@ from typing import AbstractSet, Mapping, Sequence
 from . import swilk
 from .corpus import MatchedPair, write_csv
 from .errors import DataError
-from .similarity import TokenizedDoc, cosine, fit_tfidf, token_ids, tokenize, vectorize
+from .similarity import cosine, fit_tfidf, tokenize, vectorize
 
 log = logging.getLogger(__name__)
 
@@ -73,8 +73,8 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     titles = sorted(
         {p.earlier.title for p in pairs} | {p.later.title for p in pairs}
     )
-    docs = token_ids((TokenizedDoc.from_text(t).tokens for t in titles), 1)
-    row = {titles[k]: i for i, k in enumerate(docs.rows)}
+    model = fit_tfidf(titles, 1)
+    row = {titles[k]: i for i, k in enumerate(model.rows)}
     eligible = [p.earlier.title in row and p.later.title in row for p in pairs]
     scored = [
         k for k, p in enumerate(pairs) if eligible[k] and p.earlier.title != p.later.title
@@ -82,7 +82,7 @@ def title_distance(pairs: Sequence[MatchedPair]) -> list[TitlePair]:
     distances = [0.0] * len(pairs)
     if scored:
         sims = cosine(
-            vectorize(fit_tfidf(docs)),
+            vectorize(model),
             [row[pairs[k].earlier.title] for k in scored],
             [row[pairs[k].later.title] for k in scored],
         )

@@ -225,18 +225,10 @@ def _undirected_projection(graph: RepublishGraph) -> dict[str, dict[str, float]]
     return adj
 
 
-def modularity(
-    graph: RepublishGraph,
-    communities: Mapping[str, int],
-    resolution: float = 1.0,
-) -> float:
-    """Newman modularity of a partition on the undirected projection."""
-    return _modularity(_undirected_projection(graph), communities, resolution)
-
-
 def _modularity(
     adj: Mapping[str, Mapping[str, float]], communities: Mapping[str, int], resolution: float
 ) -> float:
+    """Newman modularity of a partition on an undirected projection."""
     missing = [v for v in adj if v not in communities]
     if missing:
         raise DataError(f"partition is missing nodes: {missing[:5]}")

@@ -1,13 +1,14 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. A window's bodies are read back from the
-corpus's body spool and tokenized one at a time, and each token of a body
-long enough to match is looked up once, into one array of term ids for the
-window; no body's text or tokens are kept after its lookup. Fitting builds
-the window's term-count matrix from that array; `vectorize` weights it by
-idf and L2-normalizes each row, one row per document in a single
-scipy.sparse CSR matrix. The join is exact. Either
+similarity exceeds a threshold. Fitting tokenizes, looks up and counts in
+one call, `fit_tfidf`: a window's bodies are read back from the corpus's
+body spool and tokenized one at a time, each token of a body long enough
+to match is looked up once, into one array of term ids for the window, and
+the window's term-count matrix is built from that array; no body's text or
+tokens are kept after its lookup. `vectorize` weights the counts by idf and
+L2-normalizes each row, one row per document in a single scipy.sparse CSR
+matrix. The join is exact. Either
 every pair is scored, as the lower triangle of that matrix times its
 transpose, or, when a few terms are in almost every document, pairs are
 first filtered with an l2-norm bound on the frequent terms and the
@@ -28,7 +29,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -63,6 +64,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(low)
 
 
+# The benchmark's spans patch `from_text`, so `fit_tfidf` calls it through the class.
 @dataclass(frozen=True)
 class TokenizedDoc:
     tokens: tuple[str, ...]
@@ -76,73 +78,59 @@ class TokenizedDoc:
 class TfidfModel:
     """Vocabulary, idf weights and term counts of one fitted document set.
 
+    `rows` are the positions of the fitted texts among those given;
     `vocabulary` maps each term to its rank in sorted order; `idf[i]` is the
     smoothed idf of the term with id i; `counts` is the canonical CSR matrix
     of term counts, one row per fitted document, in their order.
     """
 
+    rows: list[int]
     vocabulary: dict[str, int]
     idf: np.ndarray
     counts: sparse.csr_matrix
 
 
-class TokenIds(NamedTuple):
-    """The documents `token_ids` kept, as `fit_tfidf` takes them: `rows` are
-    their positions in the input, `lengths` their token counts, and `ids`
-    their tokens' term ids in order, numbered by first appearance in `first`."""
+def fit_tfidf(texts: Iterable[str], min_tokens: int) -> TfidfModel:
+    """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1 on
+    the texts of at least `min_tokens` tokens.
 
-    rows: list[int]
-    lengths: list[int]
-    ids: array
-    first: dict[str, int]
-
-
-def token_ids(docs: Iterable[Sequence[str]], min_tokens: int) -> TokenIds:
-    """Look up each token of the documents of at least `min_tokens` tokens.
-
-    One pass that keeps no document's tokens, so fed by a generator it holds
-    one document's tokens at a time. A shorter document never enters the
-    vocabulary.
+    One pass tokenizes each text and looks each token of a kept text up
+    once, into one array of term ids numbered by first appearance; no
+    text's tokens are kept, so fed by a generator it holds one text at a
+    time. A shorter text never enters the vocabulary. The ids are then
+    ranked in place, into the column of each token of the term-count
+    matrix, and the document frequencies are its column counts. A document
+    with no tokens is an empty row and still counts in n. The idf values
+    come from a table indexed by document frequency, built with `math.log`
+    (n + 1 calls, not one per term), so they are the same bits as the
+    per-term formula.
     """
-    kept = TokenIds([], [], array("i"), defaultdict(count().__next__))
-    lookup = kept.first.__getitem__
-    for row, tokens in enumerate(docs):
+    rows: list[int] = []
+    bounds = [0]
+    ids = array("i")
+    first: defaultdict[str, int] = defaultdict(count().__next__)
+    lookup = first.__getitem__
+    for row, text in enumerate(texts):
+        tokens = TokenizedDoc.from_text(text).tokens
         if len(tokens) >= min_tokens:
-            kept.rows.append(row)
-            kept.lengths.append(len(tokens))
-            kept.ids.extend(map(lookup, tokens))
-    return kept
-
-
-def fit_tfidf(docs: TokenIds) -> TfidfModel:
-    """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1.
-
-    The term-count matrix is built from the token ids, which are ranked in
-    place, so `docs.ids` is not reusable afterwards; the document
-    frequencies are its column counts. A document with no tokens is an
-    empty row and still counts in n. The idf values come from a table
-    indexed by document frequency, built with `math.log` (n + 1 calls, not
-    one per term), so they are the same bits as the per-term formula.
-    """
-    n = len(docs.lengths)
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(docs.lengths, out=bounds[1:])
-    # Terms are numbered by first appearance, then renumbered in sorted order,
-    # in place: `docs.ids` become the column of each token.
-    terms = sorted(docs.first)
+            rows.append(row)
+            ids.extend(map(lookup, tokens))
+            bounds.append(len(ids))
+    n = len(rows)
+    terms = sorted(first)
     vocabulary = dict(zip(terms, range(len(terms))))
-    rank = np.fromiter(map(vocabulary.__getitem__, docs.first), np.intc, len(terms))
-    ids = np.frombuffer(docs.ids, dtype=np.intc)
-    np.take(rank, ids, out=ids, mode="clip")
+    rank = np.fromiter(map(vocabulary.__getitem__, first), np.intc, len(terms))
+    columns = np.frombuffer(ids, dtype=np.intc)
+    np.take(rank, columns, out=columns, mode="clip")
     # Duplicate (row, term) entries of 1 sum to the term counts, which are
     # exact in float64.
-    ones = np.ones(len(ids), dtype=np.intc)
-    counts = sparse.csr_matrix((ones, ids, bounds), shape=(n, len(terms)))
+    ones = np.ones(len(columns), dtype=np.intc)
+    counts = sparse.csr_matrix((ones, columns, bounds), shape=(n, len(terms)))
     counts.sum_duplicates()
     counts.data = counts.data.astype(np.float64)
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
     df = np.bincount(counts.indices, minlength=len(terms))
-    return TfidfModel(vocabulary=vocabulary, idf=idf_by_df[df], counts=counts)
+    return TfidfModel(rows=rows, vocabulary=vocabulary, idf=idf_by_df[df], counts=counts)
 
 
 def vectorize(model: TfidfModel) -> sparse.csr_matrix:
@@ -399,15 +387,13 @@ def match_window(
     """
     articles = window.articles
     read = window.spool.read
-    docs = token_ids(
-        (TokenizedDoc.from_text(read(a.body_span)).tokens for a in articles), min_body_tokens
-    )
-    eligible = docs.rows
+    model = fit_tfidf((read(a.body_span) for a in articles), min_body_tokens)
+    eligible = model.rows
     if len(eligible) < 2:
         return WindowMatchResult(len(eligible), ())
-    # Neither the token ids nor the model is kept, so both are freed before the join.
-    matrix = vectorize(fit_tfidf(docs))
-    del docs
+    matrix = vectorize(model)
+    # The join needs neither the counts nor the vocabulary, so both are freed first.
+    del model
     pairs = []
     for qpos, ppos, sim in _threshold_join(matrix, threshold):
         a, b = articles[eligible[qpos]], articles[eligible[ppos]]

@@ -1377,15 +1377,6 @@ def test_detect_pool_forks_whatever_the_default_start_method(tmp_path, monkeypat
     assert _RecordingPool.start_methods == ["fork"]
 
 
-def test_detect_without_fork_matches_in_one_process(tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(
-        cli.multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
-    )
-    _detect_with_recording_pool(tmp_path, monkeypatch, 2, [])
-    assert caplog.text.count("no fork start method") == 1
-
-
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="detect forks its workers only where the platform can fork",

@@ -24,7 +24,6 @@ from newsreuse.network import (
     flag_single_day_origins,
     louvain,
     merge_graphs,
-    modularity,
 )
 
 from helpers import BASE_TS, make_pair
@@ -334,10 +333,14 @@ def test_louvain_invariant_to_insertion_order():
     assert louvain(forward, seed=3) == louvain(backward, seed=3)
 
 
+def _projected_modularity(graph, partition):
+    return network._modularity(network._undirected_projection(graph), partition, 1.0)
+
+
 def test_modularity_disconnected_cliques_half():
     graph, left, right = _two_cliques(bridge=False)
     partition = {v: 0 for v in left} | {v: 1 for v in right}
-    assert modularity(graph, partition) == pytest.approx(0.5, abs=1e-12)
+    assert _projected_modularity(graph, partition) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_modularity_two_cliques_with_bridge_hand_value():
@@ -345,18 +348,18 @@ def test_modularity_two_cliques_with_bridge_hand_value():
     partition = {v: 0 for v in left} | {v: 1 for v in right}
     # m = 57, per clique: sigma_in = 56, sigma_tot = 57.
     expected = 2 * (56 / 114 - (57 / 114) ** 2)
-    assert modularity(graph, partition) == pytest.approx(expected, abs=1e-12)
+    assert _projected_modularity(graph, partition) == pytest.approx(expected, abs=1e-12)
     whole = {v: 0 for v in list(left) + list(right)}
-    assert modularity(graph, whole) == pytest.approx(0.0, abs=1e-12)
+    assert _projected_modularity(graph, whole) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modularity_edgeless_zero_and_missing_node_errors():
     graph = RepublishGraph(0)
     graph.add_node("a")
-    assert modularity(graph, {"a": 0}) == 0.0
+    assert _projected_modularity(graph, {"a": 0}) == 0.0
     graph.add_edge("a", "b")
     with pytest.raises(DataError):
-        modularity(graph, {"a": 0})
+        _projected_modularity(graph, {"a": 0})
 
 
 def test_attach_engagement_medians():

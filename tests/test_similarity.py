@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from newsreuse import similarity
+from newsreuse import headlines, similarity
 from newsreuse.corpus import AMBIGUOUS, FORWARD, read_pairs_csv, write_pairs_csv
 from newsreuse.errors import DataError
 from newsreuse.similarity import (
@@ -17,7 +17,6 @@ from newsreuse.similarity import (
     cosine,
     fit_tfidf,
     match_window,
-    token_ids,
     tokenize,
     vectorize,
 )
@@ -26,6 +25,7 @@ from helpers import (
     BASE_TS,
     DEFAULT_MATCH,
     make_article,
+    make_pair,
     make_window,
     pseudo_vocab,
     random_body,
@@ -81,19 +81,14 @@ def test_term_counts_sum_to_token_count(text):
     doc = TokenizedDoc.from_text(text)
     # Fitted on two copies of the document, every term has df == n, so
     # every idf is 1 and the row is the term counts divided by their norm.
-    row = vectorize(fit_tfidf(token_ids([doc.tokens, doc.tokens], 0)))[0]
+    row = vectorize(fit_tfidf([text, text], 0))[0]
     norm = math.sqrt(sum(c * c for c in Counter(doc.tokens).values()))
     assert row.data.sum() * norm == pytest.approx(len(doc.tokens))
     assert all(t == t.lower() for t in doc.tokens)
 
 
-def _docs(*bodies):
-    return [TokenizedDoc.from_text(b).tokens for b in bodies]
-
-
 def test_idf_smoothing_identity():
-    docs = _docs(*["common xyz%d" % i for i in range(10)])
-    model = fit_tfidf(token_ids(docs, 0))
+    model = fit_tfidf(["common xyz%d" % i for i in range(10)], 0)
     assert model.idf[model.vocabulary["common"]] == 1.0
     assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
         math.log(11 / 2) + 1.0, abs=1e-12
@@ -102,8 +97,7 @@ def test_idf_smoothing_identity():
 
 
 def test_vectorize_unit_norm_and_identity():
-    docs = _docs("a b c a", "b c d", "a b c a")
-    model = fit_tfidf(token_ids(docs, 0))
+    model = fit_tfidf(["a b c a", "b c d", "a b c a"], 0)
     vecs = vectorize(model)
     for v in vecs:
         norm = math.sqrt(sum(w * w for w in v.data))
@@ -114,8 +108,7 @@ def test_vectorize_unit_norm_and_identity():
 
 
 def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
-    docs = _docs("a b", "!!", "a c")
-    model = fit_tfidf(token_ids(docs, 0))
+    model = fit_tfidf(["a b", "!!", "a c"], 0)
     vecs = vectorize(model)
     assert vecs.shape == (3, 3)
     assert not vecs[1].nnz
@@ -127,18 +120,16 @@ def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
 
 def test_toy_corpus_matches_dense_oracle():
     bodies = ["a b", "a c", "b c"]
-    docs = _docs(*bodies)
-    model = fit_tfidf(token_ids(docs, 0))
+    model = fit_tfidf(bodies, 0)
     vecs = vectorize(model)
-    matrix, _ = dense_tfidf_matrix([list(d) for d in docs])
+    matrix, _ = dense_tfidf_matrix([tokenize(b) for b in bodies])
     got = cosine(vecs, [0], [1])[0]
     want = float(matrix[0] @ matrix[1])
     assert abs(got - want) <= 1e-12
 
 
 def test_cosine_self_similarity_and_symmetry():
-    docs = _docs("w x y z w", "x y q")
-    model = fit_tfidf(token_ids(docs, 0))
+    model = fit_tfidf(["w x y z w", "x y q"], 0)
     vecs = vectorize(model)
     assert abs(cosine(vecs, [0], [0])[0] - 1.0) < 1e-9
     assert cosine(vecs, [0], [1])[0] == cosine(vecs, [1], [0])[0]
@@ -156,7 +147,7 @@ _WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"
 )
 @settings(max_examples=300, deadline=None)
 def test_vectorize_and_cosine_equal_per_document_reference(docs):
-    model = fit_tfidf(token_ids(docs, 0))
+    model = fit_tfidf([" ".join(d) for d in docs], 0)
     matrix = vectorize(model)
     vocab, idf, want = reference_vectors(docs, docs)
     assert model.vocabulary == vocab
@@ -182,7 +173,7 @@ def test_idf_equals_math_log_at_every_document_frequency():
     # np.log differs from math.log in the last ulp for some of these n.
     for n in range(2, 64):
         fit_docs = [[f"t{k}" for k in range(d, n)] for d in range(n)]
-        model = fit_tfidf(token_ids(fit_docs, 0))
+        model = fit_tfidf([" ".join(d) for d in fit_docs], 0)
         assert model.idf.tolist() == reference_vectors(fit_docs, [])[1]
 
 
@@ -208,12 +199,11 @@ _BODY_WORDS = ["ka", "lo", "Mi", "ta", "zu", "caf\u00e9", "na\u00efve"]
 @example(bodies=["", "ka lo", "", "na\u00efve lo", ""], min_tokens=0)
 @settings(max_examples=300, deadline=None)
 def test_streamed_fit_equals_per_document_reference(bodies, min_tokens):
-    docs = token_ids((TokenizedDoc.from_text(b).tokens for b in bodies), min_tokens)
+    model = fit_tfidf((b for b in bodies), min_tokens)
     rows = [k for k, b in enumerate(bodies) if len(tokenize(b)) >= min_tokens]
-    assert docs.rows == rows
+    assert model.rows == rows
     assume(len(rows) >= 2)
     eligible = [tokenize(bodies[k]) for k in rows]
-    model = fit_tfidf(docs)
     matrix = vectorize(model)
     vocab, idf, want = reference_vectors(eligible, eligible)
     assert model.vocabulary == vocab
@@ -246,6 +236,47 @@ def test_match_window_keeps_at_most_one_body_tokenized(monkeypatch):
     assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
     assert len(alive) == 12
     assert max(alive) <= 1
+
+
+def test_every_tokenization_happens_inside_fit(monkeypatch):
+    # Bodies and titles are tokenized by `fit_tfidf` alone, so the
+    # benchmark's tokenize span nests inside its fit span.
+    rng = random.Random(7)
+    vocab = pseudo_vocab(rng, 40)
+    bodies = [random_body(rng, vocab) for _ in range(5)]
+    window = make_window(
+        make_article(f"d{i:02d}", "ab"[i % 2], body=body, ts=BASE_TS + i)
+        for i, body in enumerate(bodies + bodies[:1])
+    )
+    pairs = [
+        make_pair("ap", "echo", earlier_title="Storm hits coast", later_title="Storm hits"),
+        make_pair("ap", "blog", earlier_title="Storm hits coast", later_title="Coast storm"),
+    ]
+    fitting, inside = [False], []
+    tokenized = TokenizedDoc.from_text
+
+    def from_text(text):
+        inside.append(fitting[0])
+        return tokenized(text)
+
+    def flagged(fit):
+        def fit_flagged(*args):
+            fitting[0] = True
+            try:
+                return fit(*args)
+            finally:
+                fitting[0] = False
+
+        return fit_flagged
+
+    monkeypatch.setattr(TokenizedDoc, "from_text", staticmethod(from_text))
+    monkeypatch.setattr(similarity, "fit_tfidf", flagged(similarity.fit_tfidf))
+    monkeypatch.setattr(headlines, "fit_tfidf", flagged(headlines.fit_tfidf))
+    assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
+    assert len(inside) == 6
+    assert all(tp.distance > 0 for tp in headlines.title_distance(pairs))
+    assert len(inside) == 6 + 3
+    assert all(inside)
 
 
 def _window_articles(bodies_by_source, start=BASE_TS):
@@ -409,7 +440,7 @@ def test_tiled_join_equals_exhaustive_oracle(
             window, threshold=threshold, min_body_tokens=min_body_tokens
         )
         if len(docs) >= 2:
-            matrix = vectorize(fit_tfidf(token_ids(docs, 0)))
+            matrix = vectorize(fit_tfidf([" ".join(d) for d in docs], 0))
             joined = similarity._threshold_join(matrix, threshold)
             assert sorted(joined) == product_pairs(matrix, threshold)
     got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
@@ -535,7 +566,7 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
 
 
 def _skewed_matrix(docs):
-    return vectorize(fit_tfidf(token_ids(docs, 0)))
+    return vectorize(fit_tfidf([" ".join(d) for d in docs], 0))
 
 
 @st.composite
