@@ -10,12 +10,13 @@ tokens are kept after its lookup. `vectorize` weights the counts by idf and
 L2-normalizes each row, one row per document in a single scipy.sparse CSR
 matrix. The join is exact. Either
 every pair is scored, as the lower triangle of that matrix times its
-transpose, or, when a few terms are in almost every document, pairs are
-first filtered with an l2-norm bound on the frequent terms and the
-survivors re-scored. How many documents make a term frequent is chosen per
-window by an estimate of the filter's cost; any choice gives the same
-pairs. `_threshold_join` says when the bound is used and `_norm_bound_join`
-why no pair is lost. Both walk their product through one tile loop,
+transpose, or pairs are first filtered with an l2-norm bound on a cut of
+the columns, those of highest document frequency, and the survivors
+re-scored. How many columns are cut is chosen per window by an estimate
+of the filter's cost, and the bound is used only where that estimate
+beats the plain product's; any cut gives the same pairs.
+`_threshold_join` says when the bound is used and `_norm_bound_join` why
+no pair is lost. Both walk their product through one tile loop,
 `_tiles`, and every score is one row sum in ascending term order,
 `_row_sums`, so both give the bits of the full product. Output ordering and
 scores are deterministic.
@@ -38,9 +39,14 @@ from .corpus import MatchedPair, TimeWindow, pair_articles
 
 # Product entries per tile of the exact join; bounds its working memory.
 _TILE_ENTRIES = 1 << 16
-# A column is frequent when at least 1/_FREQUENT_DF_DIVISOR of a window's
-# documents hold it.
-_FREQUENT_DF_DIVISOR = 16
+# The norm-bound join weighs the cuts of the columns with df >= n / 16,
+# n / 32, ..., and of the top i / 16 of the columns by df; a window of at
+# most 16 documents takes the plain product.
+_CUT_STEPS = 16
+# The norm-bound join's fixed cost per window beyond the plain product's, in
+# multiply-adds of the product: on windows of 100-200 documents drawn from
+# the benchmark's many-sources corpus, the two paths broke even near here.
+_FILTER_COST = 1 << 16
 
 # Word characters minus underscore: punctuation splits tokens, numerals stay.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -182,75 +188,107 @@ def _threshold_join(
     the cut or on which of the two paths below found the pair: both give
     the bits of the plain product.
 
-    When the columns that at least 1/16 of the rows hold carry at least half
-    of sum(df^2), the multiply-adds of the plain product X X^T, most of that
-    product is spent on a few terms, and the window goes to
-    `_norm_bound_join`, which skips the frequent columns of the cut that
-    `_frequent_cut` chooses. Otherwise the window goes to `_product_join`,
-    which scores every pair.
+    The plain product X X^T costs sum(df^2) multiply-adds. When the cheapest
+    cut that `_cheapest_cut` weighs is estimated to cost less than that by
+    more than `_FILTER_COST`, the window goes to `_norm_bound_join`, which
+    skips the cut columns. Otherwise it goes to `_product_join`, which
+    scores every pair.
     """
-    cut = _frequent_cut(matrix, threshold)
+    cut = _cheapest_cut(matrix, threshold)
     if cut is None:
         return _product_join(matrix, threshold)
     return _norm_bound_join(matrix, threshold, *cut)
 
 
-def _frequent_cut(
+def _cheapest_cut(
     matrix: sparse.csr_matrix, threshold: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """At the cheapest cut, which stored entries of `matrix` are in frequent
-    columns and each row's l2 norm over them; None when the columns with
-    df >= n / 16 carry under half of sum(df^2) or every column is frequent
-    (the gate of `_threshold_join`).
+    """At the cheapest cut, which stored entries of `matrix` are in cut
+    columns and each row's l2 norm over them; None when no cut beats the
+    plain product by more than `_FILTER_COST`, or the window has at most
+    `_CUT_STEPS` rows (the gate of `_threshold_join`).
 
-    With every column frequent, as in any window of 16 or fewer documents,
-    no rare part is left and every row would pass the bound on its own.
+    Columns are ranked by descending df, ties by column index, and a cut is
+    a prefix of that ranking. The ladder of cuts holds the columns with
+    df >= n / 16, n / 32, n / 64, ... and the top i / 16 of the columns, for
+    i = 1 .. 15, less the empty cut and the cut of every column. The first
+    kind fits a skewed vocabulary, whose few frequent columns carry most of
+    sum(df^2); the second a flat one, where each df threshold cuts almost
+    no column or almost all of them.
 
-    The cuts are df >= n / 16, n / 32, n / 64, ..., each while some column
-    stays rare. Each is costed as the multiply-adds of `_norm_bound_join`'s
-    two products: sum(df^2) over the rare columns, for the filter, plus
+    Each cut is costed as the multiply-adds of `_norm_bound_join`'s two
+    products: sum(df^2) over the columns left, for the filter, plus
     sum(df^2) within the heavy rows, those with f * max(f) > threshold for
-    f their frequent-part norm, which are joined among themselves. A lower
-    cut shrinks the first and, as more rows turn heavy, grows the second;
-    the cheapest cut wins, the highest on a tie. The frequent-part norms of
-    every cut come from one pass over the entries. Any cut gives the same
-    pairs, so the estimate only decides the speed.
+    f their cut-part norm, which are joined among themselves. A larger cut
+    shrinks the first and, as more rows turn heavy, grows the second; the
+    cheapest cut wins, the smallest on a tie. The cut-part norms of every
+    cut come from one pass over the entries. Any cut gives the same pairs,
+    so the estimate only decides the speed.
     """
-    n = matrix.shape[0]
-    df = np.bincount(matrix.indices, minlength=matrix.shape[1]).astype(np.int64)
-    frequent = df * _FREQUENT_DF_DIVISOR >= n
+    n, width = matrix.shape
+    df = np.bincount(matrix.indices, minlength=width)
     square = df * df
-    if frequent.all() or 2 * int(square[frequent].sum()) < int(square.sum()):
+    total = int(square.sum())
+    if n <= _CUT_STEPS or total <= _FILTER_COST:
         return None
-    # level[c] counts the cuts at which column c is rare, so column c is
-    # frequent at cut k, df >= n / (16 * 2^k), when level[c] <= k.
-    level = np.zeros(len(df), dtype=np.intc)
-    divisor = _FREQUENT_DF_DIVISOR
+    # A stable sort of n - df in the narrowest type that holds n: a radix
+    # sort while n < 2^16.
+    order = np.argsort((n - df).astype(np.min_scalar_type(n)), kind="stable")
+    ranked = df[order]
+    sizes = {step * width // _CUT_STEPS for step in range(1, _CUT_STEPS)}
+    divisor = _CUT_STEPS
     while divisor < n:
-        level += df * divisor < n
+        sizes.add(int(np.count_nonzero(ranked * divisor >= n)))
         divisor *= 2
-    cuts = int(level.max())
-    rare_cost = square.sum() - np.cumsum(np.bincount(level, weights=square))
-    # Each row's squared weights summed per column level, then over levels <= k.
-    entry_level = np.take(level, matrix.indices, mode="clip")
-    by_level = sparse.csr_matrix(
-        (np.square(matrix.data), entry_level, matrix.indptr), shape=(n, cuts + 1)
-    ).toarray()
-    norms = np.sqrt(np.cumsum(by_level, axis=1))
-    best, best_cost = 0, math.inf
-    for cut in range(cuts):
-        heavy = norms[:, cut] * norms[:, cut].max() > threshold
-        # A lower cut keeps every heavy row heavy, so their join only grows:
-        # stop once it alone costs the best. Each column holds at least
-        # df - (n - heavy rows) of them, a bound that needs no pass over them.
-        if np.square(np.maximum(df - (n - np.count_nonzero(heavy)), 0)).sum() >= best_cost:
-            break
-        heavy_cost = int(np.square(np.bincount(matrix[heavy].indices)).sum())
-        if heavy_cost >= best_cost:
-            break
-        if rare_cost[cut] + heavy_cost < best_cost:
-            best, best_cost = cut, rare_cost[cut] + heavy_cost
-    return entry_level <= best, norms[:, best]
+    ends = np.array(sorted(size for size in sizes if 0 < size < width), dtype=np.intp)
+    # level[c] counts the cuts that leave column c out, so column c is cut
+    # at cut k when level[c] <= k.
+    level = np.empty(width, dtype=np.intc)
+    level[order] = np.repeat(
+        np.arange(len(ends) + 1, dtype=np.intc), np.diff(ends, prepend=0, append=width)
+    )
+    rest_cost = total - np.cumsum(square[order])[ends - 1]
+    # Each row's squared weights summed per column level, then over levels
+    # <= k: norms[:, k] are the norms over cut k. Summed a tile's rows at a
+    # time, so no temporary spans every entry.
+    side = max(1, math.isqrt(_TILE_ENTRIES))
+    by_level = np.empty((n, len(ends) + 1))
+    for lo in range(0, n, side):
+        hi = min(lo + side, n)
+        start, stop = matrix.indptr[lo], matrix.indptr[hi]
+        by_level[lo:hi] = sparse.csr_matrix(
+            (
+                np.square(matrix.data[start:stop]),
+                np.take(level, matrix.indices[start:stop], mode="clip"),
+                matrix.indptr[lo : hi + 1] - start,
+            ),
+            shape=(hi - lo, len(ends) + 1),
+        ).toarray()
+    np.sqrt(np.cumsum(by_level, axis=1, out=by_level), out=by_level)
+    norms = by_level[:, :-1]
+    tops = norms.max(axis=0)
+    row_sizes = np.diff(matrix.indptr)
+    best, best_cost = None, total - _FILTER_COST
+    for cut, rest in enumerate(rest_cost.tolist()):
+        heavy = norms[:, cut] * tops[cut] > threshold
+        light = n - int(np.count_nonzero(heavy))
+        heavy_cost = 0
+        if light < n:
+            # A larger cut keeps every heavy row heavy, so their join only
+            # grows: stop once it alone costs the best. Each column holds at
+            # least df - light of them, a bound that needs no pass over them.
+            if np.square(ranked[: np.count_nonzero(ranked > light)] - light).sum() >= best_cost:
+                break
+            in_heavy = np.repeat(heavy, row_sizes)
+            heavy_cost = int(np.square(np.bincount(matrix.indices[in_heavy])).sum())
+            if heavy_cost >= best_cost:
+                break
+        if rest + heavy_cost < best_cost:
+            best, best_cost = cut, rest + heavy_cost
+    if best is None:
+        return None
+    in_cut = np.take(level <= best, matrix.indices, mode="clip")
+    return in_cut, np.ascontiguousarray(norms[:, best])
 
 
 def _product_join(
@@ -265,24 +303,23 @@ def _product_join(
 
 
 def _norm_bound_join(
-    matrix: sparse.csr_matrix, threshold: float, in_frequent: np.ndarray, norms: np.ndarray
+    matrix: sparse.csr_matrix, threshold: float, in_cut: np.ndarray, norms: np.ndarray
 ) -> list[tuple[int, int, float]]:
     """`_threshold_join` by filtering with an l2-norm bound, then re-scoring.
 
-    Split each row x into its frequent part x_F (its stored entries where
-    `in_frequent` holds, all in a set of frequent columns) and its rare part
-    x_R, and let R be the matrix of rare parts; `norms` holds each |x_F|, as
-    a computed sum of squares in any order, then sqrt. By
-    Cauchy-Schwarz, x.y <= x_R.y_R + |x_F| |y_F|: this is the l2-norm bound
+    Split each row x into its cut part x_C (its stored entries where
+    `in_cut` holds, all in a set of cut columns) and its rest x_R, and let
+    R be the matrix of the rests; `norms` holds each |x_C|, as a computed
+    sum of squares in any order, then sqrt. By Cauchy-Schwarz, for any set
+    of cut columns, x.y <= x_R.y_R + |x_C| |y_C|: this is the l2-norm bound
     of L2AP (Anastasiu and Karypis, ICDE 2014), used as the filter of a
     filter-then-verify join (Bayardo, Ma and Srikant, WWW 2007).
 
-    - Filter. `_tiles` walks R R^T with f, the frequent-part norms, and
-      yields the candidates: the pairs with R_ij + f_i f_j > threshold -
-      margin.
-    - No rare overlap. A pair that shares no rare term is not in R R^T. It
-      can pass only if f_i f_max and f_j f_max both pass, so the rows that
-      pass are joined with `_product_join` among themselves.
+    - Filter. `_tiles` walks R R^T with f, the cut-part norms, and yields
+      the candidates: the pairs with R_ij + f_i f_j > threshold - margin.
+    - No overlap in R. A pair that shares no term outside the cut is not
+      in R R^T. It can pass only if f_i f_max and f_j f_max both pass, so
+      the rows that pass are joined with `_product_join` among themselves.
     - Re-score. Each candidate is scored by `cosine`, which gives the bits of
       the plain product, and kept when that score is > threshold. This runs
       `_TILE_ENTRIES ** 0.5` pairs at a time, as many rows as a tile's two
@@ -304,10 +341,16 @@ def _norm_bound_join(
     unit_roundoff = np.finfo(np.float64).eps / 2
     floor = threshold - terms * unit_roundoff / (1 - terms * unit_roundoff)
 
-    # Every weight is > 0, so only the frequent entries become zeros.
-    rare = matrix.copy()
-    rare.data[in_frequent] = 0.0
-    rare.eliminate_zeros()
+    # R keeps the stored entries outside the cut; its row i starts after
+    # the kept entries of the rows before it.
+    kept = ~in_cut
+    starts = np.zeros(len(kept) + 1, dtype=matrix.indptr.dtype)
+    np.cumsum(kept, out=starts[1:])
+    rest = sparse.csr_matrix(
+        (matrix.data[kept], matrix.indices[kept], starts[matrix.indptr]), shape=matrix.shape
+    )
+    # Both span every entry; freed before the tiles.
+    del kept, starts
 
     heavy = np.flatnonzero(norms * norms.max(initial=0.0) > floor)
     ids = heavy.tolist()
@@ -324,7 +367,7 @@ def _norm_bound_join(
 
     waiting: list[tuple[np.ndarray, np.ndarray]] = []
     held = 0
-    for earlier, later, _ in _tiles(rare, norms, floor):
+    for earlier, later, _ in _tiles(rest, norms, floor):
         keep = ~(is_heavy[earlier] & is_heavy[later])
         waiting.append((earlier[keep], later[keep]))
         held += int(np.count_nonzero(keep))

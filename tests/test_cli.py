@@ -8,6 +8,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tomllib
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import fields
@@ -207,6 +208,20 @@ def test_handoff_and_network_import_no_numpy_or_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_console_entry_freezes_collection_then_runs_main(monkeypatch):
+    # The installed command freezes what the imports left before a stage
+    # runs; main itself, which tests call in-process, does not.
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_OK)
+    assert cli.console_main() == EXIT_OK
+    assert calls == ["freeze", "main"]
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"newsreuse": "newsreuse.cli:console_main"}
 
 
 @pytest.mark.parametrize(

@@ -544,7 +544,6 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
     With at most 13 distinct rare terms per document, each with df < n/16
     or counted as frequent, the frequent columns hold at least half of
     sum(df^2). With more rare words than documents, some stay below n/16.
-    So the window passes the gate.
     """
     frequent_words = [f"c{k}" for k in range(common)]
     rare_words = [f"r{k}" for k in range(rare)]
@@ -560,12 +559,36 @@ def _skewed_docs(rng, size, common, rare, only_frequent, copies):
         extra = rng.choice(frequent_words if rng.random() < 0.2 else rare_words)
         planted.append((original, len(docs)))
         docs.append(docs[original] + [extra])
+    return _shuffled(rng, docs, planted)
+
+
+def _flat_docs(rng, size, words, length, copies):
+    """Token lists of a flat window, and the (original, copy) positions of
+    its planted near-copies.
+
+    Each of `size` documents holds `length` tokens drawn uniformly from
+    `words` words; a near-copy repeats a document with one more word.
+
+    Every column has about the same df, so a df threshold cuts almost no
+    column or almost all of them, and only a cut by df rank splits them.
+    """
+    vocabulary = [f"w{k}" for k in range(words)]
+    docs = [rng.choices(vocabulary, k=length) for _ in range(size - copies)]
+    planted = []
+    for _ in range(copies):
+        original = rng.randrange(size - copies)
+        planted.append((original, len(docs)))
+        docs.append(docs[original] + [rng.choice(vocabulary)])
+    return _shuffled(rng, docs, planted)
+
+
+def _shuffled(rng, docs, planted):
     order = rng.sample(range(len(docs)), len(docs))
     position = {old: new for new, old in enumerate(order)}
     return [docs[k] for k in order], [(position[a], position[b]) for a, b in planted]
 
 
-def _skewed_matrix(docs):
+def _docs_matrix(docs):
     return vectorize(fit_tfidf([" ".join(d) for d in docs], 0))
 
 
@@ -579,6 +602,19 @@ def _skewed_windows(draw):
         common=draw(st.integers(1, 5)),
         rare=draw(st.integers(2 * size, 6 * size)),
         only_frequent=draw(st.integers(0, 6)),
+        copies=draw(st.integers(1, 12)),
+    )
+
+
+@st.composite
+def _flat_windows(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(48, 120))
+    return _flat_docs(
+        rng,
+        size,
+        words=draw(st.integers(size // 4, 8 * size)),
+        length=draw(st.integers(8, 40)),
         copies=draw(st.integers(1, 12)),
     )
 
@@ -597,34 +633,68 @@ def _near_planted_threshold(matrix, planted, fixed, pick, ulps):
 
 
 def _candidate_cuts(matrix):
-    """Each cut the chooser weighs, df >= n / 16, n / 32, n / 64, ... while
-    some column stays rare: which stored entries are in its frequent
-    columns, and each row's norm over them, summed row by row."""
-    n = matrix.shape[0]
-    df = np.bincount(matrix.indices, minlength=matrix.shape[1])
-    cuts, divisor = [], 16
-    while not (frequent := df * divisor >= n).all():
-        norms = [
-            math.sqrt(sum(w * w for c, w in zip(row.indices, row.data) if frequent[c]))
-            for row in matrix
-        ]
-        cuts.append((frequent[matrix.indices], np.array(norms)))
+    """Each cut the chooser weighs, a prefix of the columns ranked by
+    descending df, ties by column index: the columns with df >= n / 16,
+    n / 32, n / 64, ... and the top i / 16 of them, for i = 1 .. 15, less
+    the empty cut and the cut of every column. For each, by size, which
+    stored entries are in its columns, and each row's norm over them,
+    summed row by row."""
+    n, width = matrix.shape
+    df = np.bincount(matrix.indices, minlength=width).tolist()
+    ranked = sorted(range(width), key=lambda c: (-df[c], c))
+    sizes = {i * width // 16 for i in range(1, 16)}
+    divisor = 16
+    while divisor < n:
+        sizes.add(sum(d * divisor >= n for d in df))
         divisor *= 2
+    rows = [
+        list(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
+        for lo, hi in zip(matrix.indptr[:-1], matrix.indptr[1:])
+    ]
+    cuts = []
+    for size in sorted(s for s in sizes if 0 < s < width):
+        in_cut = np.zeros(width, dtype=bool)
+        in_cut[ranked[:size]] = True
+        norms = [math.sqrt(sum(w * w for c, w in row if in_cut[c])) for row in rows]
+        cuts.append((in_cut[matrix.indices], np.array(norms)))
     return cuts
 
 
 def _chosen_cut(cuts, matrix, threshold):
     """The position in `cuts` of the chooser's cut, whose norms must be
-    those of the row-by-row sums up to rounding."""
-    in_frequent, norms = similarity._frequent_cut(matrix, threshold)
-    (at,) = [k for k, (entries, _) in enumerate(cuts) if np.array_equal(entries, in_frequent)]
+    those of the row-by-row sums up to rounding; None when it chose the
+    plain product."""
+    chosen = similarity._cheapest_cut(matrix, threshold)
+    if chosen is None:
+        return None
+    in_cut, norms = chosen
+    (at,) = [k for k, (entries, _) in enumerate(cuts) if np.array_equal(entries, in_cut)]
     np.testing.assert_allclose(norms, cuts[at][1], rtol=1e-12, atol=0)
     return at
 
 
 def _heavy_rows(norms, threshold):
-    """How many rows pass the bound on their frequent-part norm alone."""
+    """How many rows pass the bound on their cut-part norm alone."""
     return int(np.count_nonzero(norms * norms.max() > threshold))
+
+
+def _check_every_cut(matrix, threshold, tile_entries):
+    """`_threshold_join`, `_product_join` and `_norm_bound_join` at every
+    cut the chooser weighs give the pairs and score bits of one untiled
+    product. With no fixed cost for the filter, the chooser takes a cut
+    wherever one costs less than the product."""
+    cuts = _candidate_cuts(matrix)
+    want = product_pairs(matrix, threshold)
+    # Tiles of side 8 and 32 split the window and batch the re-scoring.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
+        mp.setattr(similarity, "_FILTER_COST", 0)
+        _chosen_cut(cuts, matrix, threshold)
+        assert sorted(similarity._threshold_join(matrix, threshold)) == want
+        assert sorted(similarity._product_join(matrix, threshold)) == want
+        for in_cut, norms in cuts:
+            got = similarity._norm_bound_join(matrix, threshold, in_cut, norms)
+            assert sorted(got) == want
 
 
 @given(
@@ -634,37 +704,44 @@ def _heavy_rows(norms, threshold):
     ulps=st.integers(-2, 2),
     tile_entries=st.sampled_from([64, 1024, similarity._TILE_ENTRIES]),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_norm_bound_join_equals_product_join_on_skewed_windows(
     window, fixed, pick, ulps, tile_entries
 ):
     docs, planted = window
-    matrix = _skewed_matrix(docs)
+    matrix = _docs_matrix(docs)
     threshold = _near_planted_threshold(matrix, planted, fixed, pick, ulps)
-    cuts = _candidate_cuts(matrix)
-    _chosen_cut(cuts, matrix, threshold)
-    want = product_pairs(matrix, threshold)
-    # Tiles of side 8 and 32 split the window and batch the re-scoring.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
-        assert sorted(similarity._threshold_join(matrix, threshold)) == want
-        assert sorted(similarity._product_join(matrix, threshold)) == want
-        # Every cut the chooser weighs gives the same pairs.
-        for in_frequent, norms in cuts:
-            got = similarity._norm_bound_join(matrix, threshold, in_frequent, norms)
-            assert sorted(got) == want
+    _check_every_cut(matrix, threshold, tile_entries)
+
+
+@given(
+    window=_flat_windows(),
+    fixed=st.sampled_from([None, None, 0.3, 0.6, 0.9]),
+    pick=st.integers(0, 11),
+    ulps=st.integers(-2, 2),
+    tile_entries=st.sampled_from([64, 1024, similarity._TILE_ENTRIES]),
+)
+@settings(max_examples=60, deadline=None)
+def test_norm_bound_join_equals_product_join_on_flat_windows(
+    window, fixed, pick, ulps, tile_entries
+):
+    docs, planted = window
+    matrix = _docs_matrix(docs)
+    threshold = _near_planted_threshold(matrix, planted, fixed, pick, ulps)
+    _check_every_cut(matrix, threshold, tile_entries)
 
 
 def test_cut_chooser_lowers_the_cut_short_of_most_rows_heavy():
-    # Three terms in every document and rare terms of df about 3: the rare
-    # part shrinks as the cut falls, until the rows' frequent parts carry
-    # most of their weight and most rows pass the bound on their own.
+    # Three terms in every document and rare terms of df about 3: the rest
+    # shrinks as the cut grows, until the rows' cut parts carry most of
+    # their weight and most rows pass the bound on their own.
     docs, _ = _skewed_docs(random.Random(0), 400, common=3, rare=800, only_frequent=2, copies=20)
-    matrix = _skewed_matrix(docs)
+    matrix = _docs_matrix(docs)
     n = matrix.shape[0]
+    df = np.bincount(matrix.indices)
     cuts = _candidate_cuts(matrix)
     at = _chosen_cut(cuts, matrix, 0.9)
-    assert at > 0  # below n / 16
+    assert cuts[at][0].sum() > df[df * 16 >= n].sum()  # beyond df >= n / 16
     assert _heavy_rows(cuts[at][1], 0.9) <= n // 2
     assert max(_heavy_rows(norms, 0.9) for _, norms in cuts) > n // 2
     assert sorted(similarity._threshold_join(matrix, 0.9)) == product_pairs(matrix, 0.9)
@@ -672,13 +749,13 @@ def test_cut_chooser_lowers_the_cut_short_of_most_rows_heavy():
 
 def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
     # The filter's value is within a few ulps of the score when the two
-    # frequent parts are parallel; without the margin some of these pairs
-    # are lost.
+    # cut parts are parallel; without the margin some of these pairs are
+    # lost.
     docs, planted = _skewed_docs(
-        random.Random(5), 100, common=4, rare=150, only_frequent=4, copies=30
+        random.Random(5), 200, common=4, rare=300, only_frequent=4, copies=30
     )
-    matrix = _skewed_matrix(docs)
-    assert similarity._frequent_cut(matrix, 0.9) is not None
+    matrix = _docs_matrix(docs)
+    assert similarity._cheapest_cut(matrix, 0.9) is not None
     checked = 0
     for earlier, later in planted:
         score = cosine(matrix, [earlier], [later])[0]
@@ -693,11 +770,11 @@ def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
 
 
 def test_norm_bound_join_pairs_documents_of_frequent_terms_only():
-    # Such pairs share no rare term, so only the join of the rows whose
-    # frequent-part norm alone can pass finds them.
-    docs = [["c0", "c1", "c1"]] * 3 + [["c0", "c1", f"r{k}"] for k in range(60)]
-    matrix = _skewed_matrix(docs)
-    assert similarity._frequent_cut(matrix, 0.9) is not None
+    # Such pairs share no term outside the cut, so only the join of the
+    # rows whose cut-part norm alone can pass finds them.
+    docs = [["c0", "c1", "c1"]] * 3 + [["c0", "c1", f"r{k}"] for k in range(300)]
+    matrix = _docs_matrix(docs)
+    assert similarity._cheapest_cut(matrix, 0.9) is not None
     got = similarity._threshold_join(matrix, 0.9)
     assert sorted(got) == sorted(similarity._product_join(matrix, 0.9))
     assert {(i, j) for i, j, _ in got} >= {(0, 1), (0, 2), (1, 2)}
@@ -715,7 +792,7 @@ def _joins_taken(monkeypatch):
 
 
 def _skewed_window(rng):
-    docs, _ = _skewed_docs(rng, 80, common=3, rare=120, only_frequent=2, copies=8)
+    docs, _ = _skewed_docs(rng, 200, common=3, rare=300, only_frequent=2, copies=8)
     return make_window(
         [
             make_article(f"d{i:03d}", f"s{i % 7}", body=" ".join(d), ts=BASE_TS + i)
@@ -732,7 +809,26 @@ def test_gate_sends_skewed_window_to_norm_bound_join(monkeypatch):
     assert result.pairs
 
 
-def test_gate_sends_fixture_window_to_product_join(tmp_path, monkeypatch):
+def test_gate_sends_flat_window_to_norm_bound_join(monkeypatch):
+    # No column is in 1/16 of the documents, and each column carries about
+    # the same share of sum(df^2): the cut taken is one by df rank, not one
+    # at df >= n / 16, n / 32, ...
+    docs, planted = _flat_docs(random.Random(11), 400, words=1600, length=40, copies=10)
+    matrix = _docs_matrix(docs)
+    n = matrix.shape[0]
+    df = np.bincount(matrix.indices)
+    assert df.max() * 16 < n
+    in_cut, _ = similarity._cheapest_cut(matrix, 0.9)
+    at_df = {int(np.count_nonzero(df * (16 << k) >= n)) for k in range(n.bit_length())}
+    assert len(np.unique(matrix.indices[in_cut])) not in at_df
+    taken = _joins_taken(monkeypatch)
+    got = similarity._threshold_join(matrix, 0.9)
+    assert taken[0] == "_norm_bound_join"
+    assert sorted(got) == product_pairs(matrix, 0.9)
+    assert {(min(p), max(p)) for p in planted} <= {(i, j) for i, j, _ in got}
+
+
+def test_gate_sends_fixture_window_to_norm_bound_join(tmp_path, monkeypatch):
     from newsreuse.corpus import ingest_articles, partition_windows
     from newsreuse.fixture import FixtureSpec, generate_fixture
 
@@ -742,8 +838,12 @@ def test_gate_sends_fixture_window_to_product_join(tmp_path, monkeypatch):
     (window,) = partition_windows(ingest_articles(paths["articles"]), window_days=14)
     taken = _joins_taken(monkeypatch)
     result = match_window(window, **DEFAULT_MATCH)
-    assert taken == ["_product_join"]
+    assert taken[0] == "_norm_bound_join"
     assert len(result.pairs) >= 10
+    texts = [window.spool.read(a.body_span) for a in window.articles]
+    matrix = vectorize(fit_tfidf(texts, DEFAULT_MATCH["min_body_tokens"]))
+    threshold = DEFAULT_MATCH["threshold"]
+    assert sorted(similarity._threshold_join(matrix, threshold)) == product_pairs(matrix, threshold)
 
 
 def test_gate_sends_window_without_rare_columns_to_product_join(monkeypatch):
