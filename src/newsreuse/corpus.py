@@ -7,8 +7,8 @@ rather than dirty data. Collections are immutable after construction and
 safe to share with worker processes forked from the one that ingested them.
 No article holds its body: ingest writes each accepted body to its
 collection's `BodySpool`, an unnamed temporary file, and the matcher reads
-the bodies back one at a time, so memory does not grow with the corpus's
-bytes.
+the bodies back one at a time, each distinct body's text once per window,
+so memory does not grow with the corpus's bytes.
 
 Every other file the pipeline reads or writes goes through four functions
 here: `read_text` and `read_csv` for side files (labels, lexicons, stopwords,
@@ -172,6 +172,41 @@ class BodySpool:
     def read(self, span: tuple[int, int]) -> str:
         offset, length = span
         return os.pread(self._fd, length, offset).decode("utf-8", "surrogatepass")
+
+    def read_distinct(
+        self, spans: Sequence[tuple[int, int]], row_of: list[int], copies: list[int]
+    ) -> Iterator[str]:
+        """Yield the text of each distinct body among `spans` once, in order
+        of first appearance, the k-th being row k.
+
+        As it goes, `row_of` gets each span's row and `copies[k]` counts the
+        spans that hold row k's body; both start empty. Each span's bytes are
+        read once and keyed by their hash. A key hit is confirmed by reading
+        the row's first span again and comparing bytes, so two different
+        bodies never share a row. One body's bytes are held at a time, and
+        the key table goes when the iteration ends.
+        """
+        fd = self._fd
+        first: list[int] = []  # the position of each row's first span
+        row_of_key: dict[int, int] = {}
+        for position, (offset, length) in enumerate(spans):
+            data = os.pread(fd, length, offset)
+            key = hash(data)
+            row = row_of_key.get(key)
+            while row is not None:
+                at, size = spans[first[row]]
+                if size == length and os.pread(fd, size, at) == data:
+                    break
+                # The key is another body's: try the next one.
+                key += 1
+                row = row_of_key.get(key)
+            else:
+                row = row_of_key[key] = len(first)
+                first.append(position)
+                copies.append(0)
+                yield data.decode("utf-8", "surrogatepass")
+            row_of.append(row)
+            copies[row] += 1
 
     def close(self) -> None:
         self._finalizer()
@@ -733,11 +768,24 @@ def _matched_value_ok(key: str, value: object) -> bool:
 def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> None:
     """One JSON object per article, sorted by id, holding the fields that
     `read_matched_articles` reads back. JSON, not CSV, because a title is
-    free text: Python 3.10's csv writer cannot write a NUL."""
+    free text: Python 3.10's csv writer cannot write a NUL.
+
+    Each line is what `json.dumps` of a dict of `_MATCHED_FIELDS` writes,
+    built from its own string escaper, `str` of each int and `null` for a
+    missing count, in that key order; one `json.dumps` per record costs five
+    times as much.
+    """
+    text = json.encoder.encode_basestring_ascii
+
+    def count(value: int | None) -> str:
+        return "null" if value is None else str(value)
+
     write_lines(
         path,
         (
-            json.dumps({key: getattr(a, key) for key in _MATCHED_FIELDS})
+            f'{{"id": {text(a.id)}, "source": {text(a.source)}, '
+            f'"published_utc": {a.published_utc}, "title": {text(a.title)}, '
+            f'"fb_shares": {count(a.fb_shares)}, "fb_reactions": {count(a.fb_reactions)}}}'
             for a in sorted(articles, key=lambda a: a.id)
         ),
     )

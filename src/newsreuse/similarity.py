@@ -1,25 +1,27 @@
 """Per-window TFIDF vectorization and exact all-pairs similarity search.
 
 The matcher finds every cross-source article pair whose body cosine
-similarity exceeds a threshold. Fitting tokenizes, looks up and counts in
-one call, `fit_tfidf`: a window's bodies are read back from the corpus's
-body spool and tokenized one at a time, each token of a body long enough
-to match is looked up once, into one array of term ids for the window, and
-the window's term-count matrix is built from that array; no body's text or
+similarity exceeds a threshold. Articles that carry one body byte for byte
+share one row: `match_window` reads each distinct body of a window once,
+and fits, vectorizes and joins one row per distinct body, each counted in
+the idf once per copy. Fitting tokenizes, looks up and counts in one call,
+`fit_tfidf`: the distinct bodies are read back from the corpus's body spool
+and tokenized one at a time, each token of a body long enough to match is
+looked up once, into one array of term ids for the window, and the
+window's term-count matrix is built from that array; no body's text or
 tokens are kept after its lookup. `vectorize` weights the counts by idf and
-L2-normalizes each row, one row per document in a single scipy.sparse CSR
-matrix. The join is exact. Either
-every pair is scored, as the lower triangle of that matrix times its
-transpose, or pairs are first filtered with an l2-norm bound on a cut of
-the columns, those of highest document frequency, and the survivors
-re-scored. How many columns are cut is chosen per window by an estimate
-of the filter's cost, and the bound is used only where that estimate
-beats the plain product's; any cut gives the same pairs.
+L2-normalizes each row, in a single scipy.sparse CSR matrix. The join is
+exact. Either every pair of rows is scored, as the lower triangle of that
+matrix times its transpose, or pairs are first filtered with an l2-norm
+bound on a cut of the columns, those of highest document frequency, and
+the survivors re-scored. How many columns are cut is chosen per window by
+an estimate of the filter's cost, and the bound is used only where that
+estimate beats the plain product's; any cut gives the same pairs.
 `_threshold_join` says when the bound is used and `_norm_bound_join` why
-no pair is lost. Both walk their product through one tile loop,
-`_tiles`, and every score is one row sum in ascending term order,
-`_row_sums`, so both give the bits of the full product. Output ordering and
-scores are deterministic.
+no pair is lost. Both walk their product through one tile loop, `_tiles`,
+and every score is one row sum in ascending term order, `_row_sums`, so
+both give the bits of the full product. Output ordering and scores are
+deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, combinations, count, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -87,7 +89,7 @@ class TfidfModel:
     `rows` are the positions of the fitted texts among those given;
     `vocabulary` maps each term to its rank in sorted order; `idf[i]` is the
     smoothed idf of the term with id i; `counts` is the canonical CSR matrix
-    of term counts, one row per fitted document, in their order.
+    of term counts, one row per fitted text, in their order.
     """
 
     rows: list[int]
@@ -96,20 +98,28 @@ class TfidfModel:
     counts: sparse.csr_matrix
 
 
-def fit_tfidf(texts: Iterable[str], min_tokens: int) -> TfidfModel:
+def fit_tfidf(
+    texts: Iterable[str], min_tokens: int, multiplicity: Sequence[int] | None = None
+) -> TfidfModel:
     """Fit vocabulary, term counts and idf = log((1 + n) / (1 + df)) + 1 on
     the texts of at least `min_tokens` tokens.
+
+    Text k stands for `multiplicity[k]` documents that hold it, or for one
+    when `multiplicity` is None. `multiplicity` is read only once `texts` is
+    consumed, so the iterator that yields the texts may still be counting.
+    n sums the multiplicities of the kept texts, and a term's df those of
+    the kept texts that hold it. Both are exact integer counts, so each row
+    has the bits it would have if each of its documents were its own row.
 
     One pass tokenizes each text and looks each token of a kept text up
     once, into one array of term ids numbered by first appearance; no
     text's tokens are kept, so fed by a generator it holds one text at a
     time. A shorter text never enters the vocabulary. The ids are then
     ranked in place, into the column of each token of the term-count
-    matrix, and the document frequencies are its column counts. A document
-    with no tokens is an empty row and still counts in n. The idf values
-    come from a table indexed by document frequency, built with `math.log`
-    (n + 1 calls, not one per term), so they are the same bits as the
-    per-term formula.
+    matrix. A text with no tokens is an empty row and still counts in n.
+    The idf values come from a table indexed by document frequency, built
+    with `math.log` (n + 1 calls, not one per term), so they are the same
+    bits as the per-term formula.
     """
     rows: list[int] = []
     bounds = [0]
@@ -120,9 +130,9 @@ def fit_tfidf(texts: Iterable[str], min_tokens: int) -> TfidfModel:
         tokens = TokenizedDoc.from_text(text).tokens
         if len(tokens) >= min_tokens:
             rows.append(row)
-            ids.extend(map(lookup, tokens))
+            # A list, then one copy: faster than extending the array from the map.
+            ids.fromlist(list(map(lookup, tokens)))
             bounds.append(len(ids))
-    n = len(rows)
     terms = sorted(first)
     vocabulary = dict(zip(terms, range(len(terms))))
     rank = np.fromiter(map(vocabulary.__getitem__, first), np.intc, len(terms))
@@ -131,19 +141,28 @@ def fit_tfidf(texts: Iterable[str], min_tokens: int) -> TfidfModel:
     # Duplicate (row, term) entries of 1 sum to the term counts, which are
     # exact in float64.
     ones = np.ones(len(columns), dtype=np.intc)
-    counts = sparse.csr_matrix((ones, columns, bounds), shape=(n, len(terms)))
+    counts = sparse.csr_matrix((ones, columns, bounds), shape=(len(rows), len(terms)))
     counts.sum_duplicates()
     counts.data = counts.data.astype(np.float64)
+    copies = np.ones(len(rows), np.intp)
+    if multiplicity is not None:
+        copies = np.asarray(multiplicity, np.intp)[rows]
+    n = int(copies.sum())
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
+    # Each further copy of a text adds one to the df of each of its terms,
+    # in place: no temporary spans every entry or every term.
     df = np.bincount(counts.indices, minlength=len(terms))
+    repeated = np.flatnonzero(copies > 1)
+    again = counts[repeated]
+    np.add.at(df, again.indices, np.repeat(copies[repeated] - 1, np.diff(again.indptr)))
     return TfidfModel(rows=rows, vocabulary=vocabulary, idf=idf_by_df[df], counts=counts)
 
 
 def vectorize(model: TfidfModel) -> sparse.csr_matrix:
-    """The TFIDF matrix of the fitted documents: one L2-normalized tf * idf
-    row per document, canonical (sorted indices, no duplicates).
+    """The TFIDF matrix of the fitted texts: one L2-normalized tf * idf
+    row per text, canonical (sorted indices, no duplicates).
 
-    A document with no tokens is an empty row. Each row's norm sums its
+    A text with no tokens is an empty row. Each row's norm sums its
     squared weights in ascending term order, as a per-document loop would,
     so a row does not depend on the other documents.
     """
@@ -224,6 +243,12 @@ def _cheapest_cut(
     cheapest cut wins, the smallest on a tie. The cut-part norms of every
     cut come from one pass over the entries. Any cut gives the same pairs,
     so the estimate only decides the speed.
+
+    The df here counts the rows of `matrix`, which are what the join
+    multiplies: in `match_window`, one row per distinct body. The idf's df
+    in `fit_tfidf` counts each row once per copy of its body, so the two
+    differ where a window holds copies, and one cannot stand in for the
+    other.
     """
     n, width = matrix.shape
     df = np.bincount(matrix.indices, minlength=width)
@@ -420,28 +445,46 @@ def match_window(
 ) -> WindowMatchResult:
     """Fit a TFIDF model on one window and extract all cross-source matches.
 
-    Each body is read from the window's spool as it is tokenized, so one
-    body's text is held at a time. Bodies shorter than `min_body_tokens`
-    tokens do not participate. A window with fewer than two eligible
-    documents has no pairs.
+    Articles that carry one body byte for byte share one row: each distinct
+    body is read from the window's spool, tokenized and fitted once, with
+    its copies as its multiplicity, so its row has the bits each copy's row
+    would have. The join runs on the distinct rows, and each pair of rows
+    it keeps stands for every cross-source pair of their copies. Two copies
+    of one body score the row's dot with itself, summed by `cosine` as the
+    product would sum it. One body's text is held at a time. Bodies shorter
+    than `min_body_tokens` tokens do not participate, and the eligible count
+    counts articles. A window with fewer than two eligible articles has no
+    pairs.
     Pairs are sorted by (similarity desc, earlier id, later id), a total
     order since ids are unique. Neither a pair nor its score depends on the
     order of the window's articles, so neither does the result.
     """
     articles = window.articles
-    read = window.spool.read
-    model = fit_tfidf((read(a.body_span) for a in articles), min_body_tokens)
-    eligible = model.rows
-    if len(eligible) < 2:
-        return WindowMatchResult(len(eligible), ())
+    row_of: list[int] = []
+    copies: list[int] = []
+    bodies = window.spool.read_distinct([a.body_span for a in articles], row_of, copies)
+    model = fit_tfidf(bodies, min_body_tokens, copies)
+    kept = model.rows
+    eligible = sum(copies[row] for row in kept)
+    if eligible < 2:
+        return WindowMatchResult(eligible, ())
     matrix = vectorize(model)
     # The join needs neither the counts nor the vocabulary, so both are freed first.
     del model
+    # The positions of each fitted row's articles.
+    members: list[list[int]] = [[] for _ in copies]
+    for position, row in enumerate(row_of):
+        members[row].append(position)
+    members = [members[row] for row in kept]
+    repeated = [k for k, group in enumerate(members) if len(group) > 1]
+    scores = cosine(matrix, repeated, repeated).tolist()
+    selves = [(k, k, sim) for k, sim in zip(repeated, scores) if sim > threshold]
     pairs = []
-    for qpos, ppos, sim in _threshold_join(matrix, threshold):
-        a, b = articles[eligible[qpos]], articles[eligible[ppos]]
-        if a.source == b.source:
-            continue
-        pairs.append(pair_articles(a, b, sim, window.index))
+    for q, p, sim in chain(selves, _threshold_join(matrix, threshold)):
+        grouped = combinations(members[q], 2) if q == p else product(members[q], members[p])
+        for i, j in grouped:
+            a, b = articles[i], articles[j]
+            if a.source != b.source:
+                pairs.append(pair_articles(a, b, sim, window.index))
     pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
-    return WindowMatchResult(len(eligible), tuple(pairs))
+    return WindowMatchResult(eligible, tuple(pairs))

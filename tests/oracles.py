@@ -8,16 +8,23 @@ instead of a TFIDF matrix built in one array pass, explicit shortest-path
 enumeration instead of Brandes accumulation, the raw pairwise modularity sum
 instead of the per-community aggregation.
 
-The dict-based Brandes and the line-at-a-time GraphML and DOT writers are
-earlier versions of the library's own, kept as they were so that the
-faster versions can be required to give the same bits and bytes.
+The dict-based Brandes, the line-at-a-time GraphML and DOT writers and the
+window matcher that fits one row per article are earlier versions of the
+library's own, kept as they were so that the faster versions can be
+required to give the same bits and bytes.
 """
 
 import math
+from array import array
 from collections import Counter, defaultdict, deque
+from itertools import count
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
+from scipy import sparse
+
+from newsreuse.corpus import pair_articles
+from newsreuse.similarity import tokenize
 
 
 def dense_tfidf_matrix(token_docs):
@@ -61,6 +68,64 @@ def product_pairs(matrix, threshold):
     return sorted(
         zip(product.col[keep].tolist(), product.row[keep].tolist(), product.data[keep].tolist())
     )
+
+
+def _article_fit(texts, min_tokens):
+    """The library's earlier `fit_tfidf`, one row per text: kept rows,
+    term-count matrix and idf per term."""
+    rows = []
+    bounds = [0]
+    ids = array("i")
+    first = defaultdict(count().__next__)
+    for row, text in enumerate(texts):
+        tokens = tokenize(text)
+        if len(tokens) >= min_tokens:
+            rows.append(row)
+            ids.extend(map(first.__getitem__, tokens))
+            bounds.append(len(ids))
+    n = len(rows)
+    terms = sorted(first)
+    vocabulary = dict(zip(terms, range(len(terms))))
+    rank = np.fromiter(map(vocabulary.__getitem__, first), np.intc, len(terms))
+    columns = np.take(rank, np.frombuffer(ids, dtype=np.intc))
+    ones = np.ones(len(columns), dtype=np.intc)
+    counts = sparse.csr_matrix((ones, columns, bounds), shape=(n, len(terms)))
+    counts.sum_duplicates()
+    counts.data = counts.data.astype(np.float64)
+    idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
+    return rows, counts, idf_by_df[np.bincount(counts.indices, minlength=len(terms))]
+
+
+def _article_vectors(counts, idf):
+    """The library's `vectorize` of those counts."""
+    matrix = counts.copy()
+    matrix.data *= idf[matrix.indices]
+    squares = sparse.csr_matrix(
+        (np.square(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+    norms = np.sqrt(squares @ np.ones(matrix.shape[1]))
+    matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
+    return matrix
+
+
+def article_match_window(window, threshold, min_body_tokens):
+    """(eligible count, sorted pairs) of the library's earlier `match_window`,
+    which read, tokenized and fitted every article's body as its own row,
+    copies included, and scored their pairs like any other. Its tiled join
+    is replaced by `product_pairs`, which gives the join's bits."""
+    articles = window.articles
+    rows, counts, idf = _article_fit(
+        (window.spool.read(a.body_span) for a in articles), min_body_tokens
+    )
+    if len(rows) < 2:
+        return len(rows), ()
+    pairs = []
+    for q, p, sim in product_pairs(_article_vectors(counts, idf), threshold):
+        a, b = articles[rows[q]], articles[rows[p]]
+        if a.source != b.source:
+            pairs.append(pair_articles(a, b, sim, window.index))
+    pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
+    return len(rows), tuple(pairs)
 
 
 def reference_vectors(fit_docs, token_docs):

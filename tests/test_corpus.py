@@ -1,9 +1,18 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newsreuse.corpus import (
+    _MATCHED_FIELDS,
+    _MAX_TS,
+    _MIN_TS,
+    MAX_COUNT,
+    Article,
     Audience,
     Leaning,
     Reliability,
@@ -357,6 +366,36 @@ def _matched_lines(tmp_path, articles):
 
 def _write(path, lines):
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+# Any character, lone surrogates included, with the awkward ones made common.
+_TITLE_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    ["\x00", "\r", "\n", '"', "\\", "/", "\x7f", "\u00e9", "\u2028", "\U0001f4f0", "\ud800"]
+)
+_COUNTS = st.none() | st.sampled_from([0, MAX_COUNT]) | st.integers(0, MAX_COUNT)
+
+
+@given(
+    id=st.text(_TITLE_CHARS, min_size=1, max_size=8),
+    source=st.text(_TITLE_CHARS, min_size=1, max_size=8),
+    title=st.text(_TITLE_CHARS, max_size=20),
+    published_utc=st.sampled_from([_MIN_TS, _MAX_TS]) | st.integers(_MIN_TS, _MAX_TS),
+    fb_shares=_COUNTS,
+    fb_reactions=_COUNTS,
+)
+@example(id="a", source="s", title='x\x00y\r\n"\\ \u00e9 \U0001f4f0', published_utc=_MIN_TS,
+         fb_shares=None, fb_reactions=MAX_COUNT)
+@example(id="\ud800", source="\u2028", title="", published_utc=_MAX_TS, fb_shares=0,
+         fb_reactions=None)
+@settings(max_examples=300, deadline=None)
+def test_matched_line_is_json_dumps_of_the_record(**fields):
+    article = Article(**fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matched_articles.jsonl"
+        write_matched_articles(path, [article])
+        written = path.read_bytes()
+    want = json.dumps({key: getattr(article, key) for key in _MATCHED_FIELDS})
+    assert written == f"{want}\n".encode("ascii")
 
 
 _BAD_LINE = {

@@ -2,14 +2,16 @@ import math
 import random
 import weakref
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from newsreuse import headlines, similarity
+from newsreuse import corpus, headlines, similarity
 from newsreuse.corpus import AMBIGUOUS, FORWARD, read_pairs_csv, write_pairs_csv
 from newsreuse.errors import DataError
 from newsreuse.similarity import (
@@ -31,6 +33,7 @@ from helpers import (
     random_body,
 )
 from oracles import (
+    article_match_window,
     dense_tfidf_matrix,
     exhaustive_pairs,
     merge_dot,
@@ -234,8 +237,74 @@ def test_match_window_keeps_at_most_one_body_tokenized(monkeypatch):
 
     monkeypatch.setattr(TokenizedDoc, "from_text", staticmethod(from_text))
     assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
-    assert len(alive) == 12
+    # The 12th body repeats the 1st, and each distinct body is tokenized once.
+    assert len(alive) == 11
     assert max(alive) <= 1
+
+
+def _assert_matches_per_article_oracle(window, threshold, min_body_tokens):
+    got = match_window(window, threshold=threshold, min_body_tokens=min_body_tokens)
+    eligible, pairs = article_match_window(window, threshold, min_body_tokens)
+    assert got.eligible_count == eligible
+    assert got.pairs == pairs
+    assert [p.similarity.hex() for p in got.pairs] == [p.similarity.hex() for p in pairs]
+    return got
+
+
+@given(
+    bodies=st.lists(
+        st.lists(st.sampled_from(_BODY_WORDS), max_size=8).map(" ".join), min_size=1, max_size=5
+    ),
+    # (body, source) of each article: repeats within one source and across sources.
+    placed=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=2, max_size=24),
+    min_body_tokens=st.sampled_from([0, 1, 4]),
+    threshold=st.sampled_from([0.3, 0.6, 0.9]),
+    one_key=st.booleans(),
+)
+# A whole window of one body, in three sources.
+@example(bodies=["ka lo mi ta"], placed=[(0, 0), (0, 1), (0, 2), (0, 1)], min_body_tokens=1,
+         threshold=0.9, one_key=False)
+# Repeated empty bodies, eligible at min_body_tokens=0.
+@example(bodies=["", "ka lo zu"], placed=[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)],
+         min_body_tokens=0, threshold=0.3, one_key=False)
+# Repeats of a body below min_body_tokens beside repeats of one above it.
+@example(bodies=["ka", "ka lo mi ta zu"], placed=[(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)],
+         min_body_tokens=4, threshold=0.6, one_key=False)
+# Every body under one key, so only the byte comparison tells them apart.
+@example(bodies=["ka lo", "lo ka", "ka lo, ka"], placed=[(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)],
+         min_body_tokens=0, threshold=0.3, one_key=True)
+@settings(max_examples=300, deadline=None)
+def test_copies_sharing_a_row_match_the_per_article_oracle(
+    bodies, placed, min_body_tokens, threshold, one_key
+):
+    window = make_window(
+        make_article(f"d{k:02d}", f"s{source}", body=bodies[body % len(bodies)],
+                     ts=BASE_TS + k // 2)
+        for k, (body, source) in enumerate(placed)
+    )
+    one_hash = mock.patch.object(corpus, "hash", lambda data: 0, create=True)
+    try:
+        with one_hash if one_key else nullcontext():
+            _assert_matches_per_article_oracle(window, threshold, min_body_tokens)
+    finally:
+        window.spool.close()
+
+
+def test_copies_in_a_norm_bound_window_match_the_per_article_oracle(monkeypatch):
+    # The skewed window's rows, each body of a few of them republished again
+    # by its own source and by others: the distinct rows still take the
+    # norm-bound join.
+    window = _skewed_window(random.Random(3))
+    extra = [
+        replace(a, id=f"{a.id}-copy{c}", source=f"s{(k + c) % 9}")
+        for k, a in enumerate(window.articles[::23])
+        for c in range(3)
+    ]
+    window = replace(window, articles=window.articles + tuple(extra))
+    taken = _joins_taken(monkeypatch)
+    got = _assert_matches_per_article_oracle(window, 0.5, 0)
+    assert taken[0] == "_norm_bound_join"
+    assert any("-copy" in p.earlier.id + p.later.id for p in got.pairs)
 
 
 def test_every_tokenization_happens_inside_fit(monkeypatch):
@@ -273,9 +342,10 @@ def test_every_tokenization_happens_inside_fit(monkeypatch):
     monkeypatch.setattr(similarity, "fit_tfidf", flagged(similarity.fit_tfidf))
     monkeypatch.setattr(headlines, "fit_tfidf", flagged(headlines.fit_tfidf))
     assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
-    assert len(inside) == 6
+    # The 6th body repeats the 1st, and each distinct body is tokenized once.
+    assert len(inside) == 5
     assert all(tp.distance > 0 for tp in headlines.title_distance(pairs))
-    assert len(inside) == 6 + 3
+    assert len(inside) == 5 + 3
     assert all(inside)
 
 
