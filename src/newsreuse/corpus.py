@@ -135,8 +135,10 @@ class BodySpool:
     closed or the process ends.
 
     `append` returns a body's (offset, length), and after `flush`, `read`
-    reads it back with `os.pread`. That moves no file position, so processes
-    forked after the flush read through the descriptor they inherit. The
+    reads it back with `os.pread`, and `read_distinct` yields each distinct
+    body among many spans once. `os.pread` moves no file position, so
+    processes forked after the flush read through the descriptor they
+    inherit. The
     file is closed by `close`, or when the spool is garbage. An OSError while
     making or writing the file, such as a full disk, is a DataError naming
     the directory.
