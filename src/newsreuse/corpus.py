@@ -5,10 +5,10 @@ validation are collected into a rejects report instead of aborting the run,
 unless more than half the rows are bad, which signals a schema mismatch
 rather than dirty data. Collections are immutable after construction and
 safe to share with worker processes forked from the one that ingested them.
-No article holds its body: ingest writes each accepted body to its
-collection's `BodySpool`, an unnamed temporary file, and the matcher reads
-the bodies back one at a time, each distinct body's text once per window,
-so memory does not grow with the corpus's bytes.
+No article holds its body: ingest writes each distinct body once to its
+collection's `BodySpool`, an unnamed temporary file, and copies share its
+span. The matcher reads each distinct body of a window back once, one at a
+time, so memory does not grow with the corpus's bytes.
 
 Every other file the pipeline reads or writes goes through four functions
 here: `read_text` and `read_csv` for side files (labels, lexicons, stopwords,
@@ -134,14 +134,16 @@ class BodySpool:
     file under `tempfile.gettempdir()`, which the OS removes when the file is
     closed or the process ends.
 
-    `append` returns a body's (offset, length), and after `flush`, `read`
-    reads it back with `os.pread`, and `read_distinct` yields each distinct
-    body among many spans once. `os.pread` moves no file position, so
+    `append` returns a body's (offset, length). A body identical to one
+    appended before `flush` gets that body's span and is not written again:
+    bodies are keyed by the hash of their bytes, and a key hit is confirmed
+    by reading the earlier span back and comparing bytes, so two different
+    bodies never share a span. `flush` frees the key table. After it, `read`
+    reads a span back with `os.pread`, which moves no file position, so
     processes forked after the flush read through the descriptor they
-    inherit. The
-    file is closed by `close`, or when the spool is garbage. An OSError while
-    making or writing the file, such as a full disk, is a DataError naming
-    the directory.
+    inherit. The file is closed by `close`, or when the spool is garbage. An
+    OSError in making the file, `append` or `flush`, such as a full disk, is
+    a DataError naming the directory.
     """
 
     def __init__(self) -> None:
@@ -152,20 +154,33 @@ class BodySpool:
             raise _spool_error(exc) from exc
         self._fd = self._file.fileno()
         self._size = 0
+        self._span_of: dict[int, tuple[int, int]] = {}
         self._finalizer = weakref.finalize(self, _discard, self._file)
 
     def append(self, body: str) -> tuple[int, int]:
         # surrogatepass: any str round-trips, as a body held in memory did.
         data = body.encode("utf-8", "surrogatepass")
+        key = hash(data)
+        span = self._span_of.get(key)
         try:
+            while span is not None:
+                if span[1] == len(data):
+                    # The earlier copy may still be in the write buffer.
+                    self._file.flush()
+                    if os.pread(self._fd, len(data), span[0]) == data:
+                        return span
+                # The key is another body's: try the next one.
+                key += 1
+                span = self._span_of.get(key)
             self._file.write(data)
         except OSError as exc:
             raise _spool_error(exc) from exc
-        span = (self._size, len(data))
+        span = self._span_of[key] = (self._size, len(data))
         self._size += len(data)
         return span
 
     def flush(self) -> None:
+        self._span_of = {}
         try:
             self._file.flush()
         except OSError as exc:
@@ -174,41 +189,6 @@ class BodySpool:
     def read(self, span: tuple[int, int]) -> str:
         offset, length = span
         return os.pread(self._fd, length, offset).decode("utf-8", "surrogatepass")
-
-    def read_distinct(
-        self, spans: Sequence[tuple[int, int]], row_of: list[int], copies: list[int]
-    ) -> Iterator[str]:
-        """Yield the text of each distinct body among `spans` once, in order
-        of first appearance, the k-th being row k.
-
-        As it goes, `row_of` gets each span's row and `copies[k]` counts the
-        spans that hold row k's body; both start empty. Each span's bytes are
-        read once and keyed by their hash. A key hit is confirmed by reading
-        the row's first span again and comparing bytes, so two different
-        bodies never share a row. One body's bytes are held at a time, and
-        the key table goes when the iteration ends.
-        """
-        fd = self._fd
-        first: list[int] = []  # the position of each row's first span
-        row_of_key: dict[int, int] = {}
-        for position, (offset, length) in enumerate(spans):
-            data = os.pread(fd, length, offset)
-            key = hash(data)
-            row = row_of_key.get(key)
-            while row is not None:
-                at, size = spans[first[row]]
-                if size == length and os.pread(fd, size, at) == data:
-                    break
-                # The key is another body's: try the next one.
-                key += 1
-                row = row_of_key.get(key)
-            else:
-                row = row_of_key[key] = len(first)
-                first.append(position)
-                copies.append(0)
-                yield data.decode("utf-8", "surrogatepass")
-            row_of.append(row)
-            copies[row] += 1
 
     def close(self) -> None:
         self._finalizer()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import (
     FORWARD,
@@ -515,6 +514,23 @@ def _graphml_type(values: list) -> str:
     return "string"
 
 
+# The rules of `xml.sax.saxutils.escape` and `quoteattr`, whose module
+# imports `urllib.request` and `http.client` into every stage.
+def _escape(text: str) -> str:
+    """`text` with &, < and > as entity references."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _quoteattr(text: str) -> str:
+    """`text` escaped, with LF, CR and tab as character references, and
+    quoted as an XML attribute value: in single quotes if it holds double
+    quotes and no single ones, else in double quotes, each `"` as `&quot;`."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' in text and "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
     """Write GraphML with key declarations for every attribute in use.
 
@@ -540,7 +556,7 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
     for name in names:
         kind = _graphml_type(attr_values[name])
         lines.append(
-            f'  <key id="n_{name}" for="node" attr.name="{escape(name)}"'
+            f'  <key id="n_{name}" for="node" attr.name="{_escape(name)}"'
             f' attr.type="{kind}"/>'
         )
     lines.append('  <key id="e_weight" for="edge" attr.name="weight" attr.type="long"/>')
@@ -549,8 +565,8 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
         if isinstance(graph.window_index, str)
         else f"window_{graph.window_index}"
     )
-    lines.append(f'  <graph id={quoteattr(str(graph_id))} edgedefault="directed">')
-    quoted = {node: quoteattr(node) for node in nodes}
+    lines.append(f'  <graph id={_quoteattr(str(graph_id))} edgedefault="directed">')
+    quoted = {node: _quoteattr(node) for node in nodes}
     tags = [(name, f'      <data key="n_{name}">') for name in names]
     for node, attrs in zip(nodes, node_attrs):
         data = []
@@ -558,7 +574,7 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
             value = attrs.get(name)
             if value is None:
                 continue
-            text = repr(value) if isinstance(value, float) else escape(str(value))
+            text = repr(value) if isinstance(value, float) else _escape(str(value))
             data.append(f"{tag}{text}</data>")
         if data:
             lines.append(f"    <node id={quoted[node]}>")

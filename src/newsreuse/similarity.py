@@ -2,11 +2,12 @@
 
 The matcher finds every cross-source article pair whose body cosine
 similarity exceeds a threshold. Articles that carry one body byte for byte
-share one row: `match_window` reads each distinct body of a window once,
-and fits, vectorizes and joins one row per distinct body, each counted in
-the idf once per copy. Fitting tokenizes, looks up and counts in one call,
-`fit_tfidf`: the distinct bodies are read back from the corpus's body spool
-and tokenized one at a time, each token of a body long enough to match is
+share one span of the corpus's body spool, which ingest keys, and so one
+row: `match_window` reads each distinct span of a window once, and fits,
+vectorizes and joins one row per distinct body, each counted in the idf
+once per copy. Fitting tokenizes, looks up and counts in one call,
+`fit_tfidf`: the distinct bodies are read back from the spool and
+tokenized one at a time, each token of a body long enough to match is
 looked up once, into one array of term ids for the window, and the
 window's term-count matrix is built from that array; no body's text or
 tokens are kept after its lookup. `vectorize` weights the counts by idf and
@@ -105,11 +106,10 @@ def fit_tfidf(
     the texts of at least `min_tokens` tokens.
 
     Text k stands for `multiplicity[k]` documents that hold it, or for one
-    when `multiplicity` is None. `multiplicity` is read only once `texts` is
-    consumed, so the iterator that yields the texts may still be counting.
-    n sums the multiplicities of the kept texts, and a term's df those of
-    the kept texts that hold it. Both are exact integer counts, so each row
-    has the bits it would have if each of its documents were its own row.
+    when `multiplicity` is None. n sums the multiplicities of the kept
+    texts, and a term's df those of the kept texts that hold it. Both are
+    exact integer counts, so each row has the bits it would have if each of
+    its documents were its own row.
 
     One pass tokenizes each text and looks each token of a kept text up
     once, into one array of term ids numbered by first appearance; no
@@ -445,9 +445,10 @@ def match_window(
 ) -> WindowMatchResult:
     """Fit a TFIDF model on one window and extract all cross-source matches.
 
-    Articles that carry one body byte for byte share one row: each distinct
-    body is read from the window's spool, tokenized and fitted once, with
-    its copies as its multiplicity, so its row has the bits each copy's row
+    Articles that carry one body byte for byte share one spool span, and so
+    one row: the articles are grouped by span, and each distinct body is
+    read from the window's spool, tokenized and fitted once, with its
+    copies as its multiplicity, so its row has the bits each copy's row
     would have. The join runs on the distinct rows, and each pair of rows
     it keeps stands for every cross-source pair of their copies. Two copies
     of one body score the row's dot with itself, summed by `cosine` as the
@@ -460,22 +461,19 @@ def match_window(
     order of the window's articles, so neither does the result.
     """
     articles = window.articles
-    row_of: list[int] = []
-    copies: list[int] = []
-    bodies = window.spool.read_distinct([a.body_span for a in articles], row_of, copies)
-    model = fit_tfidf(bodies, min_body_tokens, copies)
-    kept = model.rows
-    eligible = sum(copies[row] for row in kept)
+    # The positions of the articles that carry each distinct body, by span.
+    groups: dict[tuple[int, int] | None, list[int]] = {}
+    for position, article in enumerate(articles):
+        groups.setdefault(article.body_span, []).append(position)
+    members = list(groups.values())
+    model = fit_tfidf(map(window.spool.read, groups), min_body_tokens, [len(g) for g in members])
+    members = [members[row] for row in model.rows]
+    eligible = sum(map(len, members))
     if eligible < 2:
         return WindowMatchResult(eligible, ())
     matrix = vectorize(model)
     # The join needs neither the counts nor the vocabulary, so both are freed first.
     del model
-    # The positions of each fitted row's articles.
-    members: list[list[int]] = [[] for _ in copies]
-    for position, row in enumerate(row_of):
-        members[row].append(position)
-    members = [members[row] for row in kept]
     repeated = [k for k, group in enumerate(members) if len(group) > 1]
     scores = cosine(matrix, repeated, repeated).tolist()
     selves = [(k, k, sim) for k, sim in zip(repeated, scores) if sim > threshold]

@@ -112,11 +112,11 @@ def article_match_window(window, threshold, min_body_tokens):
     """(eligible count, sorted pairs) of the library's earlier `match_window`,
     which read, tokenized and fitted every article's body as its own row,
     copies included, and scored their pairs like any other. Its tiled join
-    is replaced by `product_pairs`, which gives the join's bits."""
+    is replaced by `product_pairs`, which gives the join's bits. Each body
+    is the `TextArticle`'s own text, not its spool span's, so a span shared
+    by two different bodies gives other pairs than the library's."""
     articles = window.articles
-    rows, counts, idf = _article_fit(
-        (window.spool.read(a.body_span) for a in articles), min_body_tokens
-    )
+    rows, counts, idf = _article_fit((a.body for a in articles), min_body_tokens)
     if len(rows) < 2:
         return len(rows), ()
     pairs = []

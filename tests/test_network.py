@@ -560,7 +560,8 @@ def _awkward_graph(window_index):
 def test_writers_equal_the_line_at_a_time_versions(tmp_path, window_index):
     """Names and string values holding & < > " ' CR LF tab, both quote kinds
     in one name, and non-ASCII text: each file is byte-equal to the one the
-    earlier writers built a line at a time."""
+    earlier writers built a line at a time, which escape with
+    `xml.sax.saxutils`."""
     graph = _awkward_graph(window_index)
     for export, oracle, suffix in ((export_graphml, line_graphml, "graphml"),
                                    (export_dot, line_dot, "dot")):

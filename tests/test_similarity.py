@@ -277,15 +277,17 @@ def _assert_matches_per_article_oracle(window, threshold, min_body_tokens):
 def test_copies_sharing_a_row_match_the_per_article_oracle(
     bodies, placed, min_body_tokens, threshold, one_key
 ):
-    window = make_window(
-        make_article(f"d{k:02d}", f"s{source}", body=bodies[body % len(bodies)],
-                     ts=BASE_TS + k // 2)
-        for k, (body, source) in enumerate(placed)
-    )
+    # The spool keys bodies as make_window spools them: under one key, only
+    # its byte comparison tells them apart.
     one_hash = mock.patch.object(corpus, "hash", lambda data: 0, create=True)
+    with one_hash if one_key else nullcontext():
+        window = make_window(
+            make_article(f"d{k:02d}", f"s{source}", body=bodies[body % len(bodies)],
+                         ts=BASE_TS + k // 2)
+            for k, (body, source) in enumerate(placed)
+        )
     try:
-        with one_hash if one_key else nullcontext():
-            _assert_matches_per_article_oracle(window, threshold, min_body_tokens)
+        _assert_matches_per_article_oracle(window, threshold, min_body_tokens)
     finally:
         window.spool.close()
 

@@ -14,14 +14,17 @@ import random
 import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsreuse import corpus as corpus_module
 from newsreuse.cli import EXIT_DATA, EXIT_OK, RunConfig, main
-from newsreuse.corpus import SECONDS_PER_DAY, ingest_articles
+from newsreuse.corpus import SECONDS_PER_DAY, BodySpool, ingest_articles
 from newsreuse.similarity import tokenize
 
 from helpers import BASE_TS, write_jsonl
@@ -173,6 +176,57 @@ def test_ingest_spools_bodies_instead_of_holding_them(tmp_path):
         collection.spool.close()
 
 
+# The empty body, lone surrogates, a body that is a prefix of another, and
+# bodies of one length that differ in a byte, each some times over.
+_SPOOLED = ["alpha beta", "", "\ud800", "alpha", "alpha beta", "\udfff", "", "alphb",
+            "\ud800", "alpha", "alpha beta gamma", "alphb", ""]
+
+
+@pytest.mark.parametrize("one_key", [False, True])
+def test_equal_bodies_share_a_span_and_unequal_bodies_never_do(one_key):
+    """Until `flush`, equal bodies get equal spans and unequal bodies unequal
+    ones. After it, a body may be written anew, but each span still reads
+    back the body it was given for. Under one hash key, only the spool's
+    byte comparison tells the bodies apart."""
+    spool = BodySpool()
+    one_hash = mock.patch.object(corpus_module, "hash", lambda data: 0, create=True)
+    try:
+        with one_hash if one_key else nullcontext():
+            before = [spool.append(body) for body in _SPOOLED]
+            spool.flush()
+            after = [spool.append(body) for body in reversed(_SPOOLED)]
+        spool.flush()
+        for body, span in zip(_SPOOLED, before):
+            assert [other == body for other in _SPOOLED] == [s == span for s in before]
+        bodies = _SPOOLED + _SPOOLED[::-1]
+        assert [spool.read(span) for span in before + after] == bodies
+    finally:
+        spool.close()
+
+
+def test_ingest_writes_each_distinct_body_once(tmp_path):
+    """A corpus whose sources republish each other's bodies spools only the
+    distinct bodies' bytes, and its copies share their first copy's span."""
+    rng = random.Random(4)
+    stories = ["", "café au lait", "breaking news " * 40, "東京 " * 9, "breaking news"]
+    bodies = [rng.choice(stories) for _ in range(60)]
+    path = tmp_path / "articles.jsonl"
+    write_jsonl(path, [
+        {"id": f"a{i}", "source": f"s{i % 7}", "body": body, "published_utc": BASE_TS + i}
+        for i, body in enumerate(bodies)
+    ])
+    collection = ingest_articles(path)
+    try:
+        spans = [a.body_span for a in collection]
+        assert len(set(spans)) == len(set(bodies))
+        assert [collection.spool.read(span) for span in spans] == bodies
+        assert os.fstat(collection.spool._fd).st_size == sum(
+            len(body.encode("utf-8")) for body in set(bodies)
+        )
+    finally:
+        collection.spool.close()
+
+
 @pytest.mark.parametrize("method", ["write", "flush"])
 def test_full_spool_disk_is_data_error_naming_the_temp_dir(
     tmp_path, monkeypatch, caplog, method
@@ -208,6 +262,8 @@ def test_full_spool_disk_is_data_error_naming_the_temp_dir(
     def no_space(self, *args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
+    # The two bodies are equal, so a failing flush fails first where the
+    # second body is compared with the first, before ingest's own flush.
     setattr(FullDisk, method, no_space)
     monkeypatch.setattr(tempfile, "TemporaryFile", FullDisk)
     assert main(argv) == EXIT_DATA
