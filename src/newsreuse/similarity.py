@@ -11,8 +11,12 @@ tokenized one at a time, each token of a body long enough to match is
 looked up once, into one array of term ids for the window, and the
 window's term-count matrix is built from that array; no body's text or
 tokens are kept after its lookup. `vectorize` weights the counts by idf and
-L2-normalizes each row, in a single scipy.sparse CSR matrix. The join is
-exact. Either every pair of rows is scored, as the lower triangle of that
+L2-normalizes each row in place, so the counts become the window's
+scipy.sparse CSR matrix. The fit, the weighting and the join each hold one
+per-token or per-entry buffer at a time beside that matrix, and no int32
+index array is cast to an intp copy: the window's peak is the largest of
+the three steps' peaks, so a buffer cut from one step alone would leave it
+at another's. The join is exact. Either every pair of rows is scored, as the lower triangle of that
 matrix times its transpose, or pairs are first filtered with an l2-norm
 bound on a cut of the columns, those of highest document frequency, and
 the survivors re-scored. How many columns are cut is chosen per window by
@@ -31,7 +35,7 @@ import math
 import re
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, count, product
 from typing import Iterable, Iterator, Sequence
 
@@ -53,9 +57,9 @@ _FILTER_COST = 1 << 16
 
 # Word characters minus underscore: punctuation splits tokens, numerals stay.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# The same split for ASCII text: every ASCII character that is not a letter
-# or digit becomes a space.
-_ASCII_SPLIT = {c: " " for c in range(128) if not chr(c).isalnum()}
+# The same split for ASCII text, as a `bytes.translate` table: every ASCII
+# byte that is not a letter or digit becomes a space.
+_ASCII_SPLIT = bytes(c if chr(c).isalnum() else 32 for c in range(128)) + bytes(range(128, 256))
 
 
 def tokenize(text: str) -> list[str]:
@@ -63,13 +67,14 @@ def tokenize(text: str) -> list[str]:
 
     A token is a maximal run of letters and digits (`_TOKEN_RE`), so `_` and
     every other punctuation mark or space splits tokens. Text that is ASCII
-    once lowered is split with one `str.translate` and `str.split`, which
-    give the same tokens as the regex, faster. The test comes after
-    lowering: U+212A KELVIN SIGN lowers to ASCII `k`.
+    once lowered is encoded, mapped through the 256-byte table
+    `_ASCII_SPLIT` and split at the spaces, which gives the same tokens as
+    the regex, faster. The test comes after lowering: U+212A KELVIN SIGN
+    lowers to ASCII `k`.
     """
     low = text.lower()
     if low.isascii():
-        return low.translate(_ASCII_SPLIT).split()
+        return low.encode("ascii").translate(_ASCII_SPLIT).decode("ascii").split()
     return _TOKEN_RE.findall(low)
 
 
@@ -88,14 +93,18 @@ class TfidfModel:
     """Vocabulary, idf weights and term counts of one fitted document set.
 
     `rows` are the positions of the fitted texts among those given;
-    `vocabulary` maps each term to its rank in sorted order; `idf[i]` is the
-    smoothed idf of the term with id i; `counts` is the canonical CSR matrix
-    of term counts, one row per fitted text, in their order.
+    `vocabulary` lists the terms in sorted order, so `vocabulary[column]` is
+    the term of that column; `idf[column]` is the smoothed idf of that term;
+    `row_df[column]` counts the fitted texts that hold it, each once,
+    whatever its multiplicity; `counts` is the canonical CSR matrix of term
+    counts, one row per fitted text, in their order, until `vectorize`
+    weights it in place.
     """
 
     rows: list[int]
-    vocabulary: dict[str, int]
+    vocabulary: list[str]
     idf: np.ndarray
+    row_df: np.ndarray
     counts: sparse.csr_matrix
 
 
@@ -114,12 +123,18 @@ def fit_tfidf(
     One pass tokenizes each text and looks each token of a kept text up
     once, into one array of term ids numbered by first appearance; no
     text's tokens are kept, so fed by a generator it holds one text at a
-    time. A shorter text never enters the vocabulary. The ids are then
-    ranked in place, into the column of each token of the term-count
-    matrix. A text with no tokens is an empty row and still counts in n.
-    The idf values come from a table indexed by document frequency, built
-    with `math.log` (n + 1 calls, not one per term), so they are the same
-    bits as the per-term formula.
+    time. A shorter text never enters the vocabulary. The terms are then
+    sorted, and each token's id is mapped to its column, the term's rank in
+    sorted order. A text with no tokens is an empty row and still counts in
+    n. The idf values come from a table indexed by document frequency,
+    built with `math.log` (n + 1 calls, not one per term), so they are the
+    same bits as the per-term formula.
+
+    At most two arrays of one entry per token are held at once: the term
+    ids and the columns gathered from them, then the columns and the ones
+    that `sum_duplicates` adds up. Both are freed before the float64 counts
+    are made, no int32 index array is cast to an intp copy, and the
+    first-appearance map is freed before the columns are gathered.
     """
     rows: list[int] = []
     bounds = [0]
@@ -133,16 +148,28 @@ def fit_tfidf(
             # A list, then one copy: faster than extending the array from the map.
             ids.fromlist(list(map(lookup, tokens)))
             bounds.append(len(ids))
-    terms = sorted(first)
-    vocabulary = dict(zip(terms, range(len(terms))))
-    rank = np.fromiter(map(vocabulary.__getitem__, first), np.intc, len(terms))
-    columns = np.frombuffer(ids, dtype=np.intc)
-    np.take(rank, columns, out=columns, mode="clip")
+    terms = list(first)
+    del first, lookup
+    width = len(terms)
+    order = sorted(range(width), key=terms.__getitem__)
+    vocabulary = list(map(terms.__getitem__, order))
+    rank = np.empty(width, dtype=np.intc)
+    rank[order] = np.arange(width, dtype=np.intc)
+    del terms, order
+    # Indexing with the int32 ids themselves: `np.take` would cast them to intp.
+    columns = rank[np.frombuffer(ids, dtype=np.intc)]
+    del ids
     # Duplicate (row, term) entries of 1 sum to the term counts, which are
     # exact in float64.
     ones = np.ones(len(columns), dtype=np.intc)
-    counts = sparse.csr_matrix((ones, columns, bounds), shape=(len(rows), len(terms)))
+    counts = sparse.csr_matrix((ones, columns, bounds), shape=(len(rows), width))
+    del ones, columns
     counts.sum_duplicates()
+    # The summed indices and counts may still be views of the per-token
+    # arrays: the copy frees one before the float64 counts are made, and
+    # `astype` the other.
+    counts.indices = counts.indices.copy()
+    row_df = np.bincount(counts.indices, minlength=width)
     counts.data = counts.data.astype(np.float64)
     copies = np.ones(len(rows), np.intp)
     if multiplicity is not None:
@@ -151,22 +178,27 @@ def fit_tfidf(
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
     # Each further copy of a text adds one to the df of each of its terms,
     # in place: no temporary spans every entry or every term.
-    df = np.bincount(counts.indices, minlength=len(terms))
+    df = row_df.copy()
     repeated = np.flatnonzero(copies > 1)
     again = counts[repeated]
     np.add.at(df, again.indices, np.repeat(copies[repeated] - 1, np.diff(again.indptr)))
-    return TfidfModel(rows=rows, vocabulary=vocabulary, idf=idf_by_df[df], counts=counts)
+    return TfidfModel(
+        rows=rows, vocabulary=vocabulary, idf=idf_by_df[df], row_df=row_df, counts=counts
+    )
 
 
 def vectorize(model: TfidfModel) -> sparse.csr_matrix:
     """The TFIDF matrix of the fitted texts: one L2-normalized tf * idf
     row per text, canonical (sorted indices, no duplicates).
 
-    A text with no tokens is an empty row. Each row's norm sums its
-    squared weights in ascending term order, as a per-document loop would,
-    so a row does not depend on the other documents.
+    It consumes the model's counts: `model.counts` is weighted in place and
+    returned, so no second matrix of the window's size is made, and the
+    model's counts are the TFIDF matrix afterwards. A text with no tokens
+    is an empty row. Each row's norm sums its squared weights in ascending
+    term order, as a per-document loop would, so a row does not depend on
+    the other documents.
     """
-    matrix = model.counts.copy()
+    matrix = model.counts
     matrix.data *= model.idf[matrix.indices]
     norms = np.sqrt(_row_sums(matrix, np.square(matrix.data)))
     matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
@@ -197,7 +229,7 @@ def cosine(
 
 
 def _threshold_join(
-    matrix: sparse.csr_matrix, threshold: float
+    matrix: sparse.csr_matrix, threshold: float, df: np.ndarray | None = None
 ) -> list[tuple[int, int, float]]:
     """All row pairs (i, j), i < j, of a `vectorize` matrix with dot product
     > threshold, in no particular order.
@@ -211,16 +243,17 @@ def _threshold_join(
     cut that `_cheapest_cut` weighs is estimated to cost less than that by
     more than `_FILTER_COST`, the window goes to `_norm_bound_join`, which
     skips the cut columns. Otherwise it goes to `_product_join`, which
-    scores every pair.
+    scores every pair. `df`, when given, is each column's count of rows
+    that hold it, as `fit_tfidf`'s `row_df`; when None, it is counted here.
     """
-    cut = _cheapest_cut(matrix, threshold)
+    cut = _cheapest_cut(matrix, threshold, df)
     if cut is None:
         return _product_join(matrix, threshold)
     return _norm_bound_join(matrix, threshold, *cut)
 
 
 def _cheapest_cut(
-    matrix: sparse.csr_matrix, threshold: float
+    matrix: sparse.csr_matrix, threshold: float, df: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """At the cheapest cut, which stored entries of `matrix` are in cut
     columns and each row's l2 norm over them; None when no cut beats the
@@ -245,13 +278,16 @@ def _cheapest_cut(
     so the estimate only decides the speed.
 
     The df here counts the rows of `matrix`, which are what the join
-    multiplies: in `match_window`, one row per distinct body. The idf's df
-    in `fit_tfidf` counts each row once per copy of its body, so the two
-    differ where a window holds copies, and one cannot stand in for the
-    other.
+    multiplies: in `match_window`, one row per distinct body. That is
+    `fit_tfidf`'s `row_df`, which `match_window` passes in, or, when `df` is
+    None, a count of `matrix`'s stored entries per column. The idf's df in
+    `fit_tfidf` counts each row once per copy of its body, so the two
+    differ where a window holds copies, and the idf's cannot stand in for
+    this one.
     """
     n, width = matrix.shape
-    df = np.bincount(matrix.indices, minlength=width)
+    if df is None:
+        df = np.bincount(matrix.indices, minlength=width)
     square = df * df
     total = int(square.sum())
     if n <= _CUT_STEPS or total <= _FILTER_COST:
@@ -284,7 +320,7 @@ def _cheapest_cut(
         by_level[lo:hi] = sparse.csr_matrix(
             (
                 np.square(matrix.data[start:stop]),
-                np.take(level, matrix.indices[start:stop], mode="clip"),
+                level[matrix.indices[start:stop]],
                 matrix.indptr[lo : hi + 1] - start,
             ),
             shape=(hi - lo, len(ends) + 1),
@@ -312,7 +348,8 @@ def _cheapest_cut(
             best, best_cost = cut, rest + heavy_cost
     if best is None:
         return None
-    in_cut = np.take(level <= best, matrix.indices, mode="clip")
+    # Indexing with the int32 indices themselves: `np.take` would cast them to intp.
+    in_cut = (level <= best)[matrix.indices]
     return in_cut, np.ascontiguousarray(norms[:, best])
 
 
@@ -452,10 +489,12 @@ def match_window(
     would have. The join runs on the distinct rows, and each pair of rows
     it keeps stands for every cross-source pair of their copies. Two copies
     of one body score the row's dot with itself, summed by `cosine` as the
-    product would sum it. One body's text is held at a time. Bodies shorter
-    than `min_body_tokens` tokens do not participate, and the eligible count
-    counts articles. A window with fewer than two eligible articles has no
-    pairs.
+    product would sum it. One body's text is held at a time, the
+    vocabulary is freed before the counts are weighted in place, and the
+    join takes the fit's df over the rows rather than counting it again.
+    Bodies shorter than `min_body_tokens` tokens do not participate, and the
+    eligible count counts articles. A window with fewer than two eligible
+    articles has no pairs.
     Pairs are sorted by (similarity desc, earlier id, later id), a total
     order since ids are unique. Neither a pair nor its score depends on the
     order of the window's articles, so neither does the result.
@@ -471,14 +510,17 @@ def match_window(
     eligible = sum(map(len, members))
     if eligible < 2:
         return WindowMatchResult(eligible, ())
+    # The join needs no terms, so they are freed before the weighting; the
+    # weighted counts are the matrix, and the model goes with the idf.
+    model = replace(model, vocabulary=[])
+    df = model.row_df
     matrix = vectorize(model)
-    # The join needs neither the counts nor the vocabulary, so both are freed first.
     del model
     repeated = [k for k, group in enumerate(members) if len(group) > 1]
     scores = cosine(matrix, repeated, repeated).tolist()
     selves = [(k, k, sim) for k, sim in zip(repeated, scores) if sim > threshold]
     pairs = []
-    for q, p, sim in chain(selves, _threshold_join(matrix, threshold)):
+    for q, p, sim in chain(selves, _threshold_join(matrix, threshold, df)):
         grouped = combinations(members[q], 2) if q == p else product(members[q], members[p])
         for i, j in grouped:
             a, b = articles[i], articles[j]

@@ -70,9 +70,10 @@ def product_pairs(matrix, threshold):
     )
 
 
-def _article_fit(texts, min_tokens):
-    """The library's earlier `fit_tfidf`, one row per text: kept rows,
-    term-count matrix and idf per term."""
+def article_fit(texts, min_tokens):
+    """The library's earlier `fit_tfidf`, one row per text: kept rows, the
+    vocabulary as a dict from term to its rank in sorted order, term-count
+    matrix and idf per term."""
     rows = []
     bounds = [0]
     ids = array("i")
@@ -93,7 +94,8 @@ def _article_fit(texts, min_tokens):
     counts.sum_duplicates()
     counts.data = counts.data.astype(np.float64)
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
-    return rows, counts, idf_by_df[np.bincount(counts.indices, minlength=len(terms))]
+    idf = idf_by_df[np.bincount(counts.indices, minlength=len(terms))]
+    return rows, vocabulary, counts, idf
 
 
 def _article_vectors(counts, idf):
@@ -116,7 +118,7 @@ def article_match_window(window, threshold, min_body_tokens):
     is the `TextArticle`'s own text, not its spool span's, so a span shared
     by two different bodies gives other pairs than the library's."""
     articles = window.articles
-    rows, counts, idf = _article_fit((a.body for a in articles), min_body_tokens)
+    rows, _, counts, idf = article_fit((a.body for a in articles), min_body_tokens)
     if len(rows) < 2:
         return len(rows), ()
     pairs = []

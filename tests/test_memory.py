@@ -1,0 +1,70 @@
+"""A memory budget for matching one window, in bytes per token and per entry.
+
+`match_window`'s traced peak is bounded by the window's own counts: its
+tokens (of the distinct bodies it fits) and its stored entries (distinct
+terms per body). The fit holds at most two int32 arrays of one entry per
+token at a time; the count matrix, and later the TFIDF matrix, holds an
+int32 index and a float64 value per entry, beside at most one 8-byte
+temporary per entry; the vocabulary's strings come to a few bytes per entry.
+
+The window is shaped like the benchmark's Zipf stories: a Zipf(1.1) draw
+from a large vocabulary, where the join's norm bound filters well. The
+join's tiles add a working set bounded by `similarity._TILE_ENTRIES`, not
+by the window; on a flat vocabulary, where a tile passes nearly every entry
+to the exact check, that working set is what a small window's peak
+measures, and this budget does not cover it.
+"""
+
+import itertools
+import random
+import tracemalloc
+
+from newsreuse.similarity import match_window, tokenize
+
+from helpers import BASE_TS, DEFAULT_MATCH, make_article, make_window
+
+BYTES_PER_TOKEN = 8
+BYTES_PER_ENTRY = 24
+
+
+def zipf_bodies(rng: random.Random, count: int, words: int) -> list[str]:
+    vocabulary = [f"w{k}" for k in range(words)]
+    weights = list(itertools.accumulate((k + 1) ** -1.1 for k in range(words)))
+    return [
+        " ".join(rng.choices(vocabulary, cum_weights=weights, k=rng.randint(200, 600)))
+        for _ in range(count)
+    ]
+
+
+def test_match_window_peak_is_within_bytes_per_token_and_entry():
+    rng = random.Random(1)
+    bodies = zipf_bodies(rng, 300, 20000)
+    # A few stories republished verbatim by other sources share a row.
+    copies = rng.sample(range(len(bodies)), 10)
+    articles = [
+        make_article(f"d{i}", f"s{i % 7}", body=body, ts=BASE_TS + i)
+        for i, body in enumerate(bodies)
+    ] + [
+        make_article(f"c{i}", f"s{(i + 3) % 7}", body=bodies[i], ts=BASE_TS + 600 + i)
+        for i in copies
+    ]
+    window = make_window(articles)
+    tokens = entries = 0
+    for body in bodies:
+        terms = tokenize(body)
+        if len(terms) >= DEFAULT_MATCH["min_body_tokens"]:
+            tokens += len(terms)
+            entries += len(set(terms))
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = match_window(window, **DEFAULT_MATCH)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        window.spool.close()
+
+    assert len(result.pairs) == len(copies)
+    budget = BYTES_PER_TOKEN * tokens + BYTES_PER_ENTRY * entries
+    assert peak <= budget, f"{peak} bytes traced for {tokens} tokens and {entries} entries"

@@ -33,6 +33,7 @@ from helpers import (
     random_body,
 )
 from oracles import (
+    article_fit,
     article_match_window,
     dense_tfidf_matrix,
     exhaustive_pairs,
@@ -72,6 +73,20 @@ def test_tokenize_equals_unicode_regex(text):
     assert tokenize(text) == similarity._TOKEN_RE.findall(text.lower())
 
 
+def test_ascii_table_splits_each_code_point_as_the_regex():
+    for c in map(chr, range(128)):
+        for text in (c, f"a{c}b", f"{c}{c}X9{c}z_{c}"):
+            assert tokenize(text) == similarity._TOKEN_RE.findall(text.lower()), repr(text)
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=200))
+@example("".join(map(chr, range(128))))
+@example("".join(map(chr, reversed(range(128)))))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_ascii_text_equals_unicode_regex(text):
+    assert tokenize(text) == similarity._TOKEN_RE.findall(text.lower())
+
+
 def test_text_ascii_once_lowered_skips_the_regex(monkeypatch):
     # U+212A KELVIN SIGN lowers to ASCII "k", so this takes the fast path.
     monkeypatch.setattr(similarity, "_TOKEN_RE", None)
@@ -92,11 +107,10 @@ def test_term_counts_sum_to_token_count(text):
 
 def test_idf_smoothing_identity():
     model = fit_tfidf(["common xyz%d" % i for i in range(10)], 0)
-    assert model.idf[model.vocabulary["common"]] == 1.0
-    assert model.idf[model.vocabulary["xyz3"]] == pytest.approx(
-        math.log(11 / 2) + 1.0, abs=1e-12
-    )
-    assert vectorize(model)[:, model.vocabulary["common"]].nnz == 10
+    column = model.vocabulary.index
+    assert model.idf[column("common")] == 1.0
+    assert model.idf[column("xyz3")] == pytest.approx(math.log(11 / 2) + 1.0, abs=1e-12)
+    assert vectorize(model)[:, column("common")].nnz == 10
 
 
 def test_vectorize_unit_norm_and_identity():
@@ -116,8 +130,9 @@ def test_fitted_doc_without_tokens_is_empty_row_counted_in_n():
     assert vecs.shape == (3, 3)
     assert not vecs[1].nnz
     # n = 3 with the empty document: "b" is in 1 of 3, "a" in 2 of 3.
-    assert model.idf[model.vocabulary["b"]] == math.log(4 / 2) + 1.0
-    assert model.idf[model.vocabulary["a"]] == math.log(4 / 3) + 1.0
+    assert model.vocabulary == ["a", "b", "c"]
+    assert model.idf[1] == math.log(4 / 2) + 1.0
+    assert model.idf[0] == math.log(4 / 3) + 1.0
     assert cosine(vecs, [1, 1, 1, 0, 2], [0, 1, 2, 1, 1]).tolist() == [0.0] * 5
 
 
@@ -151,14 +166,16 @@ _WORDS = ["ka", "lo", "mi", "ta", "re", "zu", "ne", "po", "si", "vu", "da", "he"
 @settings(max_examples=300, deadline=None)
 def test_vectorize_and_cosine_equal_per_document_reference(docs):
     model = fit_tfidf([" ".join(d) for d in docs], 0)
-    matrix = vectorize(model)
     vocab, idf, want = reference_vectors(docs, docs)
-    assert model.vocabulary == vocab
+    # The term of each column, in the reference's column order.
+    assert model.vocabulary == sorted(vocab, key=vocab.__getitem__)
     assert model.idf.tolist() == idf
+    # The counts, read before `vectorize` weights them in place.
     assert [
         dict(zip(model.counts.indices[lo:hi].tolist(), model.counts.data[lo:hi].tolist()))
         for lo, hi in zip(model.counts.indptr[:-1], model.counts.indptr[1:])
     ] == [{vocab[t]: c for t, c in Counter(d).items()} for d in docs]
+    matrix = vectorize(model)
     assert matrix.shape == (len(docs), len(vocab))
     assert matrix.has_canonical_format
     got = [
@@ -209,13 +226,37 @@ def test_streamed_fit_equals_per_document_reference(bodies, min_tokens):
     eligible = [tokenize(bodies[k]) for k in rows]
     matrix = vectorize(model)
     vocab, idf, want = reference_vectors(eligible, eligible)
-    assert model.vocabulary == vocab
+    assert model.vocabulary == sorted(vocab, key=vocab.__getitem__)
     assert model.idf.tolist() == idf
     assert matrix.shape == (len(eligible), len(vocab))
     assert [
         (matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())
         for lo, hi in zip(matrix.indptr[:-1], matrix.indptr[1:])
     ] == want
+
+
+def test_vocabulary_and_columns_equal_the_dict_ranking():
+    # Non-ASCII and astral terms (U+10400 lowers to U+10428; U+1D518 has no
+    # lower case), empty rows and rows too short to keep.
+    texts = [
+        "caf\u00e9 na\u00efve caf\u00e9",
+        "",
+        "\U00010400x na\u00efve z \U0001d518",
+        "a",
+        "zz caf\u00e9 \U0001d518 b cafe",
+        "b, a",
+        "!!",
+    ]
+    for min_tokens in (0, 1, 2, 3):
+        model = fit_tfidf(texts, min_tokens)
+        rows, vocabulary, counts, idf = article_fit(texts, min_tokens)
+        assert model.rows == rows
+        assert [vocabulary[term] for term in model.vocabulary] == list(range(len(vocabulary)))
+        assert model.counts.indptr.tolist() == counts.indptr.tolist()
+        assert model.counts.indices.tolist() == counts.indices.tolist()
+        assert model.counts.data.tolist() == counts.data.tolist()
+        assert model.idf.tolist() == idf.tolist()
+        assert model.row_df.tolist() == np.bincount(counts.indices, minlength=len(idf)).tolist()
 
 
 def test_match_window_keeps_at_most_one_body_tokenized(monkeypatch):
