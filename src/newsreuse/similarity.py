@@ -12,11 +12,14 @@ looked up once, into one array of term ids for the window, and the
 window's term-count matrix is built from that array; no body's text or
 tokens are kept after its lookup. `vectorize` weights the counts by idf and
 L2-normalizes each row in place, so the counts become the window's
-scipy.sparse CSR matrix. The fit, the weighting and the join each hold one
-per-token or per-entry buffer at a time beside that matrix, and no int32
-index array is cast to an intp copy: the window's peak is the largest of
-the three steps' peaks, so a buffer cut from one step alone would leave it
-at another's. The join is exact. Either every pair of rows is scored, as the lower triangle of that
+scipy.sparse CSR matrix. The fit holds at most two int32 arrays of one
+entry per token at once, and frees both before the float64 counts are
+made; the weighting and the join add about one 8-byte temporary per
+entry beside the matrix; and their gathers index with the int32 arrays
+themselves, not an intp copy. The window's peak is the largest of the
+three steps' peaks, so a buffer cut from one step alone would leave it at
+another's. The join is exact.
+Either every pair of rows is scored, as the lower triangle of that
 matrix times its transpose, or pairs are first filtered with an l2-norm
 bound on a cut of the columns, those of highest document frequency, and
 the survivors re-scored. How many columns are cut is chosen per window by
@@ -133,8 +136,8 @@ def fit_tfidf(
     At most two arrays of one entry per token are held at once: the term
     ids and the columns gathered from them, then the columns and the ones
     that `sum_duplicates` adds up. Both are freed before the float64 counts
-    are made, no int32 index array is cast to an intp copy, and the
-    first-appearance map is freed before the columns are gathered.
+    are made. The columns are gathered with the int32 ids themselves, not
+    an intp copy of them, once the first-appearance map is freed.
     """
     rows: list[int] = []
     bounds = [0]
