@@ -26,7 +26,6 @@ from .corpus import (
     write_csv,
     write_lines,
 )
-from .errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -228,9 +227,6 @@ def _modularity(
     adj: Mapping[str, Mapping[str, float]], communities: Mapping[str, int], resolution: float
 ) -> float:
     """Newman modularity of a partition on an undirected projection."""
-    missing = [v for v in adj if v not in communities]
-    if missing:
-        raise DataError(f"partition is missing nodes: {missing[:5]}")
     degree = {v: sum(ws.values()) for v, ws in adj.items()}
     m2 = sum(degree.values())
     if m2 == 0.0:

@@ -232,7 +232,7 @@ def cosine(
 
 
 def _threshold_join(
-    matrix: sparse.csr_matrix, threshold: float, df: np.ndarray | None = None
+    matrix: sparse.csr_matrix, threshold: float, df: np.ndarray
 ) -> list[tuple[int, int, float]]:
     """All row pairs (i, j), i < j, of a `vectorize` matrix with dot product
     > threshold, in no particular order.
@@ -246,8 +246,8 @@ def _threshold_join(
     cut that `_cheapest_cut` weighs is estimated to cost less than that by
     more than `_FILTER_COST`, the window goes to `_norm_bound_join`, which
     skips the cut columns. Otherwise it goes to `_product_join`, which
-    scores every pair. `df`, when given, is each column's count of rows
-    that hold it, as `fit_tfidf`'s `row_df`; when None, it is counted here.
+    scores every pair. `df` is each column's count of rows that hold it,
+    as `fit_tfidf`'s `row_df`.
     """
     cut = _cheapest_cut(matrix, threshold, df)
     if cut is None:
@@ -256,7 +256,7 @@ def _threshold_join(
 
 
 def _cheapest_cut(
-    matrix: sparse.csr_matrix, threshold: float, df: np.ndarray | None = None
+    matrix: sparse.csr_matrix, threshold: float, df: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """At the cheapest cut, which stored entries of `matrix` are in cut
     columns and each row's l2 norm over them; None when no cut beats the
@@ -282,15 +282,12 @@ def _cheapest_cut(
 
     The df here counts the rows of `matrix`, which are what the join
     multiplies: in `match_window`, one row per distinct body. That is
-    `fit_tfidf`'s `row_df`, which `match_window` passes in, or, when `df` is
-    None, a count of `matrix`'s stored entries per column. The idf's df in
+    `fit_tfidf`'s `row_df`, which `match_window` passes in. The idf's df in
     `fit_tfidf` counts each row once per copy of its body, so the two
     differ where a window holds copies, and the idf's cannot stand in for
     this one.
     """
     n, width = matrix.shape
-    if df is None:
-        df = np.bincount(matrix.indices, minlength=width)
     square = df * df
     total = int(square.sum())
     if n <= _CUT_STEPS or total <= _FILTER_COST:

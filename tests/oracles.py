@@ -56,6 +56,12 @@ def exhaustive_pairs(token_docs, threshold):
     return out
 
 
+def column_df(matrix):
+    """Each column's count of the rows of CSR `matrix` that hold it: the
+    `df` that `match_window` hands the join as `fit_tfidf`'s `row_df`."""
+    return np.bincount(matrix.indices, minlength=matrix.shape[1])
+
+
 def product_pairs(matrix, threshold):
     """Sorted (i, j, score), i < j, of the entries of one untiled sparse
     `matrix @ matrix.T` above the threshold.

@@ -9,7 +9,9 @@ import csv
 import itertools
 import os
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
@@ -35,6 +37,9 @@ from helpers import (
     random_body,
 )
 from oracles import direct_modularity, enumeration_betweenness, exhaustive_pairs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import zipfgen  # noqa: E402
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -263,21 +268,27 @@ def test_criterion_7_headline_change_fraction():
 def test_criterion_8_determinism_across_jobs(tmp_path):
     fx = tmp_path / "fx"
     _run("gen-fixture", "--out", str(fx))
-    cfg = str(fx / "fixture.cfg")
+    # A skewed vocabulary: both windows take the norm-bound join, at the cut
+    # its cost estimate picks.
+    zipf = zipfgen.generate(tmp_path / "zipf", 1, sources=10, articles_per_source=60,
+                            stories=30, vocabulary_size=20000)
 
-    def pipeline(out, jobs):
+    def pipeline(cfg, out, jobs):
         for command in ("detect", "graph", "headlines", "report"):
-            _run(command, "--config", cfg, "--out", str(out), "--jobs", str(jobs))
+            _run(command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs))
 
-    out1, out8 = tmp_path / "jobs1", tmp_path / "jobs8"
-    pipeline(out1, 1)
-    pipeline(out8, 8)
-    files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
-    files8 = sorted(p.relative_to(out8) for p in out8.rglob("*") if p.is_file())
-    assert files1 == files8
-    for rel in files1:
-        assert (out1 / rel).read_bytes() == (out8 / rel).read_bytes(), rel
-    _pass(8, f"{len(files1)} output files byte-identical between --jobs 1 and --jobs 8")
+    compared = 0
+    for name, cfg in (("fixture", fx / "fixture.cfg"), ("zipf", zipf["config"])):
+        out1, out8 = tmp_path / f"{name}1", tmp_path / f"{name}8"
+        pipeline(cfg, out1, 1)
+        pipeline(cfg, out8, 8)
+        files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        files8 = sorted(p.relative_to(out8) for p in out8.rglob("*") if p.is_file())
+        assert files1 == files8
+        for rel in files1:
+            assert (out1 / rel).read_bytes() == (out8 / rel).read_bytes(), (name, rel)
+        compared += len(files1)
+    _pass(8, f"{compared} output files of two corpora byte-identical between --jobs 1 and 8")
 
 
 NELA_PATH = os.environ.get("NEWSREUSE_NELA2017", "")

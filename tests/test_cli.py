@@ -8,7 +8,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import tomllib
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import fields
@@ -220,9 +219,13 @@ def test_console_entry_freezes_collection_then_runs_main(monkeypatch):
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_OK)
     assert cli.console_main() == EXIT_OK
     assert calls == ["freeze", "main"]
+    # The one table, read without tomllib, which Python 3.10 lacks.
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+    text = pyproject.read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    lines = [line for line in table.splitlines() if line.strip() and not line.startswith("#")]
+    scripts = {key.strip(): json.loads(value) for key, value in
+               (line.split("=", 1) for line in lines)}
     assert scripts == {"newsreuse": "newsreuse.cli:console_main"}
 
 
@@ -1184,8 +1187,10 @@ def _from_whole_corpus(cfg, out):
 
 
 def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):
-    """Titles with a NUL, a CR LF and non-ASCII text, and absent share
-    counts, reach graph and headlines as they are in the corpus."""
+    """Titles with a NUL, a CR LF and non-ASCII text, sources with & < and
+    both quote kinds, and absent share counts, reach graph and headlines as
+    they are in the corpus; combined.graphml's node ids parse back to the
+    sources of metrics.csv."""
     body = " ".join(f"word{i}" for i in range(30))
     titles = [
         "Nul\x00 byte and \"quotes\" \u201cbest\u201d",
@@ -1193,10 +1198,11 @@ def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):
         "Na\u00efve caf\u00e9\u2028separator",
         "A plain honest title",
     ]
+    sources = ["src0", "a & b <c> source", "both \"double\" and 'single'", "src3"]
     rows = [
-        {"id": f"t{i}", "source": f"src{i}", "title": title, "body": body,
+        {"id": f"t{i}", "source": source, "title": title, "body": body,
          "published_utc": BASE_TS + 600 * i, **({"fb_shares": 7 * i} if i % 2 else {})}
-        for i, title in enumerate(titles)
+        for i, (source, title) in enumerate(zip(sources, titles))
     ]
     corpus = tmp_path / "articles.jsonl"
     write_jsonl(corpus, rows)
@@ -1216,6 +1222,10 @@ def test_awkward_titles_survive_the_hand_off(tmp_path, monkeypatch):
     for command in ("graph", "headlines"):
         assert _run(command, "--out", str(reference), *args) == EXIT_OK
     assert _tree(out) == _tree(reference)
+    root = ET.parse(out / "graphs" / "combined.graphml").getroot()
+    ids = [node.get("id") for node in root.iter("{http://graphml.graphdrawing.org/xmlns}node")]
+    with (out / "metrics.csv").open(encoding="utf-8", newline="") as fh:
+        assert ids == [row["source"] for row in csv.DictReader(fh)] == sorted(sources)
 
 
 def test_bad_lexicon_leaves_headline_outputs_whole(upstream, tmp_path, caplog):
@@ -1484,6 +1494,7 @@ def test_sparse_time_span_builds_only_occupied_windows(tmp_path, monkeypatch):
     report = (out / "report.md").read_text(encoding="utf-8")
     table = _report_table(report, "| window | start | docs | eligible | matches |")
     assert [row.split(" | ")[0] for row in table] == ["| 0", "| 209490"]
+    assert (out / "report.md").stat().st_size < 100 * 1024
 
 
 def test_pipe_in_source_name_is_escaped_in_report(tmp_path):

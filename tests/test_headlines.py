@@ -7,6 +7,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
+import scipy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
@@ -270,6 +271,11 @@ def _shapiro_samples(draw):
     return [offset + v * scale for v in values]
 
 
+@pytest.mark.skipif(
+    tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 17),
+    reason="compares W and p with the installed scipy.stats.shapiro, "
+    "which swilk.py was checked against on scipy 1.17.1 only",
+)
 @given(samples=_shapiro_samples())
 @settings(max_examples=300, deadline=None)
 def test_shapiro_matches_scipy(samples):

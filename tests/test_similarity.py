@@ -35,6 +35,7 @@ from helpers import (
 from oracles import (
     article_fit,
     article_match_window,
+    column_df,
     dense_tfidf_matrix,
     exhaustive_pairs,
     merge_dot,
@@ -554,7 +555,7 @@ def test_tiled_join_equals_exhaustive_oracle(
         )
         if len(docs) >= 2:
             matrix = vectorize(fit_tfidf([" ".join(d) for d in docs], 0))
-            joined = similarity._threshold_join(matrix, threshold)
+            joined = similarity._threshold_join(matrix, threshold, column_df(matrix))
             assert sorted(joined) == product_pairs(matrix, threshold)
     got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
     assert len(got) == len(result.pairs)
@@ -753,7 +754,7 @@ def _candidate_cuts(matrix):
     stored entries are in its columns, and each row's norm over them,
     summed row by row."""
     n, width = matrix.shape
-    df = np.bincount(matrix.indices, minlength=width).tolist()
+    df = column_df(matrix).tolist()
     ranked = sorted(range(width), key=lambda c: (-df[c], c))
     sizes = {i * width // 16 for i in range(1, 16)}
     divisor = 16
@@ -777,7 +778,7 @@ def _chosen_cut(cuts, matrix, threshold):
     """The position in `cuts` of the chooser's cut, whose norms must be
     those of the row-by-row sums up to rounding; None when it chose the
     plain product."""
-    chosen = similarity._cheapest_cut(matrix, threshold)
+    chosen = similarity._cheapest_cut(matrix, threshold, column_df(matrix))
     if chosen is None:
         return None
     in_cut, norms = chosen
@@ -803,7 +804,7 @@ def _check_every_cut(matrix, threshold, tile_entries):
         mp.setattr(similarity, "_TILE_ENTRIES", tile_entries)
         mp.setattr(similarity, "_FILTER_COST", 0)
         _chosen_cut(cuts, matrix, threshold)
-        assert sorted(similarity._threshold_join(matrix, threshold)) == want
+        assert sorted(similarity._threshold_join(matrix, threshold, column_df(matrix))) == want
         assert sorted(similarity._product_join(matrix, threshold)) == want
         for in_cut, norms in cuts:
             got = similarity._norm_bound_join(matrix, threshold, in_cut, norms)
@@ -851,13 +852,13 @@ def test_cut_chooser_lowers_the_cut_short_of_most_rows_heavy():
     docs, _ = _skewed_docs(random.Random(0), 400, common=3, rare=800, only_frequent=2, copies=20)
     matrix = _docs_matrix(docs)
     n = matrix.shape[0]
-    df = np.bincount(matrix.indices)
+    df = column_df(matrix)
     cuts = _candidate_cuts(matrix)
     at = _chosen_cut(cuts, matrix, 0.9)
     assert cuts[at][0].sum() > df[df * 16 >= n].sum()  # beyond df >= n / 16
     assert _heavy_rows(cuts[at][1], 0.9) <= n // 2
     assert max(_heavy_rows(norms, 0.9) for _, norms in cuts) > n // 2
-    assert sorted(similarity._threshold_join(matrix, 0.9)) == product_pairs(matrix, 0.9)
+    assert sorted(similarity._threshold_join(matrix, 0.9, df)) == product_pairs(matrix, 0.9)
 
 
 def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
@@ -868,14 +869,15 @@ def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
         random.Random(5), 200, common=4, rare=300, only_frequent=4, copies=30
     )
     matrix = _docs_matrix(docs)
-    assert similarity._cheapest_cut(matrix, 0.9) is not None
+    df = column_df(matrix)
+    assert similarity._cheapest_cut(matrix, 0.9, df) is not None
     checked = 0
     for earlier, later in planted:
         score = cosine(matrix, [earlier], [later])[0]
         if not 0.0 < score < 1.0:
             continue
         threshold = np.nextafter(score, 0.0)
-        got = similarity._threshold_join(matrix, threshold)
+        got = similarity._threshold_join(matrix, threshold, df)
         assert sorted(got) == sorted(similarity._product_join(matrix, threshold))
         assert (min(earlier, later), max(earlier, later), score) in got
         checked += 1
@@ -887,8 +889,9 @@ def test_norm_bound_join_pairs_documents_of_frequent_terms_only():
     # rows whose cut-part norm alone can pass finds them.
     docs = [["c0", "c1", "c1"]] * 3 + [["c0", "c1", f"r{k}"] for k in range(300)]
     matrix = _docs_matrix(docs)
-    assert similarity._cheapest_cut(matrix, 0.9) is not None
-    got = similarity._threshold_join(matrix, 0.9)
+    df = column_df(matrix)
+    assert similarity._cheapest_cut(matrix, 0.9, df) is not None
+    got = similarity._threshold_join(matrix, 0.9, df)
     assert sorted(got) == sorted(similarity._product_join(matrix, 0.9))
     assert {(i, j) for i, j, _ in got} >= {(0, 1), (0, 2), (1, 2)}
 
@@ -929,13 +932,13 @@ def test_gate_sends_flat_window_to_norm_bound_join(monkeypatch):
     docs, planted = _flat_docs(random.Random(11), 400, words=1600, length=40, copies=10)
     matrix = _docs_matrix(docs)
     n = matrix.shape[0]
-    df = np.bincount(matrix.indices)
+    df = column_df(matrix)
     assert df.max() * 16 < n
-    in_cut, _ = similarity._cheapest_cut(matrix, 0.9)
+    in_cut, _ = similarity._cheapest_cut(matrix, 0.9, df)
     at_df = {int(np.count_nonzero(df * (16 << k) >= n)) for k in range(n.bit_length())}
     assert len(np.unique(matrix.indices[in_cut])) not in at_df
     taken = _joins_taken(monkeypatch)
-    got = similarity._threshold_join(matrix, 0.9)
+    got = similarity._threshold_join(matrix, 0.9, df)
     assert taken[0] == "_norm_bound_join"
     assert sorted(got) == product_pairs(matrix, 0.9)
     assert {(min(p), max(p)) for p in planted} <= {(i, j) for i, j, _ in got}
@@ -956,7 +959,8 @@ def test_gate_sends_fixture_window_to_norm_bound_join(tmp_path, monkeypatch):
     texts = [window.spool.read(a.body_span) for a in window.articles]
     matrix = vectorize(fit_tfidf(texts, DEFAULT_MATCH["min_body_tokens"]))
     threshold = DEFAULT_MATCH["threshold"]
-    assert sorted(similarity._threshold_join(matrix, threshold)) == product_pairs(matrix, threshold)
+    joined = similarity._threshold_join(matrix, threshold, column_df(matrix))
+    assert sorted(joined) == product_pairs(matrix, threshold)
 
 
 def test_gate_sends_window_without_rare_columns_to_product_join(monkeypatch):

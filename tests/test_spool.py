@@ -19,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsreuse import corpus as corpus_module
@@ -103,6 +103,11 @@ def _tree(root):
 
 @given(rows=_rows(), fmt=st.sampled_from(["jsonl", "csv"]),
        min_tokens=st.sampled_from([0, RunConfig.min_body_tokens]))
+# Two of three CSV bodies are empty, so absent: more than half the rows are
+# rejected and detect exits 2.
+@example(rows=[{"id": f"d{i:02d}", "source": "a", "title": "", "body": body,
+                "published_utc": BASE_TS} for i, body in enumerate(["alpha", "", ""])],
+         fmt="csv", min_tokens=0)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_spooled_bodies_give_the_raw_texts_pairs(rows, fmt, min_tokens):
     threshold = RunConfig.similarity_threshold
@@ -124,6 +129,7 @@ def test_spooled_bodies_give_the_raw_texts_pairs(rows, fmt, min_tokens):
         assert os.listdir(spool_dir) == []
         if 2 * rejected > len(rows):
             assert codes == [EXIT_DATA, EXIT_DATA]
+            assert not any(out.exists() for out in outs)
             return
         assert codes == [EXIT_OK, EXIT_OK]
         assert _tree(outs[0]) == _tree(outs[1])
