@@ -18,17 +18,14 @@ made; the weighting and the join add about one 8-byte temporary per
 entry beside the matrix; and their gathers index with the int32 arrays
 themselves, not an intp copy. The window's peak is the largest of the
 three steps' peaks, so a buffer cut from one step alone would leave it at
-another's. The join is exact.
-Either every pair of rows is scored, as the lower triangle of that
-matrix times its transpose, or pairs are first filtered with an l2-norm
-bound on a cut of the columns, those of highest document frequency, and
-the survivors re-scored. How many columns are cut is chosen per window by
-an estimate of the filter's cost, and the bound is used only where that
-estimate beats the plain product's; any cut gives the same pairs.
-`_threshold_join` says when the bound is used and `_norm_bound_join` why
-no pair is lost. Both walk their product through one tile loop, `_tiles`,
-and every score is one row sum in ascending term order, `_row_sums`, so
-both give the bits of the full product. Output ordering and scores are
+another's. The join is exact. It filters, then verifies: pairs are
+filtered with an l2-norm bound on a cut of the columns, those of highest
+document frequency, and the survivors are re-scored by `cosine`. How many
+columns are cut is chosen per window by an estimate of the filter's cost;
+where no cut pays for its fixed cost the cut is empty, and the filter is
+the plain product less a rounding margin. `_norm_bound_join` says why no
+pair is lost, whatever the cut. Every kept score is `cosine`'s, one row
+sum in ascending term order, `_row_sums`. Output ordering and scores are
 deterministic.
 """
 
@@ -51,11 +48,12 @@ from .corpus import MatchedPair, TimeWindow, pair_articles
 _TILE_ENTRIES = 1 << 16
 # The norm-bound join weighs the cuts of the columns with df >= n / 16,
 # n / 32, ..., and of the top i / 16 of the columns by df; a window of at
-# most 16 documents takes the plain product.
+# most 16 documents takes the empty cut.
 _CUT_STEPS = 16
-# The norm-bound join's fixed cost per window beyond the plain product's, in
+# A non-empty cut's fixed cost per window over the empty cut's, in
 # multiply-adds of the product: on windows of 100-200 documents drawn from
-# the benchmark's many-sources corpus, the two paths broke even near here.
+# the benchmark's many-sources corpus, a cut and the plain product broke
+# even near here.
 _FILTER_COST = 1 << 16
 
 # Word characters minus underscore: punctuation splits tokens, numerals stay.
@@ -235,33 +233,28 @@ def _threshold_join(
     matrix: sparse.csr_matrix, threshold: float, df: np.ndarray
 ) -> list[tuple[int, int, float]]:
     """All row pairs (i, j), i < j, of a `vectorize` matrix with dot product
-    > threshold, in no particular order.
+    > threshold, in no particular order: `_norm_bound_join` at the cut that
+    `_cheapest_cut` chooses.
 
-    A score sums the products of the two rows' shared terms in ascending
-    term order, so it does not depend on the tiling, on argument order, on
-    the cut or on which of the two paths below found the pair: both give
-    the bits of the plain product.
-
-    The plain product X X^T costs sum(df^2) multiply-adds. When the cheapest
-    cut that `_cheapest_cut` weighs is estimated to cost less than that by
-    more than `_FILTER_COST`, the window goes to `_norm_bound_join`, which
-    skips the cut columns. Otherwise it goes to `_product_join`, which
-    scores every pair. `df` is each column's count of rows that hold it,
-    as `fit_tfidf`'s `row_df`.
+    Every score is `cosine`'s, the products of the two rows' shared terms
+    summed in ascending term order, so it does not depend on the tiling, on
+    argument order or on the cut. `df` is each column's count of rows that
+    hold it, as `fit_tfidf`'s `row_df`.
     """
-    cut = _cheapest_cut(matrix, threshold, df)
-    if cut is None:
-        return _product_join(matrix, threshold)
-    return _norm_bound_join(matrix, threshold, *cut)
+    return _norm_bound_join(matrix, threshold, *_cheapest_cut(matrix, threshold, df))
+
+
+def _empty_cut(matrix: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The cut of no column, so every row's cut-part norm is zero."""
+    return np.zeros(matrix.shape[1], dtype=bool), np.zeros(matrix.shape[0])
 
 
 def _cheapest_cut(
     matrix: sparse.csr_matrix, threshold: float, df: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """At the cheapest cut, which stored entries of `matrix` are in cut
-    columns and each row's l2 norm over them; None when no cut beats the
-    plain product by more than `_FILTER_COST`, or the window has at most
-    `_CUT_STEPS` rows (the gate of `_threshold_join`).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cheapest cut's columns, as a flag per column, and each row's l2
+    norm over them; the empty cut when no other beats it by more than
+    `_FILTER_COST`, or the window has at most `_CUT_STEPS` rows.
 
     Columns are ranked by descending df, ties by column index, and a cut is
     a prefix of that ranking. The ladder of cuts holds the columns with
@@ -274,11 +267,12 @@ def _cheapest_cut(
     Each cut is costed as the multiply-adds of `_norm_bound_join`'s two
     products: sum(df^2) over the columns left, for the filter, plus
     sum(df^2) within the heavy rows, those with f * max(f) > threshold for
-    f their cut-part norm, which are joined among themselves. A larger cut
-    shrinks the first and, as more rows turn heavy, grows the second; the
-    cheapest cut wins, the smallest on a tie. The cut-part norms of every
-    cut come from one pass over the entries. Any cut gives the same pairs,
-    so the estimate only decides the speed.
+    f their cut-part norm, which are joined among themselves. The empty
+    cut costs sum(df^2), the whole product, and has no heavy rows. A larger
+    cut shrinks the first and, as more rows turn heavy, grows the second;
+    the cheapest cut wins, the smallest on a tie. The cut-part norms of
+    every cut come from one pass over the entries. Any cut gives the same
+    pairs, so the estimate only decides the speed.
 
     The df here counts the rows of `matrix`, which are what the join
     multiplies: in `match_window`, one row per distinct body. That is
@@ -291,7 +285,7 @@ def _cheapest_cut(
     square = df * df
     total = int(square.sum())
     if n <= _CUT_STEPS or total <= _FILTER_COST:
-        return None
+        return _empty_cut(matrix)
     # A stable sort of n - df in the narrowest type that holds n: a radix
     # sort while n < 2^16.
     order = np.argsort((n - df).astype(np.min_scalar_type(n)), kind="stable")
@@ -347,45 +341,35 @@ def _cheapest_cut(
         if rest + heavy_cost < best_cost:
             best, best_cost = cut, rest + heavy_cost
     if best is None:
-        return None
-    # Indexing with the int32 indices themselves: `np.take` would cast them to intp.
-    in_cut = (level <= best)[matrix.indices]
-    return in_cut, np.ascontiguousarray(norms[:, best])
-
-
-def _product_join(
-    matrix: sparse.csr_matrix, threshold: float
-) -> list[tuple[int, int, float]]:
-    """`_threshold_join` by scoring every pair: the entries of `_tiles` with
-    zero norms, which are those of X X^T above the threshold."""
-    out: list[tuple[int, int, float]] = []
-    for earlier, later, value in _tiles(matrix, np.zeros(matrix.shape[0]), threshold):
-        out.extend(zip(earlier.tolist(), later.tolist(), value.tolist()))
-    return out
+        return _empty_cut(matrix)
+    return level <= best, np.ascontiguousarray(norms[:, best])
 
 
 def _norm_bound_join(
-    matrix: sparse.csr_matrix, threshold: float, in_cut: np.ndarray, norms: np.ndarray
+    matrix: sparse.csr_matrix, threshold: float, cut: np.ndarray, norms: np.ndarray
 ) -> list[tuple[int, int, float]]:
     """`_threshold_join` by filtering with an l2-norm bound, then re-scoring.
 
-    Split each row x into its cut part x_C (its stored entries where
-    `in_cut` holds, all in a set of cut columns) and its rest x_R, and let
-    R be the matrix of the rests; `norms` holds each |x_C|, as a computed
-    sum of squares in any order, then sqrt. By Cauchy-Schwarz, for any set
-    of cut columns, x.y <= x_R.y_R + |x_C| |y_C|: this is the l2-norm bound
-    of L2AP (Anastasiu and Karypis, ICDE 2014), used as the filter of a
-    filter-then-verify join (Bayardo, Ma and Srikant, WWW 2007).
+    Split each row x into its cut part x_C (its stored entries in the
+    columns where `cut` holds) and its rest x_R, and let R be the matrix of
+    the rests; `norms` holds each |x_C|, as a computed sum of squares in
+    any order, then sqrt. By Cauchy-Schwarz, x.y <= x_R.y_R + |x_C| |y_C|:
+    this is the l2-norm bound of L2AP (Anastasiu and Karypis, ICDE 2014),
+    used as the filter of a filter-then-verify join (Bayardo, Ma and
+    Srikant, WWW 2007). With the empty cut, R is the matrix itself, every
+    norm is zero, and the filter is the whole product less a margin.
 
     - Filter. `_tiles` walks R R^T with f, the cut-part norms, and yields
       the candidates: the pairs with R_ij + f_i f_j > threshold - margin.
     - No overlap in R. A pair that shares no term outside the cut is not
-      in R R^T. It can pass only if f_i f_max and f_j f_max both pass, so
-      the rows that pass are joined with `_product_join` among themselves.
-    - Re-score. Each candidate is scored by `cosine`, which gives the bits of
-      the plain product, and kept when that score is > threshold. This runs
-      `_TILE_ENTRIES ** 0.5` pairs at a time, as many rows as a tile's two
-      operands, however many candidates pass the filter.
+      in R R^T. It scores above the threshold only if it shares a cut
+      term, so that both its f are > 0, and only if f_i f_max and f_j f_max
+      both pass; the rows that pass are joined among themselves by this
+      function with the empty cut. The empty cut leaves no such row.
+    - Re-score. Each candidate is scored by `cosine` and kept when that
+      score is > threshold. This runs as many pairs at a time as a tile
+      has rows, at most `_TILE_ENTRIES ** 0.5`, so it gathers as many rows
+      as a tile's two operands, however many candidates pass the filter.
 
     Margin. Every weight is >= 0, so each computed sum, in any order, is
     within a relative gamma_m = m u / (1 - m u) of its exact value, with
@@ -396,27 +380,28 @@ def _norm_bound_join(
     the sum, so it is at least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}, as
     t < 1. The margin gamma_{3k+8} also covers the roundings of t - margin
     and of the per-tile cut. So no pair with s > t fails the filter, and the
-    result equals `_product_join`'s. Rows need not have unit norm for this.
+    pairs kept are exactly those that `cosine` scores above t, whatever the
+    cut. Rows need not have unit norm for this.
     """
-    side = max(1, math.isqrt(_TILE_ENTRIES))
+    side = max(1, min(math.isqrt(_TILE_ENTRIES), matrix.shape[0]))
     terms = 3 * int(np.diff(matrix.indptr).max(initial=0)) + 8
     unit_roundoff = np.finfo(np.float64).eps / 2
     floor = threshold - terms * unit_roundoff / (1 - terms * unit_roundoff)
 
-    # R keeps the stored entries outside the cut; its row i starts after
-    # the kept entries of the rows before it.
-    kept = ~in_cut
-    starts = np.zeros(len(kept) + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(kept, out=starts[1:])
-    rest = sparse.csr_matrix(
-        (matrix.data[kept], matrix.indices[kept], starts[matrix.indptr]), shape=matrix.shape
-    )
-    # Both span every entry; freed before the tiles.
-    del kept, starts
+    # R keeps the columns outside the cut, renumbered in order, which
+    # leaves R R^T as it is; with the empty cut it is the matrix itself.
+    rest = matrix[:, ~cut] if cut.any() else matrix
 
-    heavy = np.flatnonzero(norms * norms.max(initial=0.0) > floor)
-    ids = heavy.tolist()
-    out = [(ids[i], ids[j], s) for i, j, s in _product_join(matrix[heavy], threshold)]
+    # A pair that shares no term scores 0, so a row of zero cut-part norm is
+    # never heavy, even where the margin takes the floor below 0: the empty
+    # cut has no heavy row.
+    heavy = np.flatnonzero(norms * norms.max(initial=0.0) > max(floor, 0.0))
+    out: list[tuple[int, int, float]] = []
+    if len(heavy):
+        ids = heavy.tolist()
+        heavy_rows = matrix[heavy]
+        joined = _norm_bound_join(heavy_rows, threshold, *_empty_cut(heavy_rows))
+        out = [(ids[i], ids[j], s) for i, j, s in joined]
     is_heavy = np.zeros(matrix.shape[0], dtype=bool)
     is_heavy[heavy] = True
 
@@ -429,7 +414,7 @@ def _norm_bound_join(
 
     waiting: list[tuple[np.ndarray, np.ndarray]] = []
     held = 0
-    for earlier, later, _ in _tiles(rest, norms, floor):
+    for earlier, later in _tiles(rest, norms, floor):
         keep = ~(is_heavy[earlier] & is_heavy[later])
         waiting.append((earlier[keep], later[keep]))
         held += int(np.count_nonzero(keep))
@@ -443,17 +428,16 @@ def _norm_bound_join(
 
 def _tiles(
     rows: sparse.csr_matrix, norms: np.ndarray, floor: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The entries (earlier, later, value), earlier < later, of rows rows^T
-    with value + norms[earlier] norms[later] > floor, one tile at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (earlier, later), earlier < later, whose entry of
+    rows rows^T plus norms[earlier] norms[later] is > floor, one tile at a
+    time.
 
-    The strict lower triangle is computed exactly with scipy.sparse in
-    square tiles of about `_TILE_ENTRIES` entries, so memory does not grow
-    with the window; each block of earlier rows is transposed once. A first
-    cut per tile, with the largest norm of its rows on each side in place of
-    norms[earlier] norms[later], leaves few entries to check. Each value
-    sums the products of the two rows' shared terms in the later row's
-    ascending term order, so it has the bits of the untiled product.
+    The strict lower triangle is computed with scipy.sparse in square tiles
+    of about `_TILE_ENTRIES` entries, so memory does not grow with the
+    window; each block of earlier rows is transposed once. A first cut per
+    tile, with the largest norm of its rows on each side in place of
+    norms[earlier] norms[later], leaves few entries to check.
     """
     n = rows.shape[0]
     side = max(1, math.isqrt(_TILE_ENTRIES))
@@ -466,9 +450,8 @@ def _tiles(
             hits = np.flatnonzero(tile.data > cut)
             later = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
             earlier = earlier_lo + tile.indices[hits]
-            value = tile.data[hits]
-            keep = (earlier < later) & (value + norms[earlier] * norms[later] > floor)
-            yield earlier[keep], later[keep], value[keep]
+            keep = (earlier < later) & (tile.data[hits] + norms[earlier] * norms[later] > floor)
+            yield earlier[keep], later[keep]
 
 
 @dataclass(frozen=True)

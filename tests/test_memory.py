@@ -13,13 +13,20 @@ join's tiles add a working set bounded by `similarity._TILE_ENTRIES`, not
 by the window; on a flat vocabulary, where a tile passes nearly every entry
 to the exact check, that working set is what a small window's peak
 measures, and this budget does not cover it.
+
+A window where no cut of the columns pays takes the empty cut: its filter
+is the whole product, walked by the same tiles. Such a window is small in
+sum(df^2), and so in tokens and entries, and the tiles' working set is
+most of its peak; its join is held to one 8-byte temporary per entry
+beyond what the tiles alone hold.
 """
 
 import itertools
 import random
 import tracemalloc
 
-from newsreuse.similarity import match_window, tokenize
+from newsreuse import similarity
+from newsreuse.similarity import fit_tfidf, match_window, tokenize, vectorize
 
 from helpers import BASE_TS, DEFAULT_MATCH, make_article, make_window
 
@@ -34,6 +41,16 @@ def zipf_bodies(rng: random.Random, count: int, words: int) -> list[str]:
         " ".join(rng.choices(vocabulary, cum_weights=weights, k=rng.randint(200, 600)))
         for _ in range(count)
     ]
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_match_window_peak_is_within_bytes_per_token_and_entry():
@@ -68,3 +85,22 @@ def test_match_window_peak_is_within_bytes_per_token_and_entry():
     assert len(result.pairs) == len(copies)
     budget = BYTES_PER_TOKEN * tokens + BYTES_PER_ENTRY * entries
     assert peak <= budget, f"{peak} bytes traced for {tokens} tokens and {entries} entries"
+
+
+def test_empty_cut_join_adds_at_most_a_temporary_per_entry_to_its_tiles():
+    # 30 rows over a flat 400-word vocabulary: sum(df^2) is too small for
+    # any cut to pay, so the join filters the matrix itself; a copy of it
+    # would add 12 bytes per entry.
+    rng = random.Random(1)
+    vocabulary = [f"w{k}" for k in range(400)]
+    bodies = [" ".join(rng.choices(vocabulary, k=rng.randint(180, 220))) for _ in range(30)]
+    model = fit_tfidf(bodies, DEFAULT_MATCH["min_body_tokens"])
+    df = model.row_df
+    matrix = vectorize(model)
+    threshold = DEFAULT_MATCH["threshold"]
+    in_cut, norms = similarity._cheapest_cut(matrix, threshold, df)
+    assert matrix.shape[0] > similarity._CUT_STEPS and not in_cut.any()
+
+    tiles = traced_peak(lambda: list(similarity._tiles(matrix, norms, threshold)))
+    join = traced_peak(lambda: similarity._threshold_join(matrix, threshold, df))
+    assert join - tiles <= 8 * matrix.nnz, f"{join} bytes traced, {tiles} in the tiles alone"

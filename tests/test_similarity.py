@@ -345,9 +345,9 @@ def test_copies_in_a_norm_bound_window_match_the_per_article_oracle(monkeypatch)
         for c in range(3)
     ]
     window = replace(window, articles=window.articles + tuple(extra))
-    taken = _joins_taken(monkeypatch)
+    taken = _cuts_taken(monkeypatch)
     got = _assert_matches_per_article_oracle(window, 0.5, 0)
-    assert taken[0] == "_norm_bound_join"
+    assert len(taken) == 1 and taken[0].any()
     assert any("-copy" in p.earlier.id + p.later.id for p in got.pairs)
 
 
@@ -750,9 +750,8 @@ def _candidate_cuts(matrix):
     """Each cut the chooser weighs, a prefix of the columns ranked by
     descending df, ties by column index: the columns with df >= n / 16,
     n / 32, n / 64, ... and the top i / 16 of them, for i = 1 .. 15, less
-    the empty cut and the cut of every column. For each, by size, which
-    stored entries are in its columns, and each row's norm over them,
-    summed row by row."""
+    the empty cut and the cut of every column. For each, by size, its
+    columns and each row's norm over them, summed row by row."""
     n, width = matrix.shape
     df = column_df(matrix).tolist()
     ranked = sorted(range(width), key=lambda c: (-df[c], c))
@@ -770,19 +769,20 @@ def _candidate_cuts(matrix):
         in_cut = np.zeros(width, dtype=bool)
         in_cut[ranked[:size]] = True
         norms = [math.sqrt(sum(w * w for c, w in row if in_cut[c])) for row in rows]
-        cuts.append((in_cut[matrix.indices], np.array(norms)))
+        cuts.append((in_cut, np.array(norms)))
     return cuts
 
 
 def _chosen_cut(cuts, matrix, threshold):
     """The position in `cuts` of the chooser's cut, whose norms must be
     those of the row-by-row sums up to rounding; None when it chose the
-    plain product."""
-    chosen = similarity._cheapest_cut(matrix, threshold, column_df(matrix))
-    if chosen is None:
+    empty cut, whose norms must all be zero."""
+    in_cut, norms = similarity._cheapest_cut(matrix, threshold, column_df(matrix))
+    assert in_cut.shape == (matrix.shape[1],) and norms.shape == (matrix.shape[0],)
+    if not in_cut.any():
+        assert not norms.any()
         return None
-    in_cut, norms = chosen
-    (at,) = [k for k, (entries, _) in enumerate(cuts) if np.array_equal(entries, in_cut)]
+    (at,) = [k for k, (columns, _) in enumerate(cuts) if np.array_equal(columns, in_cut)]
     np.testing.assert_allclose(norms, cuts[at][1], rtol=1e-12, atol=0)
     return at
 
@@ -793,10 +793,10 @@ def _heavy_rows(norms, threshold):
 
 
 def _check_every_cut(matrix, threshold, tile_entries):
-    """`_threshold_join`, `_product_join` and `_norm_bound_join` at every
-    cut the chooser weighs give the pairs and score bits of one untiled
-    product. With no fixed cost for the filter, the chooser takes a cut
-    wherever one costs less than the product."""
+    """`_threshold_join`, and `_norm_bound_join` at the empty cut and at
+    every other cut the chooser weighs, give the pairs and score bits of
+    one untiled product. With no fixed cost for the filter, the chooser
+    takes a cut wherever one costs less than the product."""
     cuts = _candidate_cuts(matrix)
     want = product_pairs(matrix, threshold)
     # Tiles of side 8 and 32 split the window and batch the re-scoring.
@@ -805,8 +805,7 @@ def _check_every_cut(matrix, threshold, tile_entries):
         mp.setattr(similarity, "_FILTER_COST", 0)
         _chosen_cut(cuts, matrix, threshold)
         assert sorted(similarity._threshold_join(matrix, threshold, column_df(matrix))) == want
-        assert sorted(similarity._product_join(matrix, threshold)) == want
-        for in_cut, norms in cuts:
+        for in_cut, norms in [similarity._empty_cut(matrix), *cuts]:
             got = similarity._norm_bound_join(matrix, threshold, in_cut, norms)
             assert sorted(got) == want
 
@@ -855,7 +854,7 @@ def test_cut_chooser_lowers_the_cut_short_of_most_rows_heavy():
     df = column_df(matrix)
     cuts = _candidate_cuts(matrix)
     at = _chosen_cut(cuts, matrix, 0.9)
-    assert cuts[at][0].sum() > df[df * 16 >= n].sum()  # beyond df >= n / 16
+    assert df[cuts[at][0]].sum() > df[df * 16 >= n].sum()  # beyond df >= n / 16
     assert _heavy_rows(cuts[at][1], 0.9) <= n // 2
     assert max(_heavy_rows(norms, 0.9) for _, norms in cuts) > n // 2
     assert sorted(similarity._threshold_join(matrix, 0.9, df)) == product_pairs(matrix, 0.9)
@@ -870,7 +869,7 @@ def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
     )
     matrix = _docs_matrix(docs)
     df = column_df(matrix)
-    assert similarity._cheapest_cut(matrix, 0.9, df) is not None
+    assert similarity._cheapest_cut(matrix, 0.9, df)[0].any()
     checked = 0
     for earlier, later in planted:
         score = cosine(matrix, [earlier], [later])[0]
@@ -878,7 +877,7 @@ def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
             continue
         threshold = np.nextafter(score, 0.0)
         got = similarity._threshold_join(matrix, threshold, df)
-        assert sorted(got) == sorted(similarity._product_join(matrix, threshold))
+        assert sorted(got) == product_pairs(matrix, threshold)
         assert (min(earlier, later), max(earlier, later), score) in got
         checked += 1
     assert checked >= 20
@@ -890,20 +889,22 @@ def test_norm_bound_join_pairs_documents_of_frequent_terms_only():
     docs = [["c0", "c1", "c1"]] * 3 + [["c0", "c1", f"r{k}"] for k in range(300)]
     matrix = _docs_matrix(docs)
     df = column_df(matrix)
-    assert similarity._cheapest_cut(matrix, 0.9, df) is not None
+    assert similarity._cheapest_cut(matrix, 0.9, df)[0].any()
     got = similarity._threshold_join(matrix, 0.9, df)
-    assert sorted(got) == sorted(similarity._product_join(matrix, 0.9))
+    assert sorted(got) == product_pairs(matrix, 0.9)
     assert {(i, j) for i, j, _ in got} >= {(0, 1), (0, 2), (1, 2)}
 
 
-def _joins_taken(monkeypatch):
+def _cuts_taken(monkeypatch):
+    """The columns of each cut that `_cheapest_cut` returns, in call order."""
     taken = []
-    for name in ("_product_join", "_norm_bound_join"):
-        def spy(*args, _name=name, _join=getattr(similarity, name)):
-            taken.append(_name)
-            return _join(*args)
 
-        monkeypatch.setattr(similarity, name, spy)
+    def spy(*args, _choose=similarity._cheapest_cut):
+        in_cut, norms = _choose(*args)
+        taken.append(in_cut)
+        return in_cut, norms
+
+    monkeypatch.setattr(similarity, "_cheapest_cut", spy)
     return taken
 
 
@@ -919,9 +920,9 @@ def _skewed_window(rng):
 
 def test_gate_sends_skewed_window_to_norm_bound_join(monkeypatch):
     window = _skewed_window(random.Random(3))
-    taken = _joins_taken(monkeypatch)
-    result = match_window(window, threshold=0.5, min_body_tokens=0)
-    assert taken[0] == "_norm_bound_join"
+    taken = _cuts_taken(monkeypatch)
+    result = _assert_matches_per_article_oracle(window, 0.5, 0)
+    assert len(taken) == 1 and taken[0].any()
     assert result.pairs
 
 
@@ -934,12 +935,11 @@ def test_gate_sends_flat_window_to_norm_bound_join(monkeypatch):
     n = matrix.shape[0]
     df = column_df(matrix)
     assert df.max() * 16 < n
-    in_cut, _ = similarity._cheapest_cut(matrix, 0.9, df)
-    at_df = {int(np.count_nonzero(df * (16 << k) >= n)) for k in range(n.bit_length())}
-    assert len(np.unique(matrix.indices[in_cut])) not in at_df
-    taken = _joins_taken(monkeypatch)
+    taken = _cuts_taken(monkeypatch)
     got = similarity._threshold_join(matrix, 0.9, df)
-    assert taken[0] == "_norm_bound_join"
+    (in_cut,) = taken
+    at_df = {int(np.count_nonzero(df * (16 << k) >= n)) for k in range(n.bit_length())}
+    assert in_cut.any() and np.count_nonzero(in_cut) not in at_df
     assert sorted(got) == product_pairs(matrix, 0.9)
     assert {(min(p), max(p)) for p in planted} <= {(i, j) for i, j, _ in got}
 
@@ -952,9 +952,9 @@ def test_gate_sends_fixture_window_to_norm_bound_join(tmp_path, monkeypatch):
         tmp_path, FixtureSpec(sources=6, articles_per_source=40, copies=10, windows=1)
     )
     (window,) = partition_windows(ingest_articles(paths["articles"]), window_days=14)
-    taken = _joins_taken(monkeypatch)
+    taken = _cuts_taken(monkeypatch)
     result = match_window(window, **DEFAULT_MATCH)
-    assert taken[0] == "_norm_bound_join"
+    assert len(taken) == 1 and taken[0].any()
     assert len(result.pairs) >= 10
     texts = [window.spool.read(a.body_span) for a in window.articles]
     matrix = vectorize(fit_tfidf(texts, DEFAULT_MATCH["min_body_tokens"]))
@@ -965,10 +965,17 @@ def test_gate_sends_fixture_window_to_norm_bound_join(tmp_path, monkeypatch):
 
 def test_gate_sends_window_without_rare_columns_to_product_join(monkeypatch):
     # In 16 or fewer documents every term is frequent: nothing is left for
-    # the bound to skip.
-    window = make_window(
-        _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A, "alpha zeta " * 10]})
-    )
-    taken = _joins_taken(monkeypatch)
-    assert len(match_window(window, **DEFAULT_MATCH).pairs) == 1
-    assert taken == ["_product_join"]
+    # the bound to skip, so the cut is empty and the filter is the product.
+    bodies = [LONG_A, LONG_B, "alpha zeta " * 10]
+    window = make_window(_window_articles({"ap": bodies[:2], "echo": [LONG_A, bodies[2]]}))
+    taken = _cuts_taken(monkeypatch)
+    result = _assert_matches_per_article_oracle(window, **DEFAULT_MATCH)
+    assert len(result.pairs) == 1
+    (in_cut,) = taken
+    assert not in_cut.any()
+    # A threshold below the rounding margin puts the filter's floor below 0.
+    matrix = vectorize(fit_tfidf(bodies, 0))
+    for threshold in (DEFAULT_MATCH["threshold"], 5e-324):
+        joined = similarity._threshold_join(matrix, threshold, column_df(matrix))
+        assert sorted(joined) == product_pairs(matrix, threshold)
+    assert len(taken) == 3 and not any(cut.any() for cut in taken)
