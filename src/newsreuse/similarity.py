@@ -18,9 +18,11 @@ made; the weighting and the join add about one 8-byte temporary per
 entry beside the matrix; and their gathers index with the int32 arrays
 themselves, not an intp copy. The window's peak is the largest of the
 three steps' peaks, so a buffer cut from one step alone would leave it at
-another's. The join is exact. It filters, then verifies: pairs are
-filtered with an l2-norm bound on a cut of the columns, those of highest
-document frequency, and the survivors are re-scored by `cosine`. How many
+another's. Copies take no path of their own: they weight the idf's
+column sums, and two copies score their row's sum of squares. The join is
+exact. It filters, then verifies: pairs are filtered with an l2-norm
+bound on a cut of the columns, those of highest document frequency, and
+each tile's survivors are re-scored by `cosine` as it comes. How many
 columns are cut is chosen per window by an estimate of the filter's cost;
 where no cut pays for its fixed cost the cut is empty, and the filter is
 the plain product less a rounding margin. `_norm_bound_join` says why no
@@ -135,7 +137,10 @@ def fit_tfidf(
     ids and the columns gathered from them, then the columns and the ones
     that `sum_duplicates` adds up. Both are freed before the float64 counts
     are made. The columns are gathered with the int32 ids themselves, not
-    an intp copy of them, once the first-appearance map is freed.
+    an intp copy of them, once the first-appearance map is freed. Both dfs
+    are products of the transposed int32 counts, set to ones, with an int32
+    vector: of ones for `row_df`, of the multiplicities for the idf's. So
+    no per-entry temporary is made beyond the float64 counts.
     """
     rows: list[int] = []
     bounds = [0]
@@ -149,6 +154,8 @@ def fit_tfidf(
             # A list, then one copy: faster than extending the array from the map.
             ids.fromlist(list(map(lookup, tokens)))
             bounds.append(len(ids))
+    # The last body is not kept either; with no texts, the names are unbound.
+    tokens = text = None
     terms = list(first)
     del first, lookup
     width = len(terms)
@@ -167,22 +174,19 @@ def fit_tfidf(
     del ones, columns
     counts.sum_duplicates()
     # The summed indices and counts may still be views of the per-token
-    # arrays: the copy frees one before the float64 counts are made, and
-    # `astype` the other.
+    # arrays: the copy frees one before the float64 counts are made.
     counts.indices = counts.indices.copy()
-    row_df = np.bincount(counts.indices, minlength=width)
+    pattern = counts.T
     counts.data = counts.data.astype(np.float64)
-    copies = np.ones(len(rows), np.intp)
-    if multiplicity is not None:
-        copies = np.asarray(multiplicity, np.intp)[rows]
+    # The transpose keeps the int32 counts, which become the pattern.
+    pattern.data.fill(1)
+    ones = np.ones(len(rows), np.intc)
+    copies = ones if multiplicity is None else np.asarray(multiplicity, np.intc)[rows]
+    # The cut chooser squares row_df, which could overflow int32.
+    df, row_df = pattern @ copies, (pattern @ ones).astype(np.intp)
+    del pattern
     n = int(copies.sum())
     idf_by_df = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in range(n + 1)])
-    # Each further copy of a text adds one to the df of each of its terms,
-    # in place: no temporary spans every entry or every term.
-    df = row_df.copy()
-    repeated = np.flatnonzero(copies > 1)
-    again = counts[repeated]
-    np.add.at(df, again.indices, np.repeat(copies[repeated] - 1, np.diff(again.indptr)))
     return TfidfModel(
         rows=rows, vocabulary=vocabulary, idf=idf_by_df[df], row_df=row_df, counts=counts
     )
@@ -330,10 +334,7 @@ def _cheapest_cut(
         heavy_cost = 0
         if light < n:
             # A larger cut keeps every heavy row heavy, so their join only
-            # grows: stop once it alone costs the best. Each column holds at
-            # least df - light of them, a bound that needs no pass over them.
-            if np.square(ranked[: np.count_nonzero(ranked > light)] - light).sum() >= best_cost:
-                break
+            # grows: stop once it alone costs the best.
             in_heavy = np.repeat(heavy, row_sizes)
             heavy_cost = int(np.square(np.bincount(matrix.indices[in_heavy])).sum())
             if heavy_cost >= best_cost:
@@ -366,10 +367,10 @@ def _norm_bound_join(
       term, so that both its f are > 0, and only if f_i f_max and f_j f_max
       both pass; the rows that pass are joined among themselves by this
       function with the empty cut. The empty cut leaves no such row.
-    - Re-score. Each candidate is scored by `cosine` and kept when that
-      score is > threshold. This runs as many pairs at a time as a tile
-      has rows, at most `_TILE_ENTRIES ** 0.5`, so it gathers as many rows
-      as a tile's two operands, however many candidates pass the filter.
+    - Re-score. Each tile's candidates are scored by `cosine` as the tile
+      comes, and kept when that score is > threshold: as many pairs at a
+      time as a tile has rows, at most `_TILE_ENTRIES ** 0.5`, so it
+      gathers as many rows as a tile's two operands, however many pass.
 
     Margin. Every weight is >= 0, so each computed sum, in any order, is
     within a relative gamma_m = m u / (1 - m u) of its exact value, with
@@ -405,24 +406,14 @@ def _norm_bound_join(
     is_heavy = np.zeros(matrix.shape[0], dtype=bool)
     is_heavy[heavy] = True
 
-    def rescore(earlier: np.ndarray, later: np.ndarray) -> None:
+    for earlier, later in _tiles(rest, norms, floor):
+        keep = ~(is_heavy[earlier] & is_heavy[later])
+        earlier, later = earlier[keep], later[keep]
         for lo in range(0, len(earlier), side):
             rows_e, rows_l = earlier[lo : lo + side], later[lo : lo + side]
             scores = cosine(matrix, rows_e, rows_l)
             kept = scores > threshold
             out.extend(zip(rows_e[kept].tolist(), rows_l[kept].tolist(), scores[kept].tolist()))
-
-    waiting: list[tuple[np.ndarray, np.ndarray]] = []
-    held = 0
-    for earlier, later in _tiles(rest, norms, floor):
-        keep = ~(is_heavy[earlier] & is_heavy[later])
-        waiting.append((earlier[keep], later[keep]))
-        held += int(np.count_nonzero(keep))
-        if held >= side:
-            rescore(*map(np.concatenate, zip(*waiting)))
-            waiting, held = [], 0
-    if held:
-        rescore(*map(np.concatenate, zip(*waiting)))
     return out
 
 
@@ -471,10 +462,11 @@ def match_window(
     copies as its multiplicity, so its row has the bits each copy's row
     would have. The join runs on the distinct rows, and each pair of rows
     it keeps stands for every cross-source pair of their copies. Two copies
-    of one body score the row's dot with itself, summed by `cosine` as the
-    product would sum it. One body's text is held at a time, the
-    vocabulary is freed before the counts are weighted in place, and the
-    join takes the fit's df over the rows rather than counting it again.
+    of one body score the row's sum of squares: `cosine`'s products of the
+    row with itself, in its term order, so its bits. One body's text is
+    held at a time, the vocabulary is freed before the counts are weighted
+    in place, and the join takes the fit's df over the rows rather than
+    counting it again.
     Bodies shorter than `min_body_tokens` tokens do not participate, and the
     eligible count counts articles. A window with fewer than two eligible
     articles has no pairs.
@@ -500,7 +492,7 @@ def match_window(
     matrix = vectorize(model)
     del model
     repeated = [k for k, group in enumerate(members) if len(group) > 1]
-    scores = cosine(matrix, repeated, repeated).tolist()
+    scores = _row_sums(matrix, np.square(matrix.data))[repeated].tolist()
     selves = [(k, k, sim) for k, sim in zip(repeated, scores) if sim > threshold]
     pairs = []
     for q, p, sim in chain(selves, _threshold_join(matrix, threshold, df)):

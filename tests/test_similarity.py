@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from newsreuse import corpus, headlines, similarity
 from newsreuse.corpus import AMBIGUOUS, FORWARD, read_pairs_csv, write_pairs_csv
@@ -258,6 +259,44 @@ def test_vocabulary_and_columns_equal_the_dict_ranking():
         assert model.counts.data.tolist() == counts.data.tolist()
         assert model.idf.tolist() == idf.tolist()
         assert model.row_df.tolist() == np.bincount(counts.indices, minlength=len(idf)).tolist()
+        # Each text stands for its multiplicity's documents in the idf, and
+        # once in the row df; the empty text is kept at min_tokens=0.
+        multiplicity = [2, 7, 1, 7, 2, 1, 7]
+        weighted = fit_tfidf(texts, min_tokens, multiplicity)
+        repeated = [text for text, k in zip(texts, multiplicity) for _ in range(k)]
+        idf = article_fit(repeated, min_tokens)[3]
+        assert weighted.idf.tobytes() == idf.tobytes()
+        assert weighted.row_df.tolist() == model.row_df.tolist()
+        assert weighted.counts.data.tolist() == counts.data.tolist()
+
+
+class _Tokens(list):
+    """A body's tokens that a weak reference can watch, as a tuple's cannot."""
+
+
+def test_fit_keeps_no_body_tokenized_while_it_counts(monkeypatch):
+    rng = random.Random(5)
+    vocab = pseudo_vocab(rng, 40)
+    bodies = [random_body(rng, vocab) for _ in range(11)]
+    refs, alive = [], []
+
+    def from_text(text):
+        tokens = _Tokens(tokenize(text))
+        refs.append(weakref.ref(tokens))
+        return TokenizedDoc(tokens)
+
+    csr_matrix = sparse.csr_matrix
+
+    def counted(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(TokenizedDoc, "from_text", staticmethod(from_text))
+    monkeypatch.setattr(sparse, "csr_matrix", counted)
+    fit_tfidf(iter(bodies), DEFAULT_MATCH["min_body_tokens"])
+    # The count matrix is built after the last body's lookup, with none held.
+    assert len(refs) == 11
+    assert alive == [0]
 
 
 def test_match_window_keeps_at_most_one_body_tokenized(monkeypatch):
