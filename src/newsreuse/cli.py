@@ -114,6 +114,8 @@ class RunConfig:
             raise UsageError("min_body_tokens must be >= 0")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
+        if self.min_window_docs < 0:
+            raise UsageError("min_window_docs must be >= 0")
         if self.format not in CORPUS_FORMATS:
             raise UsageError(f"unknown corpus format {self.format!r}")
         if need_articles and not self.articles:
@@ -381,13 +383,7 @@ def _load_pairs(cfg: RunConfig, out: Path) -> tuple[list[MatchedPair], int, str]
     except (KeyError, ValueError):
         raise DataError(f"{summary_path} records no windows; re-run detect") from None
     summary_sha256 = file_sha256(summary_path)
-    pairs = read_pairs_csv(pairs_path, read_matched_articles(handoff_path))
-    stray = {p.window_index for p in pairs if not 0 <= p.window_index < window_count}
-    if stray:
-        raise DataError(
-            f"{pairs_path} references windows {sorted(stray)}, but {summary_path} records "
-            f"{window_count}; re-run detect"
-        )
+    pairs = read_pairs_csv(pairs_path, read_matched_articles(handoff_path), window_count)
     return pairs, window_count, summary_sha256
 
 
@@ -520,13 +516,7 @@ def cmd_headlines(cfg: RunConfig) -> int:
     shifts: list[headlines_mod.FeatureShift] = []
     if lexicons is not None:
         features = headlines_mod.title_features(eligible, lexicons, stopwords)
-        by_copier: dict[str, list[headlines_mod.TitlePair]] = {}
-        for tp in eligible:
-            by_copier.setdefault(tp.pair.later.source, []).append(tp)
-        for source in sorted(by_copier):
-            shifts.extend(
-                headlines_mod.significant_shifts(source, by_copier[source], features)
-            )
+        shifts = headlines_mod.significant_shifts(eligible, features)
     headlines_mod.write_shifts_csv(shifts, out / "shifts.csv")
 
     summary = [

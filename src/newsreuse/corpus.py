@@ -38,7 +38,6 @@ import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from enum import Enum
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -496,40 +495,20 @@ def partition_windows(
     ]
 
 
-class Audience(Enum):
-    MAINSTREAM = "mainstream"
-    ALTERNATIVE = "alternative"
-    SATIRE_OR_UNKNOWN = "satire_or_unknown"
+# Each label column's allowed values, in the order gen-fixture deals them,
+# and the value a source without a labels row gets.
+LABEL_VALUES = {
+    "audience": (("mainstream", "alternative", "satire_or_unknown"), "satire_or_unknown"),
+    "reliability": (("not_or_unknown", "has_published_fake", "satire"), "not_or_unknown"),
+    "leaning": (("left", "right", "neutral_or_unknown"), "neutral_or_unknown"),
+}
+LABELS_HEADER = ["source", *LABEL_VALUES]
 
 
-class Reliability(Enum):
-    HAS_PUBLISHED_FAKE = "has_published_fake"
-    NOT_OR_UNKNOWN = "not_or_unknown"
-    SATIRE = "satire"
-
-
-class Leaning(Enum):
-    RIGHT = "right"
-    LEFT = "left"
-    NEUTRAL_OR_UNKNOWN = "neutral_or_unknown"
-
-
-@dataclass(frozen=True)
-class SourceLabels:
-    """Categorical attributes of one source; fields default to unknown."""
-
-    source: str
-    audience: Audience = Audience.SATIRE_OR_UNKNOWN
-    reliability: Reliability = Reliability.NOT_OR_UNKNOWN
-    leaning: Leaning = Leaning.NEUTRAL_OR_UNKNOWN
-
-
-LABELS_HEADER = ["source", "audience", "reliability", "leaning"]
-
-
-def load_labels(path: str | Path) -> dict[str, SourceLabels]:
-    """Load the per-source label CSV keyed by canonical source name."""
-    labels: dict[str, SourceLabels] = {}
+def load_labels(path: str | Path) -> dict[str, dict[str, str]]:
+    """Each labeled source's value of every label column, keyed by
+    canonical source name."""
+    labels: dict[str, dict[str, str]] = {}
     first_row: dict[str, int] = {}
     reader = read_csv(path)
     if reader.fieldnames is None or set(LABELS_HEADER) - set(reader.fieldnames):
@@ -539,15 +518,10 @@ def load_labels(path: str | Path) -> dict[str, SourceLabels]:
         source = canonical_source(record.get("source") or "")
         if not source:
             raise DataError(f"labels row {row}: empty source")
-        try:
-            rec = SourceLabels(
-                source=source,
-                audience=Audience(record["audience"]),
-                reliability=Reliability(record["reliability"]),
-                leaning=Leaning(record["leaning"]),
-            )
-        except ValueError as exc:
-            raise DataError(f"labels row {row}: {exc}") from None
+        rec = {column: record[column] for column in LABEL_VALUES}
+        for column, (values, _) in LABEL_VALUES.items():
+            if rec[column] not in values:
+                raise DataError(f"labels row {row}: {rec[column]!r} is not a valid {column}")
         if source in labels:
             if labels[source] != rec:
                 raise DataError(
@@ -864,13 +838,14 @@ def write_pairs_csv(pairs: Iterable[MatchedPair], path: str | Path) -> None:
 
 
 def read_pairs_csv(
-    path: str | Path, articles_by_id: Mapping[str, Article]
+    path: str | Path, articles_by_id: Mapping[str, Article], window_count: int
 ) -> list[MatchedPair]:
     """Rebuild matched pairs from CSV, resolving article refs by id.
 
     Each row is paired again by `pair_articles`; a row whose order or
     direction differs from that pairing, whose field count differs from the
-    header's, or that repeats an earlier row's two ids, is a DataError."""
+    header's, whose window is not below `window_count`, or that repeats an
+    earlier row's two ids, is a DataError."""
     pairs = []
     row_of: dict[tuple[str, str], int] = {}
     rows = read_csv_rows(path)
@@ -895,7 +870,13 @@ def read_pairs_csv(
             similarity = float(score)
             if not math.isfinite(similarity):
                 raise ValueError(f"similarity {similarity!r} is not finite")
-            pair = pair_articles(earlier, later, similarity, int(window_index))
+            window = int(window_index)
+            if not 0 <= window < window_count:
+                raise ValueError(
+                    f"window {window} is not one of the {window_count} windows detect "
+                    f"recorded; re-run detect"
+                )
+            pair = pair_articles(earlier, later, similarity, window)
         except ValueError as exc:
             raise DataError(f"{path} row {row}: {exc}") from None
         if pair.earlier is not earlier or pair.direction != direction:

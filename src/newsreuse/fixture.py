@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LABELS_HEADER, SECONDS_PER_DAY, write_csv, write_lines
+from .corpus import LABEL_VALUES, LABELS_HEADER, SECONDS_PER_DAY, write_csv, write_lines
 
 _SYLLABLES = [
     "ba", "be", "bi", "bo", "bu", "da", "de", "di", "do", "du",
@@ -187,13 +187,10 @@ def generate_fixture(
          for a in articles),
     )
 
-    audiences = ["mainstream", "alternative", "satire_or_unknown"]
-    reliabilities = ["not_or_unknown", "has_published_fake", "satire"]
-    leanings = ["left", "right", "neutral_or_unknown"]
     write_csv(
         paths["labels"],
         LABELS_HEADER,
-        ([source, audiences[i % 3], reliabilities[i % 3], leanings[i % 3]]
+        ([source, *(values[i % len(values)] for values, _ in LABEL_VALUES.values())]
          for i, source in enumerate(sources)),
     )
 

@@ -201,9 +201,10 @@ def title_features(
     lexicons: Mapping[str, AbstractSet[str]],
     stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
 ) -> dict[str, TitleFeatures]:
-    """Features of each distinct title of the eligible pairs, extracted once
-    per title: a story copied by many sources repeats its original title."""
-    pairs = [tp.pair for tp in title_pairs if tp.eligible]
+    """Features of each distinct title of `title_pairs`, which are eligible,
+    extracted once per title: a story copied by many sources repeats its
+    original title."""
+    pairs = [tp.pair for tp in title_pairs]
     titles = dict.fromkeys(title for p in pairs for title in (p.later.title, p.earlier.title))
     return {title: extract_features(title, lexicons, stopwords) for title in titles}
 
@@ -262,64 +263,63 @@ class FeatureShift:
 
 
 def significant_shifts(
-    source: str,
     title_pairs: Sequence[TitlePair],
     features: Mapping[str, TitleFeatures],
 ) -> list[FeatureShift]:
-    """Features that shift significantly between a source's copy titles and
-    the originals they copied. `features` maps each eligible title to its
-    features, as `title_features` builds it.
+    """Features that shift significantly between each copier's titles and
+    the originals it copied, ordered by source, then by p and feature.
+    `title_pairs` are eligible, and `features` maps each of their titles to
+    its features, as `title_features` builds it.
 
-    Group A holds the source's own titles on copied articles, group B the
-    corresponding original titles. A shift is emitted only when both groups
-    exceed SHIFT_MIN_SAMPLES, both pass normality, and ANOVA gives
+    For each copier, group A holds its own titles on copied articles, group
+    B the corresponding original titles. A shift is emitted only when both
+    groups exceed SHIFT_MIN_SAMPLES, both pass normality, and ANOVA gives
     p < SHIFT_ALPHA. Titles under 3 tokens are excluded from the readability
     comparison.
     """
-    own: list[TitleFeatures] = []
-    originals: list[TitleFeatures] = []
+    by_copier: dict[str, tuple[list[TitleFeatures], list[TitleFeatures]]] = {}
     for tp in title_pairs:
-        if not tp.eligible or tp.pair.later.source != source:
-            continue
+        own, originals = by_copier.setdefault(tp.pair.later.source, ([], []))
         own.append(features[tp.pair.later.title])
         originals.append(features[tp.pair.earlier.title])
-    if len(own) <= SHIFT_MIN_SAMPLES:
-        log.info(
-            "source %s: insufficient samples for shift analysis (%d pairs)",
-            source, len(own),
-        )
-        return []
     shifts = []
-    for feature in FEATURE_NAMES:
-        if feature == "readability":
-            group_a = [f.readability for f in own if f.token_count >= 3]
-            group_b = [f.readability for f in originals if f.token_count >= 3]
-        else:
-            group_a = [getattr(f, feature) for f in own]
-            group_b = [getattr(f, feature) for f in originals]
-        if len(group_a) <= SHIFT_MIN_SAMPLES or len(group_b) <= SHIFT_MIN_SAMPLES:
-            continue
-        if not normality_test(group_a) or not normality_test(group_b):
-            continue
-        try:
-            f_stat, p = anova_f(group_a, group_b)
-        except ValueError:
-            continue
-        if p < SHIFT_ALPHA:
-            mean_a = statistics.fmean(group_a)
-            mean_b = statistics.fmean(group_b)
-            shifts.append(
-                FeatureShift(
-                    source=source,
-                    feature=feature,
-                    direction="increase" if mean_a > mean_b else "decrease",
-                    f_stat=f_stat,
-                    p_value=p,
-                    n_own=len(group_a),
-                    n_copied=len(group_b),
-                )
+    for source, (own, originals) in sorted(by_copier.items()):
+        if len(own) <= SHIFT_MIN_SAMPLES:
+            log.info(
+                "source %s: insufficient samples for shift analysis (%d pairs)",
+                source, len(own),
             )
-    shifts.sort(key=lambda s: (s.p_value, s.feature))
+            continue
+        for feature in FEATURE_NAMES:
+            if feature == "readability":
+                group_a = [f.readability for f in own if f.token_count >= 3]
+                group_b = [f.readability for f in originals if f.token_count >= 3]
+            else:
+                group_a = [getattr(f, feature) for f in own]
+                group_b = [getattr(f, feature) for f in originals]
+            if len(group_a) <= SHIFT_MIN_SAMPLES or len(group_b) <= SHIFT_MIN_SAMPLES:
+                continue
+            if not normality_test(group_a) or not normality_test(group_b):
+                continue
+            try:
+                f_stat, p = anova_f(group_a, group_b)
+            except ValueError:
+                continue
+            if p < SHIFT_ALPHA:
+                mean_a = statistics.fmean(group_a)
+                mean_b = statistics.fmean(group_b)
+                shifts.append(
+                    FeatureShift(
+                        source=source,
+                        feature=feature,
+                        direction="increase" if mean_a > mean_b else "decrease",
+                        f_stat=f_stat,
+                        p_value=p,
+                        n_own=len(group_a),
+                        n_copied=len(group_b),
+                    )
+                )
+    shifts.sort(key=lambda s: (s.source, s.p_value, s.feature))
     return shifts
 
 

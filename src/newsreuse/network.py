@@ -20,9 +20,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import (
     FORWARD,
+    LABEL_VALUES,
     SECONDS_PER_DAY,
     MatchedPair,
-    SourceLabels,
     write_csv,
     write_lines,
 )
@@ -408,13 +408,12 @@ def write_node_csv(graph: RepublishGraph, path: str | Path, columns: Sequence[st
     write_csv(path, ["source", *columns], rows)
 
 
-def attach_labels(graph: RepublishGraph, labels: Mapping[str, SourceLabels]) -> None:
+def attach_labels(graph: RepublishGraph, labels: Mapping[str, Mapping[str, str]]) -> None:
+    """Copy each node's labels from `load_labels`' table; a node it lacks
+    gets each column's unlabeled value."""
+    unlabeled = {column: unknown for column, (_, unknown) in LABEL_VALUES.items()}
     for node in graph.nodes():
-        rec = labels.get(node) or SourceLabels(node)
-        attrs = graph.node_attrs(node)
-        attrs["audience"] = rec.audience.value
-        attrs["reliability"] = rec.reliability.value
-        attrs["leaning"] = rec.leaning.value
+        graph.node_attrs(node).update(labels.get(node, unlabeled))
 
 
 def attach_communities(graph: RepublishGraph, partition: Partition) -> None:

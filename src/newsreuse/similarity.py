@@ -366,7 +366,10 @@ def _norm_bound_join(
       in R R^T. It scores above the threshold only if it shares a cut
       term, so that both its f are > 0, and only if f_i f_max and f_j f_max
       both pass; the rows that pass are joined among themselves by this
-      function with the empty cut. The empty cut leaves no such row.
+      function with the empty cut. The empty cut leaves no such row. A
+      body made only of frequent terms is heavy under any cut that holds
+      them, so joining heavy rows apart keeps one such body from capping its
+      whole window's cut.
     - Re-score. Each tile's candidates are scored by `cosine` as the tile
       comes, and kept when that score is > threshold: as many pairs at a
       time as a tile has rows, at most `_TILE_ENTRIES ** 0.5`, so it

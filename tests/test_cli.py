@@ -156,6 +156,23 @@ def test_bad_louvain_resolution_is_usage_error(tmp_path, capsys, resolution):
     assert "louvain_resolution must be a finite number > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--window-days", "0", "window_days must be >= 1"),
+        ("--min-body-tokens", "-1", "min_body_tokens must be >= 0"),
+        ("--jobs", "0", "jobs must be >= 1"),
+        ("--min-window-docs", "-1", "min_window_docs must be >= 0"),
+        ("--title-change-threshold", "0", "title_change_threshold must be in (0, 1]"),
+        ("--title-change-threshold", "1.5", "title_change_threshold must be in (0, 1]"),
+        ("--similarity-threshold", "0", "similarity_threshold must be in (0, 1)"),
+    ],
+)
+def test_numeric_bound_is_usage_error(tmp_path, capsys, flag, value, message):
+    assert _run("report", "--out", str(tmp_path / "out"), flag, value) == EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_threshold_of_one_is_usage_error(tmp_path, capsys):
     fx = _gen(tmp_path)
     code = _run(
@@ -934,7 +951,7 @@ def upstream(tmp_path_factory):
         ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "window_index", "w0"),
          "pairs.csv row 2"),
         ("graph", lambda out: _edit_csv_cell(out / "pairs.csv", "window_index", "999"),
-         "references windows [999]"),
+         "pairs.csv row 2: window 999"),
         ("graph", lambda out: _self_pair(out / "pairs.csv"), "pairs.csv row 2"),
         ("headlines", lambda out: _edit_csv_cell(out / "pairs.csv", "later_source", "x"),
          "pairs.csv row 2: sources disagree"),
@@ -1182,7 +1199,7 @@ def _from_whole_corpus(cfg, out):
     re-partitioned: what graph and headlines read before the hand-off."""
     collection = ingest_articles(cfg.articles, cfg.format)
     windows = partition_windows(collection, cfg.window_days)
-    pairs = read_pairs_csv(out / "pairs.csv", {a.id: a for a in collection})
+    pairs = read_pairs_csv(out / "pairs.csv", {a.id: a for a in collection}, len(windows))
     return pairs, len(windows), file_sha256(out / "detect_summary.txt")
 
 

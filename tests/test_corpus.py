@@ -11,12 +11,9 @@ from newsreuse.corpus import (
     _MATCHED_FIELDS,
     _MAX_TS,
     _MIN_TS,
+    LABEL_VALUES,
     MAX_COUNT,
     Article,
-    Audience,
-    Leaning,
-    Reliability,
-    SourceLabels,
     canonical_source,
     ingest_articles,
     load_labels,
@@ -27,6 +24,7 @@ from newsreuse.corpus import (
     write_matched_articles,
 )
 from newsreuse.errors import DataError
+from newsreuse.fixture import FixtureSpec, generate_fixture
 from newsreuse.network import RepublishGraph, attach_labels
 
 from helpers import BASE_TS, DAY, make_article, write_jsonl
@@ -286,12 +284,15 @@ def test_load_labels(tmp_path):
         "AP,mainstream,not_or_unknown,neutral_or_unknown\n",
         encoding="utf-8",
     )
-    labels = load_labels(path)
-    rec = labels["infowars"]
-    assert rec.audience is Audience.ALTERNATIVE
-    assert rec.reliability is Reliability.HAS_PUBLISHED_FAKE
-    assert rec.leaning is Leaning.RIGHT
-    assert labels["ap"].audience is Audience.MAINSTREAM
+    assert load_labels(path) == {
+        "infowars": {
+            "audience": "alternative", "reliability": "has_published_fake", "leaning": "right",
+        },
+        "ap": {
+            "audience": "mainstream", "reliability": "not_or_unknown",
+            "leaning": "neutral_or_unknown",
+        },
+    }
 
 
 def test_load_labels_conflict_aborts(tmp_path):
@@ -310,7 +311,7 @@ def test_load_labels_identical_duplicate_ok(tmp_path):
     path = tmp_path / "labels.csv"
     row = "ap,mainstream,not_or_unknown,neutral_or_unknown\n"
     path.write_text("source,audience,reliability,leaning\n" + row + row, encoding="utf-8")
-    assert load_labels(path)["ap"].audience is Audience.MAINSTREAM
+    assert load_labels(path)["ap"]["audience"] == "mainstream"
 
 
 def test_load_labels_bad_enum(tmp_path):
@@ -319,14 +320,25 @@ def test_load_labels_bad_enum(tmp_path):
         "source,audience,reliability,leaning\nap,blog,not_or_unknown,left\n",
         encoding="utf-8",
     )
-    with pytest.raises(DataError, match="row 2"):
+    with pytest.raises(DataError, match="row 2: 'blog' is not a valid audience"):
         load_labels(path)
 
 
+def test_fixture_labels_load_and_deal_the_table_in_order(tmp_path):
+    spec = FixtureSpec(sources=7, articles_per_source=3, copies=2, windows=1)
+    labels = load_labels(generate_fixture(tmp_path, spec)["labels"])
+    assert len(labels) == 7
+    rows = [tuple(rec.values()) for rec in labels.values()]
+    assert rows[:3] == [
+        ("mainstream", "not_or_unknown", "left"),
+        ("alternative", "has_published_fake", "right"),
+        ("satire_or_unknown", "satire", "neutral_or_unknown"),
+    ]
+    for i, row in enumerate(rows):
+        assert row == tuple(values[i % len(values)] for values, _ in LABEL_VALUES.values())
+
+
 def test_labels_default_to_unknown():
-    assert SourceLabels("x").audience is Audience.SATIRE_OR_UNKNOWN
-    assert SourceLabels("x").reliability is Reliability.NOT_OR_UNKNOWN
-    assert SourceLabels("x").leaning is Leaning.NEUTRAL_OR_UNKNOWN
     graph = RepublishGraph(0)
     graph.add_node("Unheard Of")
     attach_labels(graph, {})

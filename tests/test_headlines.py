@@ -16,6 +16,7 @@ from newsreuse import swilk
 from newsreuse.errors import DataError
 from newsreuse.headlines import (
     FEATURE_NAMES,
+    SHIFT_MIN_SAMPLES,
     TitleFeatures,
     anova_f,
     changed_fraction,
@@ -404,16 +405,17 @@ def test_anova_invariances(shift, scale):
 _BIAS_COUNTS = [2, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 7]
 
 
-def _shift_fixture():
-    """Copies add two bias words to each 20-token original title."""
-    filler = [f"tok{i}" for i in range(40)]
+def _shift_fixture(copier="spinner", filler_word="tok"):
+    """`copier`'s copies add two bias words to each 20-token original title
+    of `wire`; numbered `filler_word`s pad the titles."""
+    filler = [f"{filler_word}{i}" for i in range(40)]
     pairs = []
     for i, count in enumerate(_BIAS_COUNTS):
         original_words = ["corruption"] * count + filler[: 20 - count]
         copy_words = ["corruption"] * (count + 2) + filler[: 18 - count]
         pairs.append(
             make_pair(
-                "wire", "spinner", earlier_id=f"fo{i}", later_id=f"fc{i}",
+                "wire", copier, earlier_id=f"{copier}-o{i}", later_id=f"{copier}-c{i}",
                 earlier_title=" ".join(original_words),
                 later_title=" ".join(copy_words),
             )
@@ -423,7 +425,7 @@ def _shift_fixture():
 
 def test_significant_shifts_detects_bias_increase():
     tps = _shift_fixture()
-    shifts = significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS))
+    shifts = significant_shifts(tps, title_features(tps, LEXICONS, STOPWORDS))
     by_feature = {s.feature: s for s in shifts}
     assert "bias_frac" in by_feature
     shift = by_feature["bias_frac"]
@@ -439,12 +441,47 @@ def test_significant_shifts_detects_bias_increase():
 
 def test_significant_shifts_requires_enough_pairs():
     tps = _shift_fixture()[:5]
-    assert significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS)) == []
+    assert significant_shifts(tps, title_features(tps, LEXICONS, STOPWORDS)) == []
 
 
 def test_significant_shifts_ignores_other_sources():
+    """Only copiers are tested: the originals' source gets no shift."""
     tps = _shift_fixture()
-    assert significant_shifts("wire", tps, title_features(tps, LEXICONS, STOPWORDS)) == []
+    shifts = significant_shifts(tps, title_features(tps, LEXICONS, STOPWORDS))
+    assert shifts
+    assert {s.source for s in shifts} == {"spinner"}
+
+
+def test_significant_shifts_groups_by_copier(monkeypatch):
+    """Each copier's shifts are those of its pairs alone, in source order;
+    a copier with SHIFT_MIN_SAMPLES pairs or fewer adds none; and
+    `title_features` extracts only the titles of the pairs it is given."""
+    from newsreuse import headlines
+
+    spinner, amplifier = _shift_fixture(), _shift_fixture("amplifier", "pad")
+    few = _shift_fixture("few", "short")[:SHIFT_MIN_SAMPLES]
+    # Out of source order, with one copier's pairs split.
+    tps = spinner[:6] + amplifier + few + spinner[6:]
+    calls = []
+
+    def counting(title, lexicons, stopwords):
+        calls.append(title)
+        return extract_features(title, lexicons, stopwords)
+
+    monkeypatch.setattr(headlines, "extract_features", counting)
+    features = title_features(amplifier, LEXICONS, STOPWORDS)
+    assert sorted(calls) == sorted(
+        {title for tp in amplifier for title in (tp.pair.earlier.title, tp.pair.later.title)}
+    )
+    assert set(features) == set(calls)
+
+    alone = {
+        name: significant_shifts(group, title_features(group, LEXICONS, STOPWORDS))
+        for name, group in (("amplifier", amplifier), ("spinner", spinner), ("few", few))
+    }
+    assert alone["amplifier"] and alone["spinner"] and alone["few"] == []
+    shifts = significant_shifts(tps, title_features(tps, LEXICONS, STOPWORDS))
+    assert shifts == alone["amplifier"] + alone["spinner"]
 
 
 def test_title_features_extracts_each_distinct_title_once(monkeypatch):
@@ -464,7 +501,7 @@ def test_title_features_extracts_each_distinct_title_once(monkeypatch):
         return extract_features(title, lexicons, stopwords)
 
     monkeypatch.setattr(headlines, "extract_features", counting)
-    features = title_features(tps, LEXICONS, STOPWORDS)
+    features = title_features([tp for tp in tps if tp.eligible], LEXICONS, STOPWORDS)
     # The pair with an empty copy title is ineligible, so "" is not extracted.
     assert sorted(calls) == ["Best plan", "Senator lies"]
     assert features == {t: extract_features(t, LEXICONS, STOPWORDS) for t in calls}
@@ -476,7 +513,7 @@ def test_csv_writers(tmp_path):
     write_title_pairs_csv(tps, title_path, 0.10)
     header = title_path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "earlier_id,later_id,distance,changed"
-    shifts = significant_shifts("spinner", tps, title_features(tps, LEXICONS, STOPWORDS))
+    shifts = significant_shifts(tps, title_features(tps, LEXICONS, STOPWORDS))
     shift_path = tmp_path / "shifts.csv"
     write_shifts_csv(shifts, shift_path)
     lines = shift_path.read_text(encoding="utf-8").splitlines()

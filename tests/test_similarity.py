@@ -674,8 +674,10 @@ def test_pairs_csv_round_trip(tmp_path):
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
     by_id = {a.id: a for a in window.articles}
-    loaded = read_pairs_csv(path, by_id)
+    loaded = read_pairs_csv(path, by_id, 1)
     assert loaded == pairs
+    with pytest.raises(DataError, match="row 2: window 0 is not one of the 0 windows"):
+        read_pairs_csv(path, by_id, 0)
 
 
 def test_pairs_csv_unknown_id_errors(tmp_path):
@@ -684,7 +686,7 @@ def test_pairs_csv_unknown_id_errors(tmp_path):
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
     with pytest.raises(DataError, match="not in corpus"):
-        read_pairs_csv(path, {})
+        read_pairs_csv(path, {}, 1)
 
 
 def _skewed_docs(rng, size, common, rare, only_frequent, copies):
