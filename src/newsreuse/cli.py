@@ -19,11 +19,9 @@ import argparse
 import gc
 import logging
 import math
-import multiprocessing
 import os
 import sys
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -301,6 +299,10 @@ def cmd_detect(cfg: RunConfig) -> int:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         workers = min(cfg.jobs, len(windows), cpus or 1)
         if workers > 1:
+            # Imported here, so a process that does not fork never loads them.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),

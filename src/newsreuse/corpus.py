@@ -112,7 +112,7 @@ def format_timestamp(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Article:
     """One news item. `published_utc` is epoch seconds. `body_span` is the
     (offset, length) of its body in its collection's `BodySpool`; an article
@@ -278,18 +278,27 @@ def _optional_text(value: Any) -> str | None:
 
 
 def _article_fields(
-    record: Mapping[str, Any]
+    record: Mapping[str, Any], sources: dict[str, str]
 ) -> tuple[str, str, str, str, int, int | None, int | None]:
     """A record's validated id, source, title, body, published_utc,
-    fb_shares and fb_reactions."""
+    fb_shares and fb_reactions.
+
+    `sources` maps each raw source name that passed the checks to its
+    canonical name, so the rows that spell a source alike share one string
+    and skip the checks; a name that fails them is not kept, so each of its
+    rows is rejected with the reason."""
     source_raw = record.get("source")
-    source = canonical_source(str(source_raw)) if source_raw is not None else ""
-    if not source:
-        raise ValueError("missing source")
-    if _XML_FORBIDDEN_RE.search(source):
-        raise ValueError("source holds a control character")
-    if len(source) > csv.field_size_limit():
-        raise ValueError("source longer than the CSV field limit")
+    raw = "" if source_raw is None else str(source_raw)
+    source = sources.get(raw)
+    if source is None:
+        source = canonical_source(raw)
+        if not source:
+            raise ValueError("missing source")
+        if _XML_FORBIDDEN_RE.search(source):
+            raise ValueError("source holds a control character")
+        if len(source) > csv.field_size_limit():
+            raise ValueError("source longer than the CSV field limit")
+        sources[raw] = source
 
     body = record.get("body")
     if body is None:
@@ -423,13 +432,14 @@ def _accept_rows(
         rejects: list[Reject] = []
         seen_keys: set[tuple[str, str]] = set()
         seen_ids: set[str] = set()
+        sources: dict[str, str] = {}
         for row, record, error in rows:
             if error is not None:
                 rejects.append(Reject(row, error))
                 continue
             try:
                 article_id, source, title, body, published, shares, reactions = (
-                    _article_fields(record)
+                    _article_fields(record, sources)
                 )
             except ValueError as exc:
                 rejects.append(Reject(row, str(exc)))
@@ -749,10 +759,11 @@ def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> Non
 
 def read_matched_articles(path: str | Path) -> dict[str, Article]:
     """The articles `write_matched_articles` wrote, by id, with no body
-    span. A line that is not such a record, or a second record of one id,
-    is a DataError naming it."""
+    span; the articles of one source share one string. A line that is not
+    such a record, or a second record of one id, is a DataError naming it."""
     articles: dict[str, Article] = {}
     line_of: dict[str, int] = {}
+    sources: dict[str, str] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
@@ -774,6 +785,7 @@ def read_matched_articles(path: str | Path) -> dict[str, Article]:
                 f"{article_id!r}; re-run detect"
             )
         line_of[article_id] = lineno
+        values["source"] = sources.setdefault(values["source"], values["source"])
         articles[article_id] = Article(**values)
     return articles
 
@@ -782,7 +794,7 @@ FORWARD = "forward"
 AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchedPair:
     """A detected near-verbatim pair, ordered by publication time.
 

@@ -48,7 +48,7 @@ _ASCII_PUNCT = frozenset(
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TitlePair:
     """Title drift for one matched pair; ineligible when a title is empty."""
 

@@ -39,6 +39,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, count, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -504,5 +505,10 @@ def match_window(
             a, b = articles[i], articles[j]
             if a.source != b.source:
                 pairs.append(pair_articles(a, b, sim, window.index))
-    pairs.sort(key=lambda p: (-p.similarity, p.earlier.id, p.later.id))
+    # Three stable sorts, least significant key first, give the order of
+    # one sort by (-similarity, earlier id, later id), but make no object
+    # per pair: each key is a field the pair already holds.
+    pairs.sort(key=attrgetter("later.id"))
+    pairs.sort(key=attrgetter("earlier.id"))
+    pairs.sort(key=attrgetter("similarity"), reverse=True)
     return WindowMatchResult(eligible, tuple(pairs))

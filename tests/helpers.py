@@ -51,6 +51,17 @@ def make_window(articles, index=0, start=BASE_TS, days=14) -> TimeWindow:
     )
 
 
+def republished_window(copies: int, tokens: int) -> TimeWindow:
+    """A window in which `copies` sources each publish one body of `tokens`
+    words, drawn from 3,000 words, a minute apart: every two of them are a
+    kept pair."""
+    rng = random.Random(1)
+    body = " ".join(rng.choices([f"w{k}" for k in range(3000)], k=tokens))
+    return make_window(
+        [make_article(f"a{i}", f"s{i}", body=body, ts=BASE_TS + 60 * i) for i in range(copies)]
+    )
+
+
 def make_pair(
     earlier_source, later_source, similarity=1.0, window=0, delta=3600,
     earlier_id=None, later_id=None, earlier_title="", later_title="",

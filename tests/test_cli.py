@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import multiprocessing
@@ -223,6 +224,19 @@ def test_handoff_and_network_import_no_numpy_or_scipy():
          "import sys, newsreuse.corpus, newsreuse.network; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')"
          " or m.startswith('xml.sax')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # detect imports the pool only when it forks workers.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, newsreuse.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+         " or m == 'concurrent.futures.process'))"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
@@ -1366,7 +1380,7 @@ def _detect_with_recording_pool(tmp_path, monkeypatch, jobs, expected):
     fx = _gen(tmp_path)
     cfg = str(fx / "fixture.cfg")
     assert _run("detect", "--config", cfg, "--out", str(tmp_path / "ref")) == EXIT_OK
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(_RecordingPool, "start_methods", [])
     monkeypatch.setattr(cli, "_worker_job", None)

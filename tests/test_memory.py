@@ -26,19 +26,35 @@ is the whole product, walked by the same tiles. Such a window is small in
 sum(df^2), and so in tokens and entries, and the tiles' working set is
 most of its peak; its join is held to one 8-byte temporary per entry
 beyond what the tiles alone hold.
+
+A window also holds the pairs it keeps, which no count of tokens or
+entries bounds: one body republished by k sources is one row and k(k-1)/2
+pairs. Each kept pair adds at most 128 bytes: a `MatchedPair` of five
+slots, and its place in the window's list and in the result's tuple. Its
+articles and its score are shared with the window and its row pair.
+
+Ingest keeps each article, and no more: at most 500 bytes an article on a
+generated corpus (its slots, id, title, timestamp, counts and body span),
+beside the spool's one write buffer, and one string per source.
 """
 
+import gc
 import itertools
 import random
 import tracemalloc
+from contextlib import closing
 
 from newsreuse import similarity
+from newsreuse.corpus import ingest_articles, read_matched_articles, write_matched_articles
+from newsreuse.fixture import FixtureSpec, generate_fixture
 from newsreuse.similarity import fit_tfidf, match_window, tokenize, vectorize
 
-from helpers import BASE_TS, DEFAULT_MATCH, make_article, make_window
+from helpers import BASE_TS, DEFAULT_MATCH, make_article, make_window, republished_window
 
 BYTES_PER_TOKEN = 8
 BYTES_PER_ENTRY = 24
+BYTES_PER_KEPT_PAIR = 128
+BYTES_PER_ARTICLE = 500
 
 
 def zipf_bodies(rng: random.Random, count: int, words: int) -> list[str]:
@@ -121,3 +137,44 @@ def test_empty_cut_join_adds_at_most_a_temporary_per_entry_to_its_tiles():
     tiles = traced_peak(lambda: list(similarity._tiles(matrix, norms, threshold)))
     join = traced_peak(lambda: similarity._threshold_join(matrix, threshold, df))
     assert join - tiles <= 8 * matrix.nnz, f"{join} bytes traced, {tiles} in the tiles alone"
+
+
+def test_republished_body_adds_at_most_a_constant_per_kept_pair():
+    # 400 sources republish one 200-token body: one row, 79,800 pairs.
+    window = republished_window(400, 200)
+    results = []
+    try:
+        peak = traced_peak(lambda: results.append(match_window(window, **DEFAULT_MATCH)))
+    finally:
+        window.spool.close()
+
+    kept = len(results[0].pairs)
+    assert kept == 400 * 399 // 2
+    budget = window_budget([a.body for a in window.articles]) + BYTES_PER_KEPT_PAIR * kept
+    assert peak <= budget, f"{peak} bytes traced against a budget of {budget}"
+
+
+def test_ingest_keeps_a_constant_per_article_and_one_string_per_source(tmp_path):
+    paths = generate_fixture(
+        tmp_path, FixtureSpec(sources=4, articles_per_source=500, copies=100, windows=1)
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        collection = ingest_articles(paths["articles"])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+    with closing(collection.spool):
+        # The spool's write buffer is 64 KiB, whatever the corpus.
+        budget = BYTES_PER_ARTICLE * len(collection) + (1 << 16)
+        assert retained <= budget, f"{retained} bytes kept against a budget of {budget}"
+        assert len({id(a.source) for a in collection}) == len(collection.sources()) == 4
+        handoff = tmp_path / "matched_articles.jsonl"
+        write_matched_articles(handoff, collection)
+        read_back = read_matched_articles(handoff).values()
+        assert len(read_back) == len(collection)
+        assert len({id(a.source) for a in read_back}) == 4

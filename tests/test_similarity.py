@@ -624,15 +624,31 @@ def test_raising_threshold_never_adds_pairs():
         previous = pairs
 
 
+def _tied_window(rng, vocab):
+    """Five bodies, each published by 8 of 12 sources, whose ids sort
+    against their publication order: most pairs tie on similarity, so the
+    ids order them, and the earlier article's id is the larger."""
+    articles = []
+    for b in range(5):
+        body = random_body(rng, vocab)
+        for c, source in enumerate(rng.sample(range(12), 8)):
+            k = 8 * b + c
+            articles.append(
+                make_article(f"x{99 - k:02d}", f"s{source:02d}", body=body, ts=BASE_TS + 60 * k)
+            )
+    return make_window(articles)
+
+
 def test_output_sorted_and_deterministic():
     rng = random.Random(47)
     vocab = pseudo_vocab(rng, 200)
     window, _ = _planted_window(rng, 90, 6, vocab)
-    first = list(match_window(window, threshold=0.5, min_body_tokens=5).pairs)
-    second = list(match_window(window, threshold=0.5, min_body_tokens=5).pairs)
-    assert first == second
-    keys = [(-p.similarity, p.earlier.id, p.later.id) for p in first]
-    assert keys == sorted(keys)
+    for checked in (window, _tied_window(random.Random(5), vocab)):
+        first = list(match_window(checked, threshold=0.5, min_body_tokens=5).pairs)
+        second = list(match_window(checked, threshold=0.5, min_body_tokens=5).pairs)
+        assert first == second
+        keys = [(-p.similarity, p.earlier.id, p.later.id) for p in first]
+        assert keys == sorted(keys)
     # Shuffling the window's articles changes no pair and no score bit, on
     # either join path (the skewed window takes the norm-bound join).
     for window, min_body_tokens in ((window, 5), (_skewed_window(random.Random(3)), 0)):
