@@ -43,7 +43,7 @@ from .corpus import (
     read_csv,
     read_matched_articles,
     read_pairs_csv,
-    read_text,
+    read_lines,
     staged_outputs,
     write_csv,
     write_lines,
@@ -131,31 +131,30 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     """Parse a flat key=value config file."""
     values: dict[str, object] = {}
     try:
-        text = read_text(path)
+        for lineno, raw in enumerate(read_lines(path), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in _KEY_TYPES:
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            kind = _KEY_TYPES[key]
+            try:
+                if kind is bool:
+                    if value.lower() not in ("true", "false", "1", "0"):
+                        raise ValueError(f"expected boolean, got {value!r}")
+                    values[key] = value.lower() in ("true", "1")
+                elif kind in (int, float):
+                    values[key] = kind(value)
+                else:
+                    values[key] = value
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
     except DataError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.__cause__ or exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KEY_TYPES:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _KEY_TYPES[key]
-        try:
-            if kind is bool:
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError(f"expected boolean, got {value!r}")
-                values[key] = value.lower() in ("true", "1")
-            elif kind in (int, float):
-                values[key] = kind(value)
-            else:
-                values[key] = value
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -235,10 +234,10 @@ def _write_kv(path: Path, items: Sequence[tuple[str, object]]) -> None:
 
 def _read_kv(path: Path) -> dict[str, str]:
     values = {}
-    for line in read_text(path).splitlines():
+    for line in read_lines(path):
         if not line.strip():
             break
-        key, _, value = line.partition("=")
+        key, _, value = line.rstrip("\n").partition("=")
         values[key] = value
     return values
 
@@ -619,13 +618,13 @@ def _report_markdown(out: Path, min_window_docs: int) -> list[str]:
     detect = _read_kv(out / "detect_summary.txt")
     graph_summary = _read_kv(out / "graph_summary.txt")
     headline = _read_kv(out / "headline_summary.txt")
-    windows = list(read_csv(out / "windows.csv"))
-    metrics = list(read_csv(out / "metrics.csv"))
-    engagement = list(read_csv(out / "engagement.csv"))
-    most_changed = list(read_csv(out / "ranking_most_changed.csv"))
-    by_magnitude = list(read_csv(out / "ranking_change_magnitude.csv"))
-    shifts = list(read_csv(out / "shifts.csv"))
-    flags = list(read_csv(out / "origin_flags.csv"))
+    windows, metrics, engagement, most_changed, by_magnitude, shifts, flags = (
+        [record for _, record in read_csv(out / name)[1]]
+        for name in (
+            "windows.csv", "metrics.csv", "engagement.csv", "ranking_most_changed.csv",
+            "ranking_change_magnitude.csv", "shifts.csv", "origin_flags.csv",
+        )
+    )
 
     lines = ["# Verbatim republishing analysis", ""]
 

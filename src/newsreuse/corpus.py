@@ -10,15 +10,17 @@ collection's `BodySpool`, an unnamed temporary file, and copies share its
 span. The matcher reads each distinct body of a window back once, one at a
 time, so memory does not grow with the corpus's bytes.
 
-Every other file the pipeline reads or writes goes through four functions
-here: `read_text` and `read_csv` for side files (labels, lexicons, stopwords,
-config) and the tables one stage hands the next, `write_csv` and
-`write_lines` for every output. They read UTF-8 with or without a
-byte-order mark, turn an unreadable file, an undecodable byte or a CSV the
-parser cannot read into a `DataError` naming the file and line, and write
-UTF-8 with `\\n` line ends. An output is written under a temporary name and
-moved into place once whole; inside `staged_outputs` the move waits until
-the block succeeds. Detect's hand-off to the later stages, `pairs.csv` and
+Every file a stage reads, the corpus included, is streamed by `read_lines`:
+UTF-8 with or without a byte-order mark, one line at a time, split at
+`\\n`, `\\r` and `\\r\\n` unless the caller asks otherwise. An unreadable
+file, or a line that is not UTF-8, is a `DataError` naming the file and the
+line; only ingest keeps such a line, as a reject row. `read_csv_rows` and
+`read_csv` parse those lines as CSV (labels, a CSV corpus and the tables
+one stage hands the next), and a row the parser cannot read is a
+`DataError` too. `write_csv` and `write_lines` write every output, as UTF-8
+with `\\n` line ends. An output is written under a temporary name and moved
+into place once whole; inside `staged_outputs` the move waits until the
+block succeeds. Detect's hand-off to the later stages, `pairs.csv` and
 `matched_articles.jsonl`, is written and read here, and `pair_articles`, the
 one rule that orders a pair and sets its direction, is here too.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import logging
 import math
@@ -35,7 +36,7 @@ import os
 import re
 import tempfile
 import weakref
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby
@@ -330,55 +331,47 @@ def _article_fields(
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
-    # surrogateescape keeps row numbers and universal-newline splitting for
-    # any bytes; an invalid byte decodes to a lone surrogate, which valid
-    # UTF-8 never does. utf-8-sig drops a leading byte-order mark.
-    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for row, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if not line.isascii() and _SURROGATE_RE.search(line):
-                yield row, None, "not valid UTF-8"
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield row, None, f"invalid JSON: {exc.msg}"
-                continue
-            except (ValueError, RecursionError) as exc:
-                # an integer past Python's digit limit, or nesting past the
-                # recursion limit
-                yield row, None, f"invalid JSON: {exc}"
-                continue
-            if not isinstance(record, dict):
-                yield row, None, "record is not an object"
-                continue
-            # A `\ud800`-style escape decodes to a lone surrogate, which no
-            # output file can encode. Only a line with a backslash can hold
-            # one, and a one-character search is cheap.
-            if "\\" in line and _has_surrogate(record.values()):
-                yield row, None, "not valid UTF-8: lone surrogate escape"
-                continue
-            yield row, record, None
+    for row, line in enumerate(read_lines(path, keep_bad_bytes=True), start=1):
+        if not line.strip():
+            continue
+        if not line.isascii() and _SURROGATE_RE.search(line):
+            yield row, None, "not valid UTF-8"
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield row, None, f"invalid JSON: {exc.msg}"
+            continue
+        except (ValueError, RecursionError) as exc:
+            # an integer past Python's digit limit, or nesting past the
+            # recursion limit
+            yield row, None, f"invalid JSON: {exc}"
+            continue
+        if not isinstance(record, dict):
+            yield row, None, "record is not an object"
+            continue
+        # A `\ud800`-style escape decodes to a lone surrogate, which no
+        # output file can encode. Only a line with a backslash can hold
+        # one, and a one-character search is cheap.
+        if "\\" in line and _has_surrogate(record.values()):
+            yield row, None, "not valid UTF-8: lone surrogate escape"
+            continue
+        yield row, record, None
 
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, Mapping[str, Any] | None, str | None]]:
-    # utf-8-sig: a byte-order mark would otherwise prefix the first header.
-    with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = _dict_reader(_CsvRows(path, fh))
-        fields = reader.fieldnames
-        if fields is None:
-            raise DataError(f"unparseable header in {path}: file is empty")
-        missing = {"source", "body", "published_utc"} - set(fields)
-        if missing:
-            raise DataError(f"unparseable header in {path}: missing columns {sorted(missing)}")
-        for record in reader:
-            record.pop(None, None)
-            cleaned = {k: v for k, v in record.items() if v is not None and v != ""}
-            if _has_surrogate(cleaned.values()):
-                yield reader.line_num, None, "not valid UTF-8"
-                continue
-            yield reader.line_num, cleaned, None
+    fields, records = read_csv(path, keep_bad_bytes=True)
+    if fields is None:
+        raise DataError(f"unparseable header in {path}: file is empty")
+    missing = {"source", "body", "published_utc"} - set(fields)
+    if missing:
+        raise DataError(f"unparseable header in {path}: missing columns {sorted(missing)}")
+    for row, record in records:
+        cleaned = {k: v for k, v in record.items() if v != ""}
+        if _has_surrogate(cleaned.values()):
+            yield row, None, "not valid UTF-8"
+            continue
+        yield row, cleaned, None
 
 
 def _has_surrogate(values) -> bool:
@@ -426,44 +419,41 @@ def _accept_rows(
 ) -> tuple[list[Article], list[Reject]]:
     """`ingest_articles`' one pass over the rows: the accepted articles, each
     body appended to `spool`, and the rejects."""
-    try:
-        rows = _iter_jsonl(path) if format == "jsonl" else _iter_csv(path)
-        accepted: list[Article] = []
-        rejects: list[Reject] = []
-        seen_keys: set[tuple[str, str]] = set()
-        seen_ids: set[str] = set()
-        sources: dict[str, str] = {}
-        for row, record, error in rows:
-            if error is not None:
-                rejects.append(Reject(row, error))
-                continue
-            try:
-                article_id, source, title, body, published, shares, reactions = (
-                    _article_fields(record, sources)
-                )
-            except ValueError as exc:
-                rejects.append(Reject(row, str(exc)))
-                continue
-            key = (source, article_id)
-            if key in seen_keys:
-                rejects.append(Reject(row, f"duplicate id {article_id!r} within source"))
-                continue
+    rows = _iter_jsonl(path) if format == "jsonl" else _iter_csv(path)
+    accepted: list[Article] = []
+    rejects: list[Reject] = []
+    seen_keys: set[tuple[str, str]] = set()
+    seen_ids: set[str] = set()
+    sources: dict[str, str] = {}
+    for row, record, error in rows:
+        if error is not None:
+            rejects.append(Reject(row, error))
+            continue
+        try:
+            article_id, source, title, body, published, shares, reactions = (
+                _article_fields(record, sources)
+            )
+        except ValueError as exc:
+            rejects.append(Reject(row, str(exc)))
+            continue
+        key = (source, article_id)
+        if key in seen_keys:
+            rejects.append(Reject(row, f"duplicate id {article_id!r} within source"))
+            continue
+        if article_id in seen_ids:
+            article_id = f"{article_id}@{source}"
             if article_id in seen_ids:
-                article_id = f"{article_id}@{source}"
-                if article_id in seen_ids:
-                    rejects.append(Reject(row, f"id {article_id!r} already taken"))
-                    continue
-            # pairs.csv holds each id, and graph and headlines read it back.
-            if len(article_id) > csv.field_size_limit():
-                rejects.append(Reject(row, "id longer than the CSV field limit"))
+                rejects.append(Reject(row, f"id {article_id!r} already taken"))
                 continue
-            seen_keys.add(key)
-            seen_ids.add(article_id)
-            span = spool.append(body)
-            # Positional: a frozen dataclass is built faster so.
-            accepted.append(Article(article_id, source, title, published, shares, reactions, span))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        # pairs.csv holds each id, and graph and headlines read it back.
+        if len(article_id) > csv.field_size_limit():
+            rejects.append(Reject(row, "id longer than the CSV field limit"))
+            continue
+        seen_keys.add(key)
+        seen_ids.add(article_id)
+        span = spool.append(body)
+        # Positional: a frozen dataclass is built faster so.
+        accepted.append(Article(article_id, source, title, published, shares, reactions, span))
     return accepted, rejects
 
 
@@ -520,15 +510,14 @@ def load_labels(path: str | Path) -> dict[str, dict[str, str]]:
     canonical source name."""
     labels: dict[str, dict[str, str]] = {}
     first_row: dict[str, int] = {}
-    reader = read_csv(path)
-    if reader.fieldnames is None or set(LABELS_HEADER) - set(reader.fieldnames):
+    header, records = read_csv(path)
+    if header is None or set(LABELS_HEADER) - set(header):
         raise DataError(f"labels file {path} must have header {','.join(LABELS_HEADER)}")
-    for record in reader:
-        row = reader.line_num
+    for row, record in records:
         source = canonical_source(record.get("source") or "")
         if not source:
             raise DataError(f"labels row {row}: empty source")
-        rec = {column: record[column] for column in LABEL_VALUES}
+        rec = {column: record.get(column) for column in LABEL_VALUES}
         for column, (values, _) in LABEL_VALUES.items():
             if rec[column] not in values:
                 raise DataError(f"labels row {row}: {rec[column]!r} is not a valid {column}")
@@ -548,8 +537,7 @@ def load_lexicon(path: str | Path, name: str) -> frozenset[str]:
     """The lowercased terms of a one-term-per-line lexicon; `#` lines are
     comments. `name` only labels the error for an empty file."""
     words = set()
-    # Lines end at \n, \r or \r\n, as in a file opened in text mode.
-    for line in io.StringIO(read_text(path), newline=None):
+    for line in read_lines(path):
         term = line.strip()
         if not term or term.startswith("#"):
             continue
@@ -559,63 +547,63 @@ def load_lexicon(path: str | Path, name: str) -> frozenset[str]:
     return frozenset(words)
 
 
-def read_text(path: str | Path) -> str:
-    """The whole file as text: UTF-8, with or without a byte-order mark.
+def read_lines(
+    path: str | Path, newline: str | None = None, keep_bad_bytes: bool = False
+) -> Iterator[str]:
+    """The lines of a text file, each read as it is needed: UTF-8, with or
+    without a byte-order mark, split and ended as `open` with `newline`
+    splits and ends them. By default a line ends at `\\n`, `\\r` or
+    `\\r\\n`, and reads as ending in `\\n`.
 
-    An unreadable file, or a byte that is not UTF-8, is a DataError naming
-    the file (and the line).
+    An unreadable file is a DataError, and so is a line that is not UTF-8,
+    naming the file and the line; with `keep_bad_bytes`, each byte that is
+    not UTF-8 reads as a lone surrogate instead, which UTF-8 never decodes
+    to. The file is closed when its lines run out, when one is bad, or when
+    the iterator is closed or dropped.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not (keep_bad_bytes or line.isascii()):
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataError(
+                            f"{path} line {lineno}: not valid UTF-8 ({exc.reason})"
+                        ) from None
+                yield line
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
 
 
-class _CsvRows:
-    """A csv.reader over lines split as a file opened with newline="" splits
-    them, whose parse errors are DataErrors naming the file and the line,
-    such as a field over the parser's size limit."""
-
-    def __init__(self, path: str | Path, lines: Iterable[str]):
-        self._path = path
-        self._reader = csv.reader(lines)
-
-    @property
-    def line_num(self) -> int:
-        return self._reader.line_num
-
-    def __iter__(self) -> "_CsvRows":
-        return self
-
-    def __next__(self) -> list[str]:
+def read_csv_rows(
+    path: str | Path, keep_bad_bytes: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """Each row of a CSV file, a blank line as an empty row, with the number
+    of its last line; lines are split as `open` with newline="" splits them,
+    so a quoted field may hold a line end. A row the parser cannot read,
+    such as one with a field over its size limit, is a DataError naming the
+    file and the line. `keep_bad_bytes` is `read_lines`'."""
+    lines = read_lines(path, "", keep_bad_bytes)
+    reader = csv.reader(lines)
+    with closing(lines):
         try:
-            return next(self._reader)
+            for fields in reader:
+                yield reader.line_num, fields
         except csv.Error as exc:
-            raise DataError(
-                f"{self._path} line {self._reader.line_num}: malformed CSV: {exc}"
-            ) from None
+            raise DataError(f"{path} line {reader.line_num}: malformed CSV: {exc}") from None
 
 
-def _dict_reader(rows: _CsvRows) -> csv.DictReader:
-    reader = csv.DictReader(())
-    reader.reader = rows
-    return reader
-
-
-def read_csv_rows(path: str | Path) -> _CsvRows:
-    """The rows of `read_text(path)`, split as a file opened with newline=""
-    is, so quoted newlines and `line_num` are a file's."""
-    return _CsvRows(path, io.StringIO(read_text(path), newline=""))
-
-
-def read_csv(path: str | Path) -> csv.DictReader:
-    """A DictReader over `read_csv_rows(path)`."""
-    return _dict_reader(read_csv_rows(path))
+def read_csv(
+    path: str | Path, keep_bad_bytes: bool = False
+) -> tuple[list[str] | None, Iterator[tuple[int, dict[str, str]]]]:
+    """The header of a CSV file, its first row even when blank (None when
+    the file is empty), and each later row that is not blank as its line
+    number and a record of the header's names: a short row lacks the names
+    past its end, and a long row's extra fields are dropped."""
+    rows = read_csv_rows(path, keep_bad_bytes)
+    header = next(rows, (0, None))[1]
+    return header, ((row, dict(zip(header, fields))) for row, fields in rows if fields)
 
 
 def file_sha256(path: str | Path) -> str:
@@ -759,12 +747,14 @@ def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> Non
 
 def read_matched_articles(path: str | Path) -> dict[str, Article]:
     """The articles `write_matched_articles` wrote, by id, with no body
-    span; the articles of one source share one string. A line that is not
-    such a record, or a second record of one id, is a DataError naming it."""
+    span; the articles of one source share one string. Lines end at `\\n`
+    only, as written. A line that is not such a record, or a second record
+    of one id, is a DataError naming it."""
     articles: dict[str, Article] = {}
     line_of: dict[str, int] = {}
     sources: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path, "\n"), start=1):
+        line = line.rstrip("\n")
         if not line:
             continue
         try:
@@ -861,12 +851,11 @@ def read_pairs_csv(
     pairs = []
     row_of: dict[tuple[str, str], int] = {}
     rows = read_csv_rows(path)
-    if next(rows, None) != PAIRS_HEADER:
+    if next(rows, (0, None))[1] != PAIRS_HEADER:
         raise DataError(f"{path} does not look like a matched-pairs CSV")
-    for fields in rows:
+    for row, fields in rows:
         if not fields:  # a blank line, which read_csv skips too
             continue
-        row = rows.line_num
         if len(fields) != len(PAIRS_HEADER):
             raise DataError(f"{path} row {row}: field count is not the header's; re-run detect")
         window_index, earlier_source, earlier_id, later_source, later_id, score, direction = fields

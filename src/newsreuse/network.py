@@ -584,7 +584,7 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
     ]
     lines.append("  </graph>")
     lines.append("</graphml>")
-    write_lines(path, ["\n".join(lines)])  # the whole text, written at once
+    write_lines(path, lines)
 
 
 _PALETTE = [
@@ -622,4 +622,4 @@ def export_dot(graph: RepublishGraph, path: str | Path) -> None:
             attrs = style[w] = f'[weight={w}, penwidth={penwidth:.3f}, label="{w}"];'
         lines.append(f"  {quoted[frm]} -> {quoted[to]} {attrs}")
     lines.append("}")
-    write_lines(path, ["\n".join(lines)])  # the whole text, written at once
+    write_lines(path, lines)

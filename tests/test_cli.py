@@ -981,6 +981,8 @@ def upstream(tmp_path_factory):
         ("headlines", lambda out: _edit_csv_cell(out / "pairs.csv", "later_id", "x" * 200_000),
          "pairs.csv line 2: malformed CSV"),
         ("graph", _oversized_labels, "labels.csv line 2: malformed CSV"),
+        ("graph", lambda out: _edit_csv_rows(out / "pairs.csv", lambda rows: rows.insert(0, [])),
+         "does not look like a matched-pairs CSV"),
         *[
             (stage, lambda out, edit=edit: edit(out / "pairs.csv"), "pairs.csv row 2")
             for edit in (_swapped_pair, _relabelled_pair)
@@ -1014,6 +1016,7 @@ def upstream(tmp_path_factory):
          "stray-window", "self-pair", "sources-disagree",
          "metrics-weighted-in", "windows-header", "windows-short-row", "oversized-field",
          "graph-oversized-pairs", "headlines-oversized-pairs", "graph-oversized-labels",
+         "blank-first-row-pairs",
          "graph-swapped-pair", "headlines-swapped-pair",
          "graph-relabelled-pair", "headlines-relabelled-pair",
          "graph-truncated-pair", "headlines-truncated-pair",
@@ -1309,6 +1312,10 @@ def _bad_byte_on_line_2(path):
     path.write_bytes(first + b"\n\xff" + rest)
 
 
+def _crlf(path):
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
 @pytest.mark.parametrize(
     "name, flag, damage, stage, code, message",
     [
@@ -1323,17 +1330,27 @@ def _bad_byte_on_line_2(path):
          "labels.csv line 2: not valid UTF-8"),
         ("pairs.csv", None, _bad_byte_on_line_2, "graph", EXIT_DATA,
          "pairs.csv line 2: not valid UTF-8"),
+        ("matched_articles.jsonl", None, _bad_byte_on_line_2, "headlines", EXIT_DATA,
+         "matched_articles.jsonl line 2: not valid UTF-8"),
+        ("metrics.csv", None, _bad_byte_on_line_2, "report", EXIT_DATA,
+         "metrics.csv line 2: not valid UTF-8"),
         ("fixture.cfg", "--config", _bad_byte_on_line_2, "detect", EXIT_USAGE,
          "fixture.cfg line 2: not valid UTF-8"),
+        ("labels.csv", "--labels", _crlf, "graph", EXIT_OK, None),
+        ("pairs.csv", None, _crlf, "graph", EXIT_OK, None),
+        ("matched_articles.jsonl", None, _crlf, "headlines", EXIT_OK, None),
+        ("fixture.cfg", "--config", _crlf, "detect", EXIT_OK, None),
     ],
     ids=["bom-lexicon", "bom-labels", "bom-config", "bad-byte-lexicon", "bad-byte-stopwords",
-         "bad-byte-labels", "bad-byte-pairs", "bad-byte-config"],
+         "bad-byte-labels", "bad-byte-pairs", "bad-byte-matched", "bad-byte-report-table",
+         "bad-byte-config", "crlf-labels", "crlf-pairs", "crlf-matched", "crlf-config"],
 )
 def test_side_file_encoding(
     upstream, tmp_path, capsys, caplog, name, flag, damage, stage, code, message
 ):
-    """Side files and pairs.csv may carry a byte-order mark; an undecodable
-    byte is a data error (a usage error in the config file) naming the line."""
+    """Side files and the tables one stage hands the next may carry a
+    byte-order mark and CRLF line ends; an undecodable byte is a data error
+    (a usage error in the config file) naming the line."""
     config, clean = upstream
     out = tmp_path / "out"
     shutil.copytree(clean, out)
@@ -1596,6 +1613,27 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("no_such_key=1\n", encoding="utf-8")
     with pytest.raises(UsageError):
         load_config_file(bad)
+
+
+@pytest.mark.parametrize(
+    "char", ["\u2028", "\x85", "\x0c", "\x1c", "\x1e"],
+    ids=["line-separator", "next-line", "form-feed", "file-separator", "record-separator"],
+)
+def test_config_lines_end_only_at_newlines(tmp_path, char):
+    """A config line ends at \\n, \\r or \\r\\n only, so a path may hold
+    any other character that `str.splitlines` splits at."""
+    articles = tmp_path / f"a{char}b.jsonl"
+    write_jsonl(
+        articles,
+        [{"id": source, "source": source, "body": "one shared body", "published_utc": BASE_TS}
+         for source in ("ap", "echo")],
+    )
+    config = tmp_path / "run.cfg"
+    config.write_bytes(f"articles={articles}\r\nwindow_days=7\r".encode("utf-8"))
+    assert load_config_file(config) == {"articles": str(articles), "window_days": 7}
+    out = tmp_path / "out"
+    assert _run("detect", "--config", str(config), "--out", str(out)) == EXIT_OK
+    assert "articles=2\n" in (out / "detect_summary.txt").read_text(encoding="utf-8")
 
 
 def test_flags_override_config_file(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from newsreuse import corpus
 from newsreuse.corpus import (
     _MATCHED_FIELDS,
     _MAX_TS,
@@ -14,6 +15,7 @@ from newsreuse.corpus import (
     LABEL_VALUES,
     MAX_COUNT,
     Article,
+    Reject,
     canonical_source,
     ingest_articles,
     load_labels,
@@ -145,23 +147,32 @@ def test_ingest_unreadable_file():
 
 def test_ingest_csv(tmp_path):
     path = tmp_path / "articles.csv"
-    path.write_text(
-        "id,source,title,body,published_utc,fb_shares\n"
-        "a1,AP ,T1,body text,2017-04-07T00:00:00Z,10\n"
-        "a2,pbs,T2,body text,1491523200,\n",
-        encoding="utf-8",
+    path.write_bytes(
+        b"id,source,title,body,published_utc,fb_shares\r\n"
+        b"a1,AP ,T1,body text,2017-04-07T00:00:00Z,10\n"
+        b"a2,pbs,T2,body text,1491523200,\r\n"
+        b"\r\n"
+        b"a3,cnn,T3,body text,1491523200,,extra field\n"
+        b"a4,cnn,T4,body text\r\n"
     )
     collection = ingest_articles(path, format="csv")
-    assert len(collection) == 2
+    assert [a.id for a in collection] == ["a1", "a2", "a3"]
     assert collection.articles[0].source == "ap"
     assert collection.articles[0].fb_shares == 10
     assert collection.articles[1].fb_shares is None
+    # A long row's extra field is dropped, and a short row lacks the columns
+    # past its end; the blank line is skipped but counted.
+    assert collection.rejects == (Reject(6, "missing published_utc"),)
 
 
 def test_ingest_csv_bad_header(tmp_path):
     path = tmp_path / "articles.csv"
     path.write_text("id,title\nx,y\n", encoding="utf-8")
     with pytest.raises(DataError, match="unparseable header"):
+        ingest_articles(path, format="csv")
+    # The header is the first row, even a blank one.
+    path.write_text("\nid,source,body,published_utc\nx,ap,b,1491523200\n", encoding="utf-8")
+    with pytest.raises(DataError, match="unparseable header in .*: missing columns"):
         ingest_articles(path, format="csv")
 
 
@@ -278,11 +289,10 @@ def test_partition_rejects_bad_window_days(tmp_path):
 
 def test_load_labels(tmp_path):
     path = tmp_path / "labels.csv"
-    path.write_text(
-        "source,audience,reliability,leaning\n"
-        "infowars,alternative,has_published_fake,right\n"
-        "AP,mainstream,not_or_unknown,neutral_or_unknown\n",
-        encoding="utf-8",
+    path.write_bytes(
+        b"source,audience,reliability,leaning\r\n"
+        b"infowars,alternative,has_published_fake,right,an extra field\n"
+        b"AP,mainstream,not_or_unknown,neutral_or_unknown\r\n"
     )
     assert load_labels(path) == {
         "infowars": {
@@ -322,6 +332,55 @@ def test_load_labels_bad_enum(tmp_path):
     )
     with pytest.raises(DataError, match="row 2: 'blog' is not a valid audience"):
         load_labels(path)
+    # A short row lacks the columns past its end.
+    path.write_text(
+        "source,audience,reliability,leaning\n\nap,mainstream,satire\n", encoding="utf-8"
+    )
+    with pytest.raises(DataError, match="row 3: None is not a valid leaning"):
+        load_labels(path)
+
+
+@pytest.mark.parametrize("text", ["", "\nsource,audience,reliability,leaning\n"],
+                         ids=["empty", "blank-first-row"])
+def test_labels_header_is_the_first_row(tmp_path, text):
+    path = tmp_path / "labels.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match="must have header"):
+        load_labels(path)
+
+
+_LABELS = "source,audience,reliability,leaning\n"
+_LABEL_ROW = "ap,mainstream,not_or_unknown,left\n"
+
+
+@pytest.mark.parametrize(
+    "data, read, message",
+    [
+        (b"a\n\xff\nc\n", lambda path: list(corpus.read_lines(path)),
+         "line 2: not valid UTF-8"),
+        ((_LABELS + "x" * 200_000 + "\n" + _LABEL_ROW).encode(), load_labels,
+         "line 2: malformed CSV"),
+        ((_LABELS + "ap,blog,not_or_unknown,left\n" + _LABEL_ROW).encode(), load_labels,
+         "row 2: 'blog' is not a valid audience"),
+        (b"id,title\nx,y\n", lambda path: ingest_articles(path, format="csv"),
+         "missing columns"),
+    ],
+    ids=["bad-byte", "malformed-csv", "bad-label", "bad-corpus-header"],
+)
+def test_reader_abandoned_on_an_error_closes_its_file(tmp_path, monkeypatch, data, read,
+                                                     message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(corpus, "open", recording_open, raising=False)
+    with pytest.raises(DataError, match=message):
+        read(path)
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_fixture_labels_load_and_deal_the_table_in_order(tmp_path):

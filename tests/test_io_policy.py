@@ -1,8 +1,10 @@
 """No module but corpus.py opens a file.
 
-Side files, stage hand-off tables and outputs go through corpus.py's
-read_text, read_csv, write_csv and write_lines, so the encoding, the
-byte-order mark, line ends and read errors are decided in one place.
+Every file a stage reads, the corpus, side files and stage hand-off tables,
+is streamed by corpus.py's read_lines, directly or through read_csv_rows and
+read_csv; every output goes through write_csv and write_lines. So the
+encoding, the byte-order mark, line ends and read errors are decided in one
+place.
 """
 
 import ast

@@ -36,6 +36,13 @@ articles and its score are shared with the window and its row pair.
 Ingest keeps each article, and no more: at most 500 bytes an article on a
 generated corpus (its slots, id, title, timestamp, counts and body span),
 beside the spool's one write buffer, and one string per source.
+
+The stages after detect read `pairs.csv` a line at a time: beyond the pairs
+it returns, `read_pairs_csv` holds at most 200 bytes a row, the (earlier id,
+later id) key that finds a repeated row (a 56-byte tuple and its place in a
+table that grows by doubling). A graph export holds its lines, each a `str`
+with its header, and the graph's edge list: at most 3.5 times the bytes of
+the file it writes, with no joined or encoded copy of the text.
 """
 
 import gc
@@ -44,8 +51,18 @@ import random
 import tracemalloc
 from contextlib import closing
 
-from newsreuse import similarity
-from newsreuse.corpus import ingest_articles, read_matched_articles, write_matched_articles
+import pytest
+
+from newsreuse import network, similarity
+from newsreuse.corpus import (
+    Article,
+    ingest_articles,
+    pair_articles,
+    read_matched_articles,
+    read_pairs_csv,
+    write_matched_articles,
+    write_pairs_csv,
+)
 from newsreuse.fixture import FixtureSpec, generate_fixture
 from newsreuse.similarity import fit_tfidf, match_window, tokenize, vectorize
 
@@ -55,6 +72,8 @@ BYTES_PER_TOKEN = 8
 BYTES_PER_ENTRY = 24
 BYTES_PER_KEPT_PAIR = 128
 BYTES_PER_ARTICLE = 500
+BYTES_PER_PAIR_ROW = 200
+EXPORT_BYTES_PER_FILE_BYTE = 3.5
 
 
 def zipf_bodies(rng: random.Random, count: int, words: int) -> list[str]:
@@ -178,3 +197,50 @@ def test_ingest_keeps_a_constant_per_article_and_one_string_per_source(tmp_path)
         read_back = read_matched_articles(handoff).values()
         assert len(read_back) == len(collection)
         assert len({id(a.source) for a in read_back}) == 4
+
+
+def all_pairs(sources: int) -> list:
+    """The pairs of `sources` articles of one story, one per source, a
+    minute apart: every two of them are a pair."""
+    articles = [
+        Article(f"article-{i}", f"source {i:03d}", f"title {i}", BASE_TS + 60 * i)
+        for i in range(sources)
+    ]
+    return [pair_articles(a, b, 1.0, 0) for i, a in enumerate(articles) for b in articles[i + 1:]]
+
+
+def test_reading_pairs_csv_holds_a_constant_per_row_beyond_the_pairs(tmp_path):
+    pairs = all_pairs(120)
+    write_pairs_csv(pairs, tmp_path / "pairs.csv")
+    write_matched_articles(
+        tmp_path / "matched.jsonl", {a for p in pairs for a in (p.earlier, p.later)}
+    )
+    articles = read_matched_articles(tmp_path / "matched.jsonl")
+    del pairs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read = read_pairs_csv(tmp_path / "pairs.csv", articles, 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert len(read) == 120 * 119 // 2
+    budget = BYTES_PER_PAIR_ROW * len(read)
+    assert peak - kept <= budget, f"{peak - kept} bytes beyond the pairs against {budget}"
+
+
+@pytest.mark.parametrize("export", [network.export_graphml, network.export_dot],
+                         ids=["graphml", "dot"])
+def test_graph_export_holds_its_lines_and_no_copy_of_the_text(tmp_path, export):
+    graph = network.build_window_graph(
+        all_pairs(120), include_ambiguous=False, dedupe_origin=False, window_index=0
+    )
+    network.attach_metrics(graph)
+    path = tmp_path / "graph"
+    gc.collect()
+    peak = traced_peak(lambda: export(graph, path))
+
+    budget = EXPORT_BYTES_PER_FILE_BYTE * path.stat().st_size
+    assert peak <= budget, f"{peak} bytes traced against a budget of {budget}"
