@@ -25,13 +25,13 @@ from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import network as network_mod
 from .corpus import (
     CORPUS_FORMATS,
-    FORWARD,
     MatchedPair,
     TimeWindow,
     file_sha256,
@@ -52,7 +52,7 @@ from .corpus import (
 )
 from .errors import DataError
 from .fixture import FixtureSpec, generate_fixture
-from .similarity import WindowMatchResult, match_window
+from .similarity import WindowMatchResult, match_window, matched_articles, window_pairs
 
 log = logging.getLogger("newsreuse")
 
@@ -312,11 +312,10 @@ def cmd_detect(cfg: RunConfig) -> int:
         else:
             results = [match(w) for w in windows]
 
-    pairs = [p for r in results for p in r.pairs]
-    write_pairs_csv(pairs, out / "pairs.csv")
-    write_matched_articles(
-        out / MATCHED_ARTICLES, {a.id: a for p in pairs for a in (p.earlier, p.later)}.values()
-    )
+    # Each pair's row is built as it is written; only the arrays stay.
+    write_pairs_csv(chain.from_iterable(map(window_pairs, windows, results)), out / "pairs.csv")
+    matched = [a for w, r in zip(windows, results) for a in matched_articles(w, r)]
+    write_matched_articles(out / MATCHED_ARTICLES, matched)
 
     write_csv(
         out / "windows.csv",
@@ -338,8 +337,9 @@ def cmd_detect(cfg: RunConfig) -> int:
     )
 
     sources = collection.sources()
-    matched_sources = {p.earlier.source for p in pairs} | {p.later.source for p in pairs}
-    forward = sum(1 for p in pairs if p.direction == FORWARD)
+    matched_sources = {a.source for a in matched}
+    pairs = sum(len(r.pairs) for r in results)
+    ambiguous = sum(int(r.pairs.ambiguous.sum()) for r in results)
     _write_kv(
         out / "detect_summary.txt",
         [
@@ -348,15 +348,15 @@ def cmd_detect(cfg: RunConfig) -> int:
             ("sources", len(sources)),
             ("windows", window_count),
             *record,
-            ("matched_pairs", len(pairs)),
-            ("forward_pairs", forward),
-            ("ambiguous_pairs", len(pairs) - forward),
+            ("matched_pairs", pairs),
+            ("forward_pairs", pairs - ambiguous),
+            ("ambiguous_pairs", ambiguous),
             ("sources_with_match", len(matched_sources)),
         ],
     )
     log.info(
         "detect: %d matched pairs; %d of %d sources participate",
-        len(pairs), len(matched_sources), len(sources),
+        pairs, len(matched_sources), len(sources),
     )
     return EXIT_OK
 
@@ -772,6 +772,24 @@ def cmd_gen_fixture(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    `gc.freeze()` first moves every object the imports left out of the
+    collector's reach, so a stage's first full collection does not scan
+    them. The freeze is process-wide: when nothing was frozen on entry,
+    `main` unfreezes on return, so an in-process caller finds the collector
+    as it left it.
+    """
+    thawed = gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        return _run_command(argv)
+    finally:
+        if thawed:
+            gc.unfreeze()
+
+
+def _run_command(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -805,13 +823,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> int:
-    """The `newsreuse` command: `main` after `gc.freeze()`.
-
-    Freezing moves every object the imports left out of the collector's
-    reach, so a stage's first full collection no longer scans them. It is
-    process-wide, so it stays out of `main`, which tests call in-process.
-    """
-    gc.freeze()
+    """The `newsreuse` command."""
     return main()
 
 

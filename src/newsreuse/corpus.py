@@ -6,9 +6,10 @@ unless more than half the rows are bad, which signals a schema mismatch
 rather than dirty data. Collections are immutable after construction and
 safe to share with worker processes forked from the one that ingested them.
 No article holds its body: ingest writes each distinct body once to its
-collection's `BodySpool`, an unnamed temporary file, and copies share its
-span. The matcher reads each distinct body of a window back once, one at a
-time, so memory does not grow with the corpus's bytes.
+collection's `BodySpool`, an unnamed temporary file, and an article holds
+only its body's index there, which copies share. The matcher reads each
+distinct body of a window back once, one at a time, so memory does not
+grow with the corpus's bytes.
 
 Every file a stage reads, the corpus included, is streamed by `read_lines`:
 UTF-8 with or without a byte-order mark, one line at a time, split at
@@ -36,10 +37,12 @@ import os
 import re
 import tempfile
 import weakref
+from array import array
+from collections import defaultdict
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -115,10 +118,10 @@ def format_timestamp(ts: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Article:
-    """One news item. `published_utc` is epoch seconds. `body_span` is the
-    (offset, length) of its body in its collection's `BodySpool`; an article
-    read back from detect's hand-off has none. Where the body lies is not
-    part of the article, so equality ignores it."""
+    """One news item. `published_utc` is epoch seconds. `body_index` is its
+    body's index in its collection's `BodySpool`; an article read back from
+    detect's hand-off has none. Where the body lies is not part of the
+    article, so equality ignores it."""
 
     id: str
     source: str
@@ -126,7 +129,7 @@ class Article:
     published_utc: int
     fb_shares: int | None = None
     fb_reactions: int | None = None
-    body_span: tuple[int, int] | None = field(default=None, compare=False)
+    body_index: int | None = field(default=None, compare=False)
 
 
 class BodySpool:
@@ -134,12 +137,14 @@ class BodySpool:
     file under `tempfile.gettempdir()`, which the OS removes when the file is
     closed or the process ends.
 
-    `append` returns a body's (offset, length). A body identical to one
-    appended before `flush` gets that body's span and is not written again:
-    bodies are keyed by the hash of their bytes, and a key hit is confirmed
-    by reading the earlier span back and comparing bytes, so two different
-    bodies never share a span. `flush` frees the key table. After it, `read`
-    reads a span back with `os.pread`, which moves no file position, so
+    `append` returns a body's index, and `read` reads the body of an index
+    back. Body i lies between `_ends[i]` and `_ends[i + 1]`, in one int64
+    array, so an index costs no object of its own. A body identical
+    to one appended before `flush` gets that body's index and is not written
+    again: bodies are keyed by the hash of their bytes, and a key hit is
+    confirmed by reading the earlier body back and comparing bytes, so two
+    different bodies never share an index. `flush` frees the key table.
+    After it, `read` reads with `os.pread`, which moves no file position, so
     processes forked after the flush read through the descriptor they
     inherit. The file is closed by `close`, or when the spool is garbage. An
     OSError in making the file, `append` or `flush`, such as a full disk, is
@@ -153,42 +158,43 @@ class BodySpool:
         except OSError as exc:
             raise _spool_error(exc) from exc
         self._fd = self._file.fileno()
-        self._size = 0
-        self._span_of: dict[int, tuple[int, int]] = {}
+        self._ends = array("q", [0])
+        self._index_of: dict[int, int] = {}
         self._finalizer = weakref.finalize(self, _discard, self._file)
 
-    def append(self, body: str) -> tuple[int, int]:
+    def append(self, body: str) -> int:
         # surrogatepass: any str round-trips, as a body held in memory did.
         data = body.encode("utf-8", "surrogatepass")
         key = hash(data)
-        span = self._span_of.get(key)
+        index = self._index_of.get(key)
         try:
-            while span is not None:
-                if span[1] == len(data):
+            while index is not None:
+                start, end = self._ends[index], self._ends[index + 1]
+                if end - start == len(data):
                     # The earlier copy may still be in the write buffer.
                     self._file.flush()
-                    if os.pread(self._fd, len(data), span[0]) == data:
-                        return span
+                    if os.pread(self._fd, len(data), start) == data:
+                        return index
                 # The key is another body's: try the next one.
                 key += 1
-                span = self._span_of.get(key)
+                index = self._index_of.get(key)
             self._file.write(data)
         except OSError as exc:
             raise _spool_error(exc) from exc
-        span = self._span_of[key] = (self._size, len(data))
-        self._size += len(data)
-        return span
+        index = self._index_of[key] = len(self._ends) - 1
+        self._ends.append(self._ends[index] + len(data))
+        return index
 
     def flush(self) -> None:
-        self._span_of = {}
+        self._index_of = {}
         try:
             self._file.flush()
         except OSError as exc:
             raise _spool_error(exc) from exc
 
-    def read(self, span: tuple[int, int]) -> str:
-        offset, length = span
-        return os.pread(self._fd, length, offset).decode("utf-8", "surrogatepass")
+    def read(self, index: int) -> str:
+        start, end = self._ends[index], self._ends[index + 1]
+        return os.pread(self._fd, end - start, start).decode("utf-8", "surrogatepass")
 
     def close(self) -> None:
         self._finalizer()
@@ -422,7 +428,9 @@ def _accept_rows(
     rows = _iter_jsonl(path) if format == "jsonl" else _iter_csv(path)
     accepted: list[Article] = []
     rejects: list[Reject] = []
-    seen_keys: set[tuple[str, str]] = set()
+    # The original ids of each source's accepted articles, and every
+    # accepted id, suffixed or not.
+    ids_of: defaultdict[str, set[str]] = defaultdict(set)
     seen_ids: set[str] = set()
     sources: dict[str, str] = {}
     for row, record, error in rows:
@@ -436,10 +444,11 @@ def _accept_rows(
         except ValueError as exc:
             rejects.append(Reject(row, str(exc)))
             continue
-        key = (source, article_id)
-        if key in seen_keys:
+        own_ids = ids_of[source]
+        if article_id in own_ids:
             rejects.append(Reject(row, f"duplicate id {article_id!r} within source"))
             continue
+        original_id = article_id
         if article_id in seen_ids:
             article_id = f"{article_id}@{source}"
             if article_id in seen_ids:
@@ -449,11 +458,11 @@ def _accept_rows(
         if len(article_id) > csv.field_size_limit():
             rejects.append(Reject(row, "id longer than the CSV field limit"))
             continue
-        seen_keys.add(key)
+        own_ids.add(original_id)
         seen_ids.add(article_id)
-        span = spool.append(body)
+        index = spool.append(body)
         # Positional: a frozen dataclass is built faster so.
-        accepted.append(Article(article_id, source, title, published, shares, reactions, span))
+        accepted.append(Article(article_id, source, title, published, shares, reactions, index))
     return accepted, rejects
 
 
@@ -747,7 +756,7 @@ def write_matched_articles(path: str | Path, articles: Iterable[Article]) -> Non
 
 def read_matched_articles(path: str | Path) -> dict[str, Article]:
     """The articles `write_matched_articles` wrote, by id, with no body
-    span; the articles of one source share one string. Lines end at `\\n`
+    index; the articles of one source share one string. Lines end at `\\n`
     only, as written. A line that is not such a record, or a second record
     of one id, is a DataError naming it."""
     articles: dict[str, Article] = {}
@@ -847,9 +856,15 @@ def read_pairs_csv(
     Each row is paired again by `pair_articles`; a row whose order or
     direction differs from that pairing, whose field count differs from the
     header's, whose window is not below `window_count`, or that repeats an
-    earlier row's two ids, is a DataError."""
+    earlier row's two ids, is a DataError.
+
+    A repeat is found by one int per row, made from the two articles'
+    places in `articles_by_id`; the row it repeats is looked up only then,
+    by reading the file again."""
     pairs = []
-    row_of: dict[tuple[str, str], int] = {}
+    place = {article_id: k for k, article_id in enumerate(articles_by_id)}
+    # A dict, not a set: a set of this size takes twice the table.
+    seen: dict[int, None] = {}
     rows = read_csv_rows(path)
     if next(rows, (0, None))[1] != PAIRS_HEADER:
         raise DataError(f"{path} does not look like a matched-pairs CSV")
@@ -885,11 +900,15 @@ def read_pairs_csv(
                 f"{path} row {row}: order or direction disagrees with the articles' "
                 f"timestamps; re-run detect"
             )
-        ids = (earlier.id, later.id)
-        if ids in row_of:
-            raise DataError(
-                f"{path} row {row}: repeats the pair of row {row_of[ids]}; re-run detect"
+        key = place[earlier_id] * len(place) + place[later_id]
+        if key in seen:
+            rows.close()
+            # The first row after the header with the same earlier and later ids.
+            first = next(
+                r for r, f in islice(read_csv_rows(path), 1, None)
+                if f[2:5:2] == [earlier_id, later_id]
             )
-        row_of[ids] = row
+            raise DataError(f"{path} row {row}: repeats the pair of row {first}; re-run detect")
+        seen[key] = None
         pairs.append(pair)
     return pairs

@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
     FORWARD,
@@ -531,8 +531,13 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
 
     Output is byte-deterministic: nodes, edges, and keys are sorted and
     null attributes are omitted. A float is written as its repr; any other
-    value is escaped, and each node name is quoted once per graph.
+    value is escaped, and each node name is quoted once per graph. Each
+    line is written as it is made, so only the edge list is held whole.
     """
+    write_lines(path, _graphml_lines(graph))
+
+
+def _graphml_lines(graph: RepublishGraph) -> Iterator[str]:
     nodes = graph.nodes()
     node_attrs = [graph.node_attrs(node) for node in nodes]
     attr_values: dict[str, list] = defaultdict(list)
@@ -541,26 +546,26 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
             if value is not None:
                 attr_values[name].append(value)
     names = sorted(attr_values)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield (
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"'
         ' xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
         ' xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns'
-        ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">',
-    ]
+        ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">'
+    )
     for name in names:
         kind = _graphml_type(attr_values[name])
-        lines.append(
+        yield (
             f'  <key id="n_{name}" for="node" attr.name="{_escape(name)}"'
             f' attr.type="{kind}"/>'
         )
-    lines.append('  <key id="e_weight" for="edge" attr.name="weight" attr.type="long"/>')
+    yield '  <key id="e_weight" for="edge" attr.name="weight" attr.type="long"/>'
     graph_id = (
         graph.window_index
         if isinstance(graph.window_index, str)
         else f"window_{graph.window_index}"
     )
-    lines.append(f'  <graph id={_quoteattr(str(graph_id))} edgedefault="directed">')
+    yield f'  <graph id={_quoteattr(str(graph_id))} edgedefault="directed">'
     quoted = {node: _quoteattr(node) for node in nodes}
     tags = [(name, f'      <data key="n_{name}">') for name in names]
     for node, attrs in zip(nodes, node_attrs):
@@ -572,19 +577,18 @@ def export_graphml(graph: RepublishGraph, path: str | Path) -> None:
             text = repr(value) if isinstance(value, float) else _escape(str(value))
             data.append(f"{tag}{text}</data>")
         if data:
-            lines.append(f"    <node id={quoted[node]}>")
-            lines += data
-            lines.append("    </node>")
+            yield f"    <node id={quoted[node]}>"
+            yield from data
+            yield "    </node>"
         else:
-            lines.append(f"    <node id={quoted[node]}/>")
-    lines += [
-        f"    <edge source={quoted[frm]} target={quoted[to]}>"
-        f'<data key="e_weight">{w}</data></edge>'
-        for frm, to, w in graph.edges()
-    ]
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    write_lines(path, lines)
+            yield f"    <node id={quoted[node]}/>"
+    for frm, to, w in graph.edges():
+        yield (
+            f"    <edge source={quoted[frm]} target={quoted[to]}>"
+            f'<data key="e_weight">{w}</data></edge>'
+        )
+    yield "  </graph>"
+    yield "</graphml>"
 
 
 _PALETTE = [
@@ -601,7 +605,12 @@ def _dot_quote(text: str) -> str:
 
 def export_dot(graph: RepublishGraph, path: str | Path) -> None:
     """Write a Graphviz digraph, penwidth scaled by edge weight and node
-    fill color bucketed by community."""
+    fill color bucketed by community. Each line is written as it is made,
+    so only the edge list is held whole."""
+    write_lines(path, _dot_lines(graph))
+
+
+def _dot_lines(graph: RepublishGraph) -> Iterator[str]:
     nodes = graph.nodes()
     communities = [graph.node_attrs(v).get("community") for v in nodes]
     values = sorted({value for value in communities if value is not None}, key=str)
@@ -609,17 +618,15 @@ def export_dot(graph: RepublishGraph, path: str | Path) -> None:
     edges = graph.edges()
     max_weight = max((w for _, _, w in edges), default=1)
     quoted = {node: _dot_quote(node) for node in nodes}
-    lines = ["digraph republishing {", "  node [shape=ellipse, style=filled];"]
-    lines += [
-        f'  {quoted[node]} [fillcolor="{color_of.get(value, "#ffffff")}"];'
-        for node, value in zip(nodes, communities)
-    ]
+    yield "digraph republishing {"
+    yield "  node [shape=ellipse, style=filled];"
+    for node, value in zip(nodes, communities):
+        yield f'  {quoted[node]} [fillcolor="{color_of.get(value, "#ffffff")}"];'
     style: dict[int, str] = {}  # an edge's bracketed attributes, by weight
     for frm, to, w in edges:
         attrs = style.get(w)
         if attrs is None:
             penwidth = max(0.5, 6.0 * w / max_weight)
             attrs = style[w] = f'[weight={w}, penwidth={penwidth:.3f}, label="{w}"];'
-        lines.append(f"  {quoted[frm]} -> {quoted[to]} {attrs}")
-    lines.append("}")
-    write_lines(path, lines)
+        yield f"  {quoted[frm]} -> {quoted[to]} {attrs}"
+    yield "}"

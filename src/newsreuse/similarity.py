@@ -2,8 +2,8 @@
 
 The matcher finds every cross-source article pair whose body cosine
 similarity exceeds a threshold. Articles that carry one body byte for byte
-share one span of the corpus's body spool, which ingest keys, and so one
-row: `match_window` reads each distinct span of a window once, and fits,
+share one index in the corpus's body spool, which ingest keys, and so one
+row: `match_window` reads each distinct body of a window once, and fits,
 vectorizes and joins one row per distinct body, each counted in the idf
 once per copy. Fitting tokenizes, looks up and counts in one call,
 `fit_tfidf`: the distinct bodies are read back from the spool and
@@ -27,8 +27,10 @@ columns are cut is chosen per window by an estimate of the filter's cost;
 where no cut pays for its fixed cost the cut is empty, and the filter is
 the plain product less a rounding margin. `_norm_bound_join` says why no
 pair is lost, whatever the cut. Every kept score is `cosine`'s, one row
-sum in ascending term order, `_row_sums`. Output ordering and scores are
-deterministic.
+sum in ascending term order, `_row_sums`. A window's kept pairs are
+returned as arrays, `KeptPairs`, 17 bytes a pair, and `window_pairs`
+builds each pair's `MatchedPair` as it is taken. Output ordering and
+scores are deterministic.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, count, product
-from operator import attrgetter
+from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import MatchedPair, TimeWindow, pair_articles
+from .corpus import AMBIGUOUS, FORWARD, Article, MatchedPair, TimeWindow
 
 # Product entries per tile of the exact join; bounds its working memory.
 _TILE_ENTRIES = 1 << 16
@@ -226,12 +227,19 @@ def cosine(
 
     Rows are unit vectors, so this is their dot product, summed over shared
     terms in ascending term order. The result is bit-for-bit symmetric in
-    its two row arguments.
+    its two row arguments. The pairs are scored `_TILE_ENTRIES ** 0.5` at a
+    time, so the rows gathered at once are as many as a tile's two
+    operands, however many pairs are given; each score is its own row sum,
+    so the batching changes no bit.
     """
     a = np.asarray(rows_a, dtype=np.intp)
     b = np.asarray(rows_b, dtype=np.intp)
-    products = matrix[a].multiply(matrix[b])
-    return _row_sums(products, products.data)
+    side = max(1, math.isqrt(_TILE_ENTRIES))
+    scores = np.empty(len(a))
+    for lo in range(0, len(a), side):
+        products = matrix[a[lo : lo + side]].multiply(matrix[b[lo : lo + side]])
+        scores[lo : lo + side] = _row_sums(products, products.data)
+    return scores
 
 
 def _threshold_join(
@@ -372,9 +380,8 @@ def _norm_bound_join(
       them, so joining heavy rows apart keeps one such body from capping its
       whole window's cut.
     - Re-score. Each tile's candidates are scored by `cosine` as the tile
-      comes, and kept when that score is > threshold: as many pairs at a
-      time as a tile has rows, at most `_TILE_ENTRIES ** 0.5`, so it
-      gathers as many rows as a tile's two operands, however many pass.
+      comes, and kept when that score is > threshold; `cosine` gathers as
+      many rows at a time as a tile's two operands, however many pass.
 
     Margin. Every weight is >= 0, so each computed sum, in any order, is
     within a relative gamma_m = m u / (1 - m u) of its exact value, with
@@ -384,11 +391,15 @@ def _norm_bound_join(
     f (sum of squares, then sqrt), and one rounding each for f_i f_j and for
     the sum, so it is at least d (1 - gamma_{2k+4}) > t - gamma_{3k+4}, as
     t < 1. The margin gamma_{3k+8} also covers the roundings of t - margin
-    and of the per-tile cut. So no pair with s > t fails the filter, and the
-    pairs kept are exactly those that `cosine` scores above t, whatever the
-    cut. Rows need not have unit norm for this.
+    and of `_tiles`' first cut. That cut passes an entry of later row r when
+    it exceeds floor - f_r f_top, with f_top the largest f of the tile's
+    earlier rows. As f_i <= f_top, this is below floor - f_r f_i, so in
+    exact arithmetic every entry the filter keeps passes it; computed, the
+    product and the difference round once each, within the margin's spare
+    terms. So no pair with s > t fails the filter, and the pairs kept are
+    exactly those that `cosine` scores above t, whatever the cut. Rows need
+    not have unit norm for this.
     """
-    side = max(1, min(math.isqrt(_TILE_ENTRIES), matrix.shape[0]))
     terms = 3 * int(np.diff(matrix.indptr).max(initial=0)) + 8
     unit_roundoff = np.finfo(np.float64).eps / 2
     floor = threshold - terms * unit_roundoff / (1 - terms * unit_roundoff)
@@ -413,11 +424,9 @@ def _norm_bound_join(
     for earlier, later in _tiles(rest, norms, floor):
         keep = ~(is_heavy[earlier] & is_heavy[later])
         earlier, later = earlier[keep], later[keep]
-        for lo in range(0, len(earlier), side):
-            rows_e, rows_l = earlier[lo : lo + side], later[lo : lo + side]
-            scores = cosine(matrix, rows_e, rows_l)
-            kept = scores > threshold
-            out.extend(zip(rows_e[kept].tolist(), rows_l[kept].tolist(), scores[kept].tolist()))
+        scores = cosine(matrix, earlier, later)
+        kept = scores > threshold
+        out.extend(zip(earlier[kept].tolist(), later[kept].tolist(), scores[kept].tolist()))
     return out
 
 
@@ -431,8 +440,9 @@ def _tiles(
     The strict lower triangle is computed with scipy.sparse in square tiles
     of about `_TILE_ENTRIES` entries, so memory does not grow with the
     window; each block of earlier rows is transposed once. A first cut per
-    tile, with the largest norm of its rows on each side in place of
-    norms[earlier] norms[later], leaves few entries to check.
+    later row r, with norms[r] times the largest norm of the tile's earlier
+    rows in place of norms[earlier] norms[later], leaves few entries to
+    check, even where the largest norm of the later rows is near 1.
     """
     n = rows.shape[0]
     side = max(1, math.isqrt(_TILE_ENTRIES))
@@ -440,9 +450,9 @@ def _tiles(
         block = rows[earlier_lo : earlier_lo + side].T.tocsr()
         earlier_top = norms[earlier_lo : earlier_lo + side].max()
         for later_lo in range(earlier_lo, n, side):
-            cut = floor - norms[later_lo : later_lo + side].max() * earlier_top
             tile = rows[later_lo : later_lo + side] @ block
-            hits = np.flatnonzero(tile.data > cut)
+            cut = floor - norms[later_lo : later_lo + side] * earlier_top
+            hits = np.flatnonzero(tile.data > np.repeat(cut, np.diff(tile.indptr)))
             later = later_lo + np.searchsorted(tile.indptr, hits, side="right") - 1
             earlier = earlier_lo + tile.indices[hits]
             keep = (earlier < later) & (tile.data[hits] + norms[earlier] * norms[later] > floor)
@@ -450,9 +460,55 @@ def _tiles(
 
 
 @dataclass(frozen=True)
+class KeptPairs:
+    """A window's kept pairs as arrays, pair k being articles `earlier[k]`
+    and `later[k]` of the window's `articles` (int32 positions), ordered as
+    `pair_articles` orders them, with score `similarity[k]`, and
+    `ambiguous[k]` when both carry one timestamp. `window_pairs` builds
+    each pair's `MatchedPair`."""
+
+    earlier: np.ndarray
+    later: np.ndarray
+    similarity: np.ndarray
+    ambiguous: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.similarity)
+
+
+@dataclass(frozen=True)
 class WindowMatchResult:
     eligible_count: int
-    pairs: tuple[MatchedPair, ...]
+    pairs: KeptPairs
+
+
+def window_pairs(window: TimeWindow, result: WindowMatchResult) -> Iterator[MatchedPair]:
+    """`window`'s kept pairs in `result` as `MatchedPair`s, in the result's
+    order, each built as it is taken, from arrays read a re-score batch at a
+    time."""
+    articles, kept = window.articles, result.pairs
+    side = math.isqrt(_TILE_ENTRIES)
+    for lo in range(0, len(kept), side):
+        rows = slice(lo, lo + side)
+        for earlier, later, similarity, ambiguous in zip(
+            kept.earlier[rows].tolist(),
+            kept.later[rows].tolist(),
+            kept.similarity[rows].tolist(),
+            kept.ambiguous[rows].tolist(),
+        ):
+            yield MatchedPair(
+                articles[earlier], articles[later], similarity, window.index,
+                AMBIGUOUS if ambiguous else FORWARD,
+            )
+
+
+def matched_articles(window: TimeWindow, result: WindowMatchResult) -> list[Article]:
+    """The articles of `window` in some kept pair of `result`, in window
+    order."""
+    held = np.zeros(len(window.articles), dtype=bool)
+    held[result.pairs.earlier] = True
+    held[result.pairs.later] = True
+    return [window.articles[k] for k in np.flatnonzero(held).tolist()]
 
 
 def match_window(
@@ -460,9 +516,9 @@ def match_window(
 ) -> WindowMatchResult:
     """Fit a TFIDF model on one window and extract all cross-source matches.
 
-    Articles that carry one body byte for byte share one spool span, and so
-    one row: the articles are grouped by span, and each distinct body is
-    read from the window's spool, tokenized and fitted once, with its
+    Articles that carry one body byte for byte share one spool index, and
+    so one row: the articles are grouped by index, and each distinct body
+    is read from the window's spool, tokenized and fitted once, with its
     copies as its multiplicity, so its row has the bits each copy's row
     would have. The join runs on the distinct rows, and each pair of rows
     it keeps stands for every cross-source pair of their copies. Two copies
@@ -474,21 +530,22 @@ def match_window(
     Bodies shorter than `min_body_tokens` tokens do not participate, and the
     eligible count counts articles. A window with fewer than two eligible
     articles has no pairs.
-    Pairs are sorted by (similarity desc, earlier id, later id), a total
-    order since ids are unique. Neither a pair nor its score depends on the
-    order of the window's articles, so neither does the result.
+    The pairs are returned as `KeptPairs` arrays, sorted by (similarity
+    desc, earlier id, later id), a total order since ids are unique.
+    Neither a pair nor its score depends on the order of the window's
+    articles, so neither does the result.
     """
     articles = window.articles
-    # The positions of the articles that carry each distinct body, by span.
-    groups: dict[tuple[int, int] | None, list[int]] = {}
+    # The positions of the articles that carry each distinct body, by index.
+    groups: dict[int | None, list[int]] = {}
     for position, article in enumerate(articles):
-        groups.setdefault(article.body_span, []).append(position)
+        groups.setdefault(article.body_index, []).append(position)
     members = list(groups.values())
     model = fit_tfidf(map(window.spool.read, groups), min_body_tokens, [len(g) for g in members])
     members = [members[row] for row in model.rows]
     eligible = sum(map(len, members))
     if eligible < 2:
-        return WindowMatchResult(eligible, ())
+        return WindowMatchResult(eligible, _no_pairs())
     # The join needs no terms, so they are freed before the weighting; the
     # weighted counts are the matrix, and the model goes with the idf.
     model = replace(model, vocabulary=[])
@@ -497,18 +554,103 @@ def match_window(
     del model
     repeated = [k for k, group in enumerate(members) if len(group) > 1]
     scores = _row_sums(matrix, np.square(matrix.data))[repeated].tolist()
-    selves = [(k, k, sim) for k, sim in zip(repeated, scores) if sim > threshold]
-    pairs = []
-    for q, p, sim in chain(selves, _threshold_join(matrix, threshold, df)):
-        grouped = combinations(members[q], 2) if q == p else product(members[q], members[p])
-        for i, j in grouped:
-            a, b = articles[i], articles[j]
-            if a.source != b.source:
-                pairs.append(pair_articles(a, b, sim, window.index))
-    # Three stable sorts, least significant key first, give the order of
-    # one sort by (-similarity, earlier id, later id), but make no object
-    # per pair: each key is a field the pair already holds.
-    pairs.sort(key=attrgetter("later.id"))
-    pairs.sort(key=attrgetter("earlier.id"))
-    pairs.sort(key=attrgetter("similarity"), reverse=True)
-    return WindowMatchResult(eligible, tuple(pairs))
+    row_pairs = [(k, k, sim) for k, sim in zip(repeated, scores) if sim > threshold]
+    row_pairs += _threshold_join(matrix, threshold, df)
+    return WindowMatchResult(eligible, _kept_pairs(articles, members, row_pairs))
+
+
+def _no_pairs() -> KeptPairs:
+    none = np.empty(0, np.int32)
+    return KeptPairs(none, none, np.empty(0), np.empty(0, bool))
+
+
+def _kept_pairs(
+    articles: Sequence[Article],
+    members: list[list[int]],
+    row_pairs: list[tuple[int, int, float]],
+) -> KeptPairs:
+    """The pairs that row pairs (q, p, score) stand for: every cross-source
+    pair of an article of row q and one of row p, or of two articles of row
+    q where p is q, each scored as its row pair. `members[row]` lists the
+    positions of a row's articles.
+
+    `pair_articles`' rule holds: each pair is ordered by (published_utc,
+    source, id), and ambiguous when both timestamps are equal. Pairs are
+    sorted by (similarity desc, earlier id, later id) with one `np.lexsort`.
+    The work is done on each article's rank by id, so that the pairs' two
+    columns are the sort's keys, and on each score's rank among the
+    distinct scores, so that no per-pair array but three int32 ones and the
+    sort's order waits for the sort. The ranks are found in Python, not by
+    `np.unique`, whose first call alone adds about 0.45 MB of resident code
+    to detect.
+    """
+    if not row_pairs:
+        return _no_pairs()
+    rows, partners, sims = zip(*row_pairs)
+    rows, partners = np.array(rows), np.array(partners)
+    distinct = sorted(set(sims), reverse=True)
+    score_of = dict(zip(distinct, count()))
+    score_rank = np.array([score_of[sim] for sim in sims], np.int32)
+    del sims, score_of
+    by_id = sorted(range(len(articles)), key=lambda k: articles[k].id)
+    positions = np.array(by_id, np.int32)
+    rank = np.empty_like(positions)
+    rank[positions] = np.arange(len(articles), dtype=np.int32)
+    # Per id rank: the article's source and timestamp, as ranks among the
+    # window's, and its place in `pair_articles`' order, which breaks their
+    # ties by id.
+    source_of = {name: k for k, name in enumerate(sorted({a.source for a in articles}))}
+    time_of = {ts: k for k, ts in enumerate(sorted({a.published_utc for a in articles}))}
+    source = np.array([source_of[articles[k].source] for k in by_id], np.int32)
+    time = np.array([time_of[articles[k].published_utc] for k in by_id], np.int32)
+    place = np.empty_like(positions)
+    place[np.lexsort((source, time))] = np.arange(len(articles), dtype=np.int32)
+    # The id ranks of each row's articles, one row after another.
+    sizes = np.array(list(map(len, members)))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    flat = rank[np.fromiter(chain.from_iterable(members), np.intp, int(ends[-1]))]
+
+    # One entry per article of each row pair's first row, then one pair per
+    # partner of that article: every article of the other row, or the
+    # articles after it in a row paired with itself.
+    first_row = np.repeat(np.arange(len(rows)), sizes[rows])
+    left = _runs(starts[rows], sizes[rows])
+    own = (rows == partners)[first_row]
+    partner_start = starts[partners][first_row]
+    partner_start[own] = left[own] + 1
+    partner_count = sizes[partners][first_row]
+    partner_count[own] = ends[rows][first_row][own] - left[own] - 1
+    right = flat[_runs(partner_start, partner_count)]
+    left = np.repeat(flat[left], partner_count)
+    score_rank = np.repeat(score_rank[first_row], partner_count)
+    del first_row, own, partner_start, partner_count
+
+    # Each per-pair array is replaced in turn, so that at most one waits
+    # for its old copy to go.
+    keep = source[left] != source[right]
+    left = left[keep]
+    right = right[keep]
+    score_rank = score_rank[keep]
+    swap = place[left] > place[right]
+    left[swap], right[swap] = right[swap], left[swap]
+    del keep, swap
+    order = np.lexsort((right, left, score_rank))
+    left = left[order]
+    right = right[order]
+    score_rank = score_rank[order]
+    del order
+    ambiguous = time[left] == time[right]
+    similarity = np.array(distinct)[score_rank]
+    del score_rank
+    left = positions[left]
+    right = positions[right]
+    return KeptPairs(left, right, similarity, ambiguous)
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """range(starts[k], starts[k] + lengths[k]) for each k, one after another."""
+    ends = np.cumsum(lengths)
+    steps = np.repeat(starts - ends + lengths, lengths)
+    steps += np.arange(len(steps))
+    return steps

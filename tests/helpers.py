@@ -40,7 +40,7 @@ def make_window(articles, index=0, start=BASE_TS, days=14) -> TimeWindow:
     """A window of `TextArticle`s, whose bodies are written to a new spool as
     ingest writes a corpus's, so the matcher reads them back as in detect."""
     spool = BodySpool()
-    spooled = tuple(replace(a, body_span=spool.append(a.body)) for a in articles)
+    spooled = tuple(replace(a, body_index=spool.append(a.body)) for a in articles)
     spool.flush()
     return TimeWindow(
         index=index,

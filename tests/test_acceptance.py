@@ -26,7 +26,7 @@ from newsreuse.network import (
     louvain,
     merge_graphs,
 )
-from newsreuse.similarity import TokenizedDoc, match_window
+from newsreuse.similarity import TokenizedDoc, match_window, window_pairs
 
 from helpers import (
     BASE_TS,
@@ -128,7 +128,8 @@ def test_criterion_2_similarity_exactness():
             if a.source != b.source:
                 oracle[frozenset((a.id, b.id))] = sim
         got = {
-            frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs
+            frozenset((p.earlier.id, p.later.id)): p.similarity
+            for p in window_pairs(window, result)
         }
         assert got.keys() == oracle.keys(), f"window {index}: pair sets differ"
         for key, sim in got.items():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import gc
 import json
 import multiprocessing
 import os
@@ -242,14 +243,20 @@ def test_cli_import_loads_no_process_pool():
     assert result.stdout.strip() == "[]"
 
 
-def test_console_entry_freezes_collection_then_runs_main(monkeypatch):
-    # The installed command freezes what the imports left before a stage
-    # runs; main itself, which tests call in-process, does not.
-    calls = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_OK)
-    assert cli.console_main() == EXIT_OK
-    assert calls == ["freeze", "main"]
+def test_main_freezes_collection_for_the_stage_and_unfreezes_after(monkeypatch, tmp_path):
+    # A stage runs with what the imports left frozen; main leaves the
+    # collector as it found it, for in-process callers such as this test.
+    assert gc.get_freeze_count() == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda cfg: seen.append(gc.get_freeze_count()))
+    main(["report", "--out", str(tmp_path)])
+    assert seen and seen[0] > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_entry_runs_main(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda: EXIT_USAGE)
+    assert cli.console_main() == EXIT_USAGE
     # The one table, read without tomllib, which Python 3.10 lacks.
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     text = pyproject.read_text(encoding="utf-8")

@@ -29,20 +29,23 @@ beyond what the tiles alone hold.
 
 A window also holds the pairs it keeps, which no count of tokens or
 entries bounds: one body republished by k sources is one row and k(k-1)/2
-pairs. Each kept pair adds at most 128 bytes: a `MatchedPair` of five
-slots, and its place in the window's list and in the result's tuple. Its
-articles and its score are shared with the window and its row pair.
+pairs. Each kept pair adds at most 32 bytes to the window's peak. It is
+kept as arrays, two int32 positions, a float64 score and a bool direction,
+17 bytes; while they are made and sorted, at most about as many bytes
+again wait beside them. No `MatchedPair` is built until detect writes it.
 
-Ingest keeps each article, and no more: at most 500 bytes an article on a
-generated corpus (its slots, id, title, timestamp, counts and body span),
-beside the spool's one write buffer, and one string per source.
+Ingest keeps each article, and no more: at most 400 bytes an article on a
+generated corpus (its slots, id, title, timestamp, counts and body index,
+and the spool's 8-byte end of its body), beside the spool's one write
+buffer, and one string per source.
 
 The stages after detect read `pairs.csv` a line at a time: beyond the pairs
-it returns, `read_pairs_csv` holds at most 200 bytes a row, the (earlier id,
-later id) key that finds a repeated row (a 56-byte tuple and its place in a
-table that grows by doubling). A graph export holds its lines, each a `str`
-with its header, and the graph's edge list: at most 3.5 times the bytes of
-the file it writes, with no joined or encoded copy of the text.
+it returns, `read_pairs_csv` holds at most 80 bytes a row, the int that
+finds a repeated row (28 bytes) and its place in a table that grows by
+doubling. A graph export holds the graph's edge list and the line being
+written: at most 1.5 times the bytes of the file it writes. Beyond the
+title pairs it returns, `title_distance` holds at most 64 bytes a pair,
+its lists of pair and row indices, and no gather of every pair's rows.
 """
 
 import gc
@@ -53,7 +56,7 @@ from contextlib import closing
 
 import pytest
 
-from newsreuse import network, similarity
+from newsreuse import headlines, network, similarity
 from newsreuse.corpus import (
     Article,
     ingest_articles,
@@ -70,10 +73,11 @@ from helpers import BASE_TS, DEFAULT_MATCH, make_article, make_window, republish
 
 BYTES_PER_TOKEN = 8
 BYTES_PER_ENTRY = 24
-BYTES_PER_KEPT_PAIR = 128
-BYTES_PER_ARTICLE = 500
-BYTES_PER_PAIR_ROW = 200
-EXPORT_BYTES_PER_FILE_BYTE = 3.5
+BYTES_PER_KEPT_PAIR = 32
+BYTES_PER_ARTICLE = 400
+BYTES_PER_PAIR_ROW = 80
+EXPORT_BYTES_PER_FILE_BYTE = 1.5
+BYTES_PER_TITLE_PAIR = 64
 
 
 def zipf_bodies(rng: random.Random, count: int, words: int) -> list[str]:
@@ -159,7 +163,8 @@ def test_empty_cut_join_adds_at_most_a_temporary_per_entry_to_its_tiles():
 
 
 def test_republished_body_adds_at_most_a_constant_per_kept_pair():
-    # 400 sources republish one 200-token body: one row, 79,800 pairs.
+    # 400 sources republish one 200-token body: one row, 79,800 pairs,
+    # kept as arrays.
     window = republished_window(400, 200)
     results = []
     try:
@@ -199,11 +204,15 @@ def test_ingest_keeps_a_constant_per_article_and_one_string_per_source(tmp_path)
         assert len({id(a.source) for a in read_back}) == 4
 
 
-def all_pairs(sources: int) -> list:
+def all_pairs(sources: int, titles: list[str] | None = None) -> list:
     """The pairs of `sources` articles of one story, one per source, a
-    minute apart: every two of them are a pair."""
+    minute apart: every two of them are a pair. Article i is titled
+    `title {i}`, or takes `titles` in turn."""
     articles = [
-        Article(f"article-{i}", f"source {i:03d}", f"title {i}", BASE_TS + 60 * i)
+        Article(
+            f"article-{i}", f"source {i:03d}",
+            titles[i % len(titles)] if titles else f"title {i}", BASE_TS + 60 * i,
+        )
         for i in range(sources)
     ]
     return [pair_articles(a, b, 1.0, 0) for i, a in enumerate(articles) for b in articles[i + 1:]]
@@ -244,3 +253,22 @@ def test_graph_export_holds_its_lines_and_no_copy_of_the_text(tmp_path, export):
 
     budget = EXPORT_BYTES_PER_FILE_BYTE * path.stat().st_size
     assert peak <= budget, f"{peak} bytes traced against a budget of {budget}"
+
+
+def test_title_distance_holds_a_constant_per_pair_beyond_its_result():
+    # 120 articles with 5 titles between them: 7,140 pairs, most of them
+    # scored, over a model of 5 rows.
+    titles = ["rates rise again", "central bank raises rates again", "rates rise",
+              "bank lifts rates", "markets fall as rates rise"]
+    pairs = all_pairs(120, titles)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read = headlines.title_distance(pairs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert sum(tp.distance > 0 for tp in read) > len(pairs) // 2
+    budget = BYTES_PER_TITLE_PAIR * len(pairs)
+    assert peak - kept <= budget, f"{peak - kept} bytes beyond the title pairs against {budget}"

@@ -22,6 +22,7 @@ from newsreuse.similarity import (
     match_window,
     tokenize,
     vectorize,
+    window_pairs,
 )
 
 from helpers import (
@@ -327,8 +328,9 @@ def _assert_matches_per_article_oracle(window, threshold, min_body_tokens):
     got = match_window(window, threshold=threshold, min_body_tokens=min_body_tokens)
     eligible, pairs = article_match_window(window, threshold, min_body_tokens)
     assert got.eligible_count == eligible
-    assert got.pairs == pairs
-    assert [p.similarity.hex() for p in got.pairs] == [p.similarity.hex() for p in pairs]
+    got_pairs = tuple(window_pairs(window, got))
+    assert got_pairs == pairs
+    assert [p.similarity.hex() for p in got_pairs] == [p.similarity.hex() for p in pairs]
     return got
 
 
@@ -387,7 +389,7 @@ def test_copies_in_a_norm_bound_window_match_the_per_article_oracle(monkeypatch)
     taken = _cuts_taken(monkeypatch)
     got = _assert_matches_per_article_oracle(window, 0.5, 0)
     assert len(taken) == 1 and taken[0].any()
-    assert any("-copy" in p.earlier.id + p.later.id for p in got.pairs)
+    assert any("-copy" in p.earlier.id + p.later.id for p in window_pairs(window, got))
 
 
 def test_every_tokenization_happens_inside_fit(monkeypatch):
@@ -452,7 +454,7 @@ def test_verbatim_copy_detected_at_one():
     window = make_window(
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A]})
     )
-    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
+    pairs = list(window_pairs(window, match_window(window, **DEFAULT_MATCH)))
     assert len(pairs) == 1
     assert pairs[0].similarity == pytest.approx(1.0, abs=1e-9)
     assert {pairs[0].earlier.source, pairs[0].later.source} == {"ap", "echo"}
@@ -461,7 +463,7 @@ def test_verbatim_copy_detected_at_one():
 
 def test_same_source_duplicates_excluded():
     window = make_window(_window_articles({"ap": [LONG_A, LONG_A], "x": [LONG_B]}))
-    assert list(match_window(window, **DEFAULT_MATCH).pairs) == []
+    assert list(window_pairs(window, match_window(window, **DEFAULT_MATCH))) == []
 
 
 def test_short_bodies_ineligible():
@@ -469,21 +471,21 @@ def test_short_bodies_ineligible():
     window = make_window(_window_articles({"ap": [short], "echo": [short]}))
     result = match_window(window, **DEFAULT_MATCH)
     assert result.eligible_count == 0
-    assert result.pairs == ()
+    assert list(window_pairs(window, result)) == []
 
 
 def test_window_with_single_eligible_doc_skipped():
     window = make_window(_window_articles({"ap": [LONG_A], "echo": ["tiny"]}))
     result = match_window(window, **DEFAULT_MATCH)
     assert result.eligible_count == 1
-    assert result.pairs == ()
+    assert list(window_pairs(window, result)) == []
 
 
 def test_timestamp_tie_marks_ambiguous():
     a = make_article("idb", "zsource", body=LONG_A, ts=BASE_TS + 100)
     b = make_article("ida", "asource", body=LONG_A, ts=BASE_TS + 100)
     window = make_window([a, b])
-    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
+    pairs = list(window_pairs(window, match_window(window, **DEFAULT_MATCH)))
     assert len(pairs) == 1
     assert pairs[0].direction == AMBIGUOUS
     assert pairs[0].earlier.source == "asource"
@@ -517,7 +519,7 @@ def test_planted_copies_recovered_exactly():
     rng = random.Random(11)
     vocab = pseudo_vocab(rng, 900)
     window, planted = _planted_window(rng, 200, 10, vocab)
-    pairs = list(match_window(window, threshold=0.90, min_body_tokens=20).pairs)
+    pairs = list(window_pairs(window, match_window(window, threshold=0.90, min_body_tokens=20)))
     got = {frozenset((p.earlier.id, p.later.id)) for p in pairs}
     assert got == planted
     for p in pairs:
@@ -547,7 +549,8 @@ def test_pruned_search_equals_exhaustive_oracle():
         result = match_window(window, threshold=threshold, min_body_tokens=5)
         oracle = _oracle_pairs(window, threshold, 5)
         got = {
-            frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs
+            frozenset((p.earlier.id, p.later.id)): p.similarity
+            for p in window_pairs(window, result)
         }
         assert got.keys() == oracle.keys(), f"trial {trial} set mismatch"
         for key, sim in got.items():
@@ -596,7 +599,10 @@ def test_tiled_join_equals_exhaustive_oracle(
             matrix = vectorize(fit_tfidf([" ".join(d) for d in docs], 0))
             joined = similarity._threshold_join(matrix, threshold, column_df(matrix))
             assert sorted(joined) == product_pairs(matrix, threshold)
-    got = {frozenset((p.earlier.id, p.later.id)): p.similarity for p in result.pairs}
+    got = {
+        frozenset((p.earlier.id, p.later.id)): p.similarity
+        for p in window_pairs(window, result)
+    }
     assert len(got) == len(result.pairs)
     # Tiny vocabularies produce pairs whose exact cosine equals the
     # threshold; rounding may put those on either side of it.
@@ -615,8 +621,8 @@ def test_raising_threshold_never_adds_pairs():
     for threshold in [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99]:
         pairs = {
             frozenset((p.earlier.id, p.later.id))
-            for p in list(
-                match_window(window, threshold=threshold, min_body_tokens=5).pairs
+            for p in window_pairs(
+                window, match_window(window, threshold=threshold, min_body_tokens=5)
             )
         }
         if previous is not None:
@@ -644,20 +650,27 @@ def test_output_sorted_and_deterministic():
     vocab = pseudo_vocab(rng, 200)
     window, _ = _planted_window(rng, 90, 6, vocab)
     for checked in (window, _tied_window(random.Random(5), vocab)):
-        first = list(match_window(checked, threshold=0.5, min_body_tokens=5).pairs)
-        second = list(match_window(checked, threshold=0.5, min_body_tokens=5).pairs)
+        first, second = (
+            list(window_pairs(checked, match_window(checked, threshold=0.5, min_body_tokens=5)))
+            for _ in range(2)
+        )
         assert first == second
         keys = [(-p.similarity, p.earlier.id, p.later.id) for p in first]
         assert keys == sorted(keys)
     # Shuffling the window's articles changes no pair and no score bit, on
     # either join path (the skewed window takes the norm-bound join).
     for window, min_body_tokens in ((window, 5), (_skewed_window(random.Random(3)), 0)):
-        want = match_window(window, threshold=0.5, min_body_tokens=min_body_tokens).pairs
+        want = list(window_pairs(
+            window, match_window(window, threshold=0.5, min_body_tokens=min_body_tokens)
+        ))
         assert want
         for _ in range(3):
-            articles = tuple(rng.sample(window.articles, len(window.articles)))
-            got = match_window(replace(window, articles=articles), threshold=0.5,
-                               min_body_tokens=min_body_tokens).pairs
+            shuffled = replace(
+                window, articles=tuple(rng.sample(window.articles, len(window.articles)))
+            )
+            got = list(window_pairs(shuffled, match_window(
+                shuffled, threshold=0.5, min_body_tokens=min_body_tokens
+            )))
             assert got == want
             assert [p.similarity.hex() for p in got] == [p.similarity.hex() for p in want]
 
@@ -678,14 +691,14 @@ def test_matching_is_strictly_intra_window(tmp_path):
     )
     windows = partition_windows(ingest_articles(path), window_days=14)
     assert len(windows) == 2
-    assert all(list(match_window(w, **DEFAULT_MATCH).pairs) == [] for w in windows)
+    assert all(list(window_pairs(w, match_window(w, **DEFAULT_MATCH))) == [] for w in windows)
 
 
 def test_pairs_csv_round_trip(tmp_path):
     window = make_window(
         _window_articles({"ap": [LONG_A, LONG_B], "echo": [LONG_A, LONG_B]})
     )
-    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
+    pairs = list(window_pairs(window, match_window(window, **DEFAULT_MATCH)))
     assert pairs
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
@@ -698,7 +711,7 @@ def test_pairs_csv_round_trip(tmp_path):
 
 def test_pairs_csv_unknown_id_errors(tmp_path):
     window = make_window(_window_articles({"ap": [LONG_A], "echo": [LONG_A]}))
-    pairs = list(match_window(window, **DEFAULT_MATCH).pairs)
+    pairs = list(window_pairs(window, match_window(window, **DEFAULT_MATCH)))
     path = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, path)
     with pytest.raises(DataError, match="not in corpus"):
@@ -917,16 +930,29 @@ def test_cut_chooser_lowers_the_cut_short_of_most_rows_heavy():
     assert sorted(similarity._threshold_join(matrix, 0.9, df)) == product_pairs(matrix, 0.9)
 
 
-def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold():
+@pytest.mark.parametrize(
+    "seed, common, rare, only_frequent, lowest_norm",
+    # The second window's cut-part norms spread from below 0.1 to 1, so
+    # each later row's first cut in `_tiles` differs widely from the
+    # tile's largest.
+    [(5, 4, 300, 4, 0.3), (6, 2, 800, 40, 0.1)],
+    ids=["skewed", "spread-norms"],
+)
+def test_norm_bound_join_keeps_pairs_one_ulp_above_threshold(
+    seed, common, rare, only_frequent, lowest_norm
+):
     # The filter's value is within a few ulps of the score when the two
     # cut parts are parallel; without the margin some of these pairs are
     # lost.
     docs, planted = _skewed_docs(
-        random.Random(5), 200, common=4, rare=300, only_frequent=4, copies=30
+        random.Random(seed), 200, common=common, rare=rare, only_frequent=only_frequent,
+        copies=30,
     )
     matrix = _docs_matrix(docs)
     df = column_df(matrix)
-    assert similarity._cheapest_cut(matrix, 0.9, df)[0].any()
+    in_cut, norms = similarity._cheapest_cut(matrix, 0.9, df)
+    assert in_cut.any()
+    assert norms.min() < lowest_norm and norms.max() > 0.99
     checked = 0
     for earlier, later in planted:
         score = cosine(matrix, [earlier], [later])[0]
@@ -1013,7 +1039,7 @@ def test_gate_sends_fixture_window_to_norm_bound_join(tmp_path, monkeypatch):
     result = match_window(window, **DEFAULT_MATCH)
     assert len(taken) == 1 and taken[0].any()
     assert len(result.pairs) >= 10
-    texts = [window.spool.read(a.body_span) for a in window.articles]
+    texts = [window.spool.read(a.body_index) for a in window.articles]
     matrix = vectorize(fit_tfidf(texts, DEFAULT_MATCH["min_body_tokens"]))
     threshold = DEFAULT_MATCH["threshold"]
     joined = similarity._threshold_join(matrix, threshold, column_df(matrix))

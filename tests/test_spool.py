@@ -177,7 +177,7 @@ def test_ingest_spools_bodies_instead_of_holding_them(tmp_path):
         tracemalloc.stop()
     try:
         assert held < body_bytes / 4, (held, body_bytes)
-        assert [collection.spool.read(a.body_span) for a in collection] == bodies
+        assert [collection.spool.read(a.body_index) for a in collection] == bodies
     finally:
         collection.spool.close()
 
@@ -190,9 +190,9 @@ _SPOOLED = ["alpha beta", "", "\ud800", "alpha", "alpha beta", "\udfff", "", "al
 
 @pytest.mark.parametrize("one_key", [False, True])
 def test_equal_bodies_share_a_span_and_unequal_bodies_never_do(one_key):
-    """Until `flush`, equal bodies get equal spans and unequal bodies unequal
-    ones. After it, a body may be written anew, but each span still reads
-    back the body it was given for. Under one hash key, only the spool's
+    """Until `flush`, equal bodies get equal indices and unequal bodies
+    unequal ones. After it, a body may be written anew, but each index still
+    reads back the body it was given for. Under one hash key, only the spool's
     byte comparison tells the bodies apart."""
     spool = BodySpool()
     one_hash = mock.patch.object(corpus_module, "hash", lambda data: 0, create=True)
@@ -202,17 +202,17 @@ def test_equal_bodies_share_a_span_and_unequal_bodies_never_do(one_key):
             spool.flush()
             after = [spool.append(body) for body in reversed(_SPOOLED)]
         spool.flush()
-        for body, span in zip(_SPOOLED, before):
-            assert [other == body for other in _SPOOLED] == [s == span for s in before]
+        for body, index in zip(_SPOOLED, before):
+            assert [other == body for other in _SPOOLED] == [i == index for i in before]
         bodies = _SPOOLED + _SPOOLED[::-1]
-        assert [spool.read(span) for span in before + after] == bodies
+        assert [spool.read(index) for index in before + after] == bodies
     finally:
         spool.close()
 
 
 def test_ingest_writes_each_distinct_body_once(tmp_path):
     """A corpus whose sources republish each other's bodies spools only the
-    distinct bodies' bytes, and its copies share their first copy's span."""
+    distinct bodies' bytes, and its copies share their first copy's index."""
     rng = random.Random(4)
     stories = ["", "café au lait", "breaking news " * 40, "東京 " * 9, "breaking news"]
     bodies = [rng.choice(stories) for _ in range(60)]
@@ -223,9 +223,9 @@ def test_ingest_writes_each_distinct_body_once(tmp_path):
     ])
     collection = ingest_articles(path)
     try:
-        spans = [a.body_span for a in collection]
-        assert len(set(spans)) == len(set(bodies))
-        assert [collection.spool.read(span) for span in spans] == bodies
+        indices = [a.body_index for a in collection]
+        assert len(set(indices)) == len(set(bodies))
+        assert [collection.spool.read(index) for index in indices] == bodies
         assert os.fstat(collection.spool._fd).st_size == sum(
             len(body.encode("utf-8")) for body in set(bodies)
         )
